@@ -7,8 +7,8 @@ Three fitters are provided:
 * ``extract_peak_force``: peak of a force-displacement trace, with an
   optional moving-average smoother.
 * ``fit_suction``: recovers the suction model's effective seal area and
-  effective interior height from (chamber pressure, peak force) pairs via a
-  grid-seeded Nelder-Mead refinement.
+  effective interior height from (chamber pressure, peak force) pairs; the
+  force is linear in the area, so only the height is searched.
 
 All fitters are deterministic given their inputs.  CSV parsing is strict:
 the header must match the series kind exactly and malformed rows abort
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .chamber import ChamberGeometry, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
+from .grasp import suction_law
 from .gripper import GripperAssembly, aperture_vs_pressure
 from .material import HyperelasticMaterial
 
@@ -135,6 +136,11 @@ class FitReport:
         }
 
 
+def _near_bound(x: float, bounds: tuple[float, float]) -> bool:
+    """x lies within 0.1% of the search span from either bound."""
+    return min(x - bounds[0], bounds[1] - x) < 1e-3 * (bounds[1] - bounds[0])
+
+
 def _per_point(xs, ys, preds):
     return tuple(
         {"x": float(x), "measured": float(y), "predicted": float(p), "error": float(p - y)}
@@ -193,8 +199,7 @@ def fit_c1(
             f"fit_c1 failed: optimum c1={c1_hat:.4g} kPa cannot reproduce the "
             "series inside the solver box"
         ) from None
-    span = bounds[1] - bounds[0]
-    at_bound = min(c1_hat - bounds[0], bounds[1] - c1_hat) < 1e-3 * span
+    at_bound = _near_bound(c1_hat, bounds)
     return FitReport(
         params={"c1_kPa": c1_hat},
         residual_norm=float(np.sqrt(np.sum((preds - ys) ** 2))),
@@ -248,8 +253,10 @@ def fit_suction(
     """Fit (A_eff mm^2, h_eff mm) of the suction model to measured peaks.
 
     The aperture radii at the series pressures depend only on the assembly,
-    so they are solved once up front; the 2-parameter least-squares problem
-    is then cheap and refined by Nelder-Mead from the best grid seed.
+    so they are solved once up front.  The predicted peaks are A_eff times a
+    function of h_eff, so for each h_eff the least-squares A_eff is a
+    projection (variable projection, Golub & Pereyra 1973); a bounded scalar
+    search over log h_eff minimizes what remains.
     """
     if series.kind is not SeriesKind.SUCTION_FORCE:
         raise CalibrationError(
@@ -269,42 +276,35 @@ def fit_suction(
     def predict(a_eff: float, h_eff: float) -> np.ndarray:
         v0 = math.pi * rg0 * rg0 * h_eff
         volumes = math.pi * rgs**2 * h_eff + lift_volume_increase_mm3
-        p_interior = ambient_pressure_kPa * v0 / volumes
-        force_mN = (ambient_pressure_kPa - p_interior) * a_eff
-        return np.maximum(force_mN, 0.0) / 1000.0
+        return suction_law(ambient_pressure_kPa, a_eff, v0, volumes)
 
-    def sse(params) -> float:
-        return float(np.sum((predict(params[0], params[1]) - ys) ** 2))
+    def best_area(h_eff: float) -> float:
+        unit = predict(1.0, h_eff)
+        return float(np.clip(unit @ ys / (unit @ unit), *area_bounds))
 
-    grid_a = np.geomspace(*area_bounds, 16)
-    grid_h = np.geomspace(*height_bounds, 16)
-    seed = min(
-        ((a, h) for a in grid_a for h in grid_h), key=lambda ah: sse(ah)
-    )
-    result = minimize(
+    def sse(log_h: float) -> float:
+        h_eff = math.exp(log_h)
+        return float(np.sum((predict(best_area(h_eff), h_eff) - ys) ** 2))
+
+    result = minimize_scalar(
         sse,
-        x0=np.array(seed),
-        method="Nelder-Mead",
-        bounds=[area_bounds, height_bounds],
-        options={"xatol": 1e-8, "fatol": 1e-18, "maxiter": 5000, "maxfev": 5000},
+        bounds=(math.log(height_bounds[0]), math.log(height_bounds[1])),
+        method="bounded",
+        options={"xatol": 1e-9},
     )
-    a_hat, h_hat = float(result.x[0]), float(result.x[1])
+    h_hat = math.exp(result.x)
+    a_hat = best_area(h_hat)
     preds = predict(a_hat, h_hat)
-    notes = []
+    at_bound = _near_bound(a_hat, area_bounds) or _near_bound(h_hat, height_bounds)
     if a_hat - area_bounds[0] < 1e-3 * (area_bounds[1] - area_bounds[0]):
-        notes.append("degenerate: effective seal area at lower bound")
-    at_bound = bool(notes) or (
-        area_bounds[1] - a_hat < 1e-3 * (area_bounds[1] - area_bounds[0])
-        or min(h_hat - height_bounds[0], height_bounds[1] - h_hat)
-        < 1e-3 * (height_bounds[1] - height_bounds[0])
-    )
-    if at_bound and not notes:
-        notes.append("optimizer at bound")
+        notes = "degenerate: effective seal area at lower bound"
+    else:
+        notes = "optimizer at bound" if at_bound else ""
     return FitReport(
         params={"A_eff_mm2": a_hat, "h_eff_mm": h_hat},
         residual_norm=float(np.sqrt(np.sum((preds - ys) ** 2))),
         per_point=_per_point(xs, ys, preds),
         at_bound=at_bound,
-        notes="; ".join(notes),
+        notes=notes,
         n_evals=int(result.nfev),
     )

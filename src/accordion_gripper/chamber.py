@@ -34,8 +34,6 @@ from scipy.optimize import brentq
 from .errors import ConvergenceError, OutOfWorkspaceError
 from .material import HyperelasticMaterial, stress_difference
 
-_EPS = 2.220446049250313e-16
-
 #: Default ranges the deformed unknowns were searched over in the original
 #: design study: r0 in [4.56, 5] mm, r1 in [3, 3.8] mm, theta0 in
 #: [57.6 deg, 80 deg].  Only the angle range constrains the scalar solver;
@@ -340,5 +338,5 @@ def solve_deformation(
             "reachable inside the solver box",
             reachable=(p_lo, p_hi),
         )
-    theta = brentq(f, lo, hi, xtol=tol, rtol=4 * _EPS)
+    theta = brentq(f, lo, hi, xtol=tol)
     return state_at_angle(geom, theta)

@@ -30,7 +30,7 @@ from .chamber import (
     wall_distance,
 )
 from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_config
-from .errors import CalibrationError, ConfigError, GripperError, OutOfWorkspaceError
+from .errors import ConfigError, GripperError, OutOfWorkspaceError
 from .gripper import (
     aperture_radius,
     aperture_vs_pressure,
@@ -119,6 +119,7 @@ def cmd_sweep(ctx: ModelContext, args) -> int:
         args.steps,
         ctx.box,
         ctx.quad_rel_tol,
+        ctx.theta_tol_rad,
     )
     try:
         write_sweep_csv(rows, args.out)
@@ -130,7 +131,7 @@ def cmd_sweep(ctx: ModelContext, args) -> int:
 
 
 def cmd_invert(ctx: ModelContext, args) -> int:
-    p = inverse_pressure(ctx.assembly, args.aperture, ctx.p_max_kPa, box=ctx.box)
+    p = inverse_pressure(ctx.assembly, args.aperture, ctx.p_max_kPa, ctx.theta_tol_rad, ctx.box)
     if args.json:
         _print_json({"target_Rg_mm": args.aperture, "pressure_kPa": p})
     else:
@@ -139,7 +140,8 @@ def cmd_invert(ctx: ModelContext, args) -> int:
 
 
 def cmd_workspace(ctx: ModelContext, args) -> int:
-    ws = workspace(ctx.assembly, args.p_max if args.p_max is not None else ctx.p_max_kPa, ctx.box)
+    p_max = args.p_max if args.p_max is not None else ctx.p_max_kPa
+    ws = workspace(ctx.assembly, p_max, ctx.box, ctx.theta_tol_rad)
     margin = float(ctx.config["grasp"]["stretch_margin_mm"])
     d_lo, d_hi = contraction_diameter_range(ws, margin)
     payload = ws.as_dict() | {
@@ -171,7 +173,7 @@ def cmd_plan(ctx: ModelContext, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     grasp_cfg = ctx.config["grasp"]
-    ws = workspace(ctx.assembly, ctx.p_max_kPa, ctx.box)
+    ws = workspace(ctx.assembly, ctx.p_max_kPa, ctx.box, ctx.theta_tol_rad)
     plan = plan_grasp(
         obj,
         ctx.assembly,
@@ -256,7 +258,7 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
         f"Rg(0) = {rest_rg:.6f} mm (pinned 20.676 +/- 0.001)",
     )
 
-    rows = sweep(assembly, 0.0, ctx.p_max_kPa, 41, box, ctx.quad_rel_tol)
+    rows = sweep(assembly, 0.0, ctx.p_max_kPa, 41, box, ctx.quad_rel_tol, ctx.theta_tol_rad)
     max_rel = 0.0
     max_pin = 0.0
     max_area = 0.0
@@ -317,8 +319,8 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
     worst_rt = 0.0
     for i in range(10):
         p = ctx.p_max_kPa * (i + 1) / 10.0
-        rg = aperture_vs_pressure(assembly, p, box)
-        p_back = inverse_pressure(assembly, rg, ctx.p_max_kPa, box=box)
+        rg = aperture_vs_pressure(assembly, p, box, ctx.theta_tol_rad)
+        p_back = inverse_pressure(assembly, rg, ctx.p_max_kPa, ctx.theta_tol_rad, box)
         worst_rt = max(worst_rt, abs(p_back - p) / max(1.0, abs(p)))
     add(
         "inverse_round_trip",
@@ -449,6 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            print(f"error: {name} must be a finite number, got {value}", file=sys.stderr)
+            return 1
     try:
         ctx = ModelContext.from_config(load_config(args.config))
     except (ConfigError, ValueError) as exc:
@@ -459,13 +465,7 @@ def main(argv=None) -> int:
     except OutOfWorkspaceError as exc:
         print(f"out of workspace: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GripperError as exc:
+    except (GripperError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .chamber import ChamberGeometry, SolverBox
 from .errors import ConfigError
@@ -56,29 +56,10 @@ DEFAULT_CONFIG = {
         "expand_kPa": 40.0,
         "suction_kPa": 20.0,
     },
-    "capacity": {
-        "cylinder": {
-            "slope_N_per_kPa": 1.0,
-            "plateau_N": 20.0,
-            "threshold_kPa": 30.0,
-            "prestretch_N": 20.0,
-        },
-        "sphere": {
-            "slope_N_per_kPa": 0.75,
-            "plateau_N": 15.0,
-            "threshold_kPa": 30.0,
-            "prestretch_N": 15.0,
-        },
-        "default": {
-            "slope_N_per_kPa": 0.5,
-            "plateau_N": 10.0,
-            "threshold_kPa": 30.0,
-            "prestretch_N": 10.0,
-        },
-    },
+    "capacity": {name: asdict(e) for name, e in CapacityCalibration.defaults().entries.items()},
 }
 
-_CAPACITY_KEYS = {"slope_N_per_kPa", "plateau_N", "threshold_kPa", "prestretch_N"}
+_CAPACITY_KEYS = {f.name for f in fields(CapacityEntry)}
 
 
 def default_config() -> dict:
@@ -98,24 +79,25 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _require_finite(value, where: str):
+    # json accepts NaN and Infinity.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"config key {where} must be a finite number, got {value!r}")
+    return value
+
+
 def _require_number(cfg: dict, section: str, key: str):
     try:
         value = cfg[section][key]
     except (KeyError, TypeError):
         raise ConfigError(f"missing config key {section}.{key}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {section}.{key} must be a number, got {value!r}")
-    return value
+    return _require_finite(value, f"{section}.{key}")
 
 
 def _require_pair(value, where: str) -> tuple[float, float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"config key {where} must be a [lo, hi] number pair, got {value!r}")
-    return float(value[0]), float(value[1])
+    return float(_require_finite(value[0], where)), float(_require_finite(value[1], where))
 
 
 def load_config(path: str | None = None) -> dict:
@@ -183,12 +165,10 @@ class ModelContext:
             )
             capacity = CapacityCalibration(
                 entries={
-                    name: CapacityEntry(
-                        slope_N_per_kPa=float(entry["slope_N_per_kPa"]),
-                        plateau_N=float(entry["plateau_N"]),
-                        threshold_kPa=float(entry.get("threshold_kPa", 30.0)),
-                        prestretch_N=float(entry.get("prestretch_N", 0.0)),
-                    )
+                    name: CapacityEntry(**{
+                        key: float(_require_finite(v, f"capacity.{name}.{key}"))
+                        for key, v in entry.items()
+                    })
                     for name, entry in _capacity_entries(cfg).items()
                 }
             )
@@ -221,6 +201,8 @@ class ModelContext:
             effective_seal_area_mm2=float(suction["A_eff_mm2"]),
             h_eff_mm=float(suction["h_eff_mm"]),
             ambient_pressure_kPa=float(suction["ambient_kPa"]),
+            box=self.box,
+            tol=self.theta_tol_rad,
         )
 
 

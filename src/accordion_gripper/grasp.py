@@ -15,10 +15,11 @@ single-parameter cylinder model V(P_C) = pi * R_g(P_C)^2 * h_eff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable
 
+from .chamber import SolverBox
 from .errors import CalibrationError
 from .gripper import (
     GripperAssembly,
@@ -59,18 +60,16 @@ class ObjectDescriptor:
     orientation_note: str = ""
 
     def __post_init__(self) -> None:
-        if self.characteristic_diameter_mm <= 0:
-            raise ValueError(
-                f"characteristic diameter must be > 0, got {self.characteristic_diameter_mm}"
-            )
-        if self.mass_kg < 0:
-            raise ValueError(f"mass must be >= 0, got {self.mass_kg}")
+        d = self.characteristic_diameter_mm
+        if not (math.isfinite(d) and d > 0):
+            raise ValueError(f"characteristic diameter must be finite and > 0, got {d}")
+        if not (math.isfinite(self.mass_kg) and self.mass_kg >= 0):
+            raise ValueError(f"mass must be finite and >= 0, got {self.mass_kg}")
         if self.has_aperture != (self.aperture_diameter_mm is not None):
             raise ValueError("aperture_diameter_mm must be present iff has_aperture")
-        if self.aperture_diameter_mm is not None and self.aperture_diameter_mm <= 0:
-            raise ValueError(
-                f"aperture diameter must be > 0, got {self.aperture_diameter_mm}"
-            )
+        d = self.aperture_diameter_mm
+        if d is not None and not (math.isfinite(d) and d > 0):
+            raise ValueError(f"aperture diameter must be finite and > 0, got {d}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectDescriptor":
@@ -83,16 +82,7 @@ class ObjectDescriptor:
                 f"unknown shape_class {data.get('shape_class')!r}; expected one of "
                 f"{[s.value for s in ShapeClass]}"
             ) from None
-        known = {
-            "shape_class",
-            "characteristic_diameter_mm",
-            "mass_kg",
-            "has_aperture",
-            "aperture_diameter_mm",
-            "has_flat_sealable_surface",
-            "orientation_note",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown object descriptor keys: {sorted(unknown)}")
         if "characteristic_diameter_mm" not in data:
@@ -148,6 +138,7 @@ class CapacityCalibration:
 
     @classmethod
     def defaults(cls) -> "CapacityCalibration":
+        """The default table, also the config file's default ``capacity``."""
         return cls(
             entries={
                 "cylinder": CapacityEntry(1.0, 20.0, 30.0, 20.0),
@@ -190,6 +181,17 @@ def contraction_capacity(
 # Expansion-driven suction
 
 
+def suction_law(ambient_kPa, effective_seal_area_mm2, rest_volume_mm3, volume_mm3):
+    """Suction force (N) of the isothermal closure P_I*V = P_atm*V0.
+
+    Force is (P_atm - P_I)*A_eff floored at zero; kPa*mm^2 = mN.  Takes
+    floats or numpy arrays: the floor is (f + |f|)/2, which is exact.
+    """
+    p_interior = ambient_kPa * rest_volume_mm3 / volume_mm3
+    force_mN = (ambient_kPa - p_interior) * effective_seal_area_mm2
+    return 0.5 * (force_mN + abs(force_mN)) / 1000.0
+
+
 @dataclass(frozen=True)
 class SuctionModel:
     """Isothermal gas closure of the sealed interior space."""
@@ -214,13 +216,15 @@ class SuctionModel:
         effective_seal_area_mm2: float,
         h_eff_mm: float,
         ambient_pressure_kPa: float = 101.325,
+        box: SolverBox | None = None,
+        tol: float = 1e-12,
     ) -> "SuctionModel":
         """Build the enclosed-volume map V(P_C) = pi*R_g(P_C)^2*h_eff."""
         if h_eff_mm <= 0:
             raise ValueError(f"effective height must be positive, got {h_eff_mm}")
 
         def volume(p_chamber: float) -> float:
-            rg = aperture_vs_pressure(assembly, p_chamber)
+            rg = aperture_vs_pressure(assembly, p_chamber, box, tol)
             return math.pi * rg * rg * h_eff_mm
 
         return cls(
@@ -239,9 +243,7 @@ def suction_force(
 ) -> float:
     """Suction lifting force (N) with the seal formed.
 
-    The sealed interior obeys P_I*V = P_atm*V0 with
-    V = V(p_chamber) + lift_volume_increase.  Force is
-    (P_atm - P_I)*A_eff, floored at zero; kPa*mm^2 = mN.
+    ``suction_law`` with V = V(p_chamber) + lift_volume_increase.
     """
     if p_chamber < seal_threshold_kPa:
         raise ValueError(
@@ -253,9 +255,12 @@ def suction_force(
     volume = model.volume_vs_chamber_pressure(p_chamber) + lift_volume_increase_mm3
     if volume <= 0:
         raise ValueError(f"non-positive enclosed volume {volume} mm^3")
-    p_interior = model.ambient_pressure_kPa * model.rest_volume_mm3 / volume
-    force_mN = (model.ambient_pressure_kPa - p_interior) * model.effective_seal_area_mm2
-    return max(0.0, force_mN) / 1000.0
+    return suction_law(
+        model.ambient_pressure_kPa,
+        model.effective_seal_area_mm2,
+        model.rest_volume_mm3,
+        volume,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,14 @@ from .chamber import (
     SolverBox,
     area_residual,
     pin_residual,
+    pressure_at_angle,
     pressure_quadrature,
     solve_deformation,
+    state_at_angle,
     wall_distance,
 )
 from .errors import OutOfWorkspaceError
 from .material import HyperelasticMaterial
-
-_EPS = 2.220446049250313e-16
 
 #: Column order of the sweep CSV export.
 SWEEP_CSV_HEADER = (
@@ -114,29 +114,38 @@ def inverse_pressure(
 ) -> float:
     """Pressure (kPa) at which the aperture radius equals target_rg (mm).
 
-    Bracketed root finding on the monotone forward map over [0, p_max].
+    R_g is explicit in theta0, so one bracketed solve on theta0 (tolerance
+    ``tol``, rad) between the angles at 0 kPa and at p_max finds the angle
+    of the target aperture; its pressure follows in closed form.
     """
-    rg_lo = aperture_vs_pressure(assembly, 0.0, box)
-    rg_hi = aperture_vs_pressure(assembly, p_max, box)
+    geom, mat = assembly.geometry, assembly.material
+    lo = solve_deformation(geom, mat, 0.0, box, tol).half_angle
+    hi = solve_deformation(geom, mat, p_max, box, tol).half_angle
+
+    def rg(theta: float) -> float:
+        return aperture_radius(wall_distance(state_at_angle(geom, theta)), assembly)
+
+    rg_lo, rg_hi = rg(lo), rg(hi)
     if not rg_lo <= target_rg <= rg_hi:
         raise OutOfWorkspaceError(
             f"target aperture {target_rg} mm outside the achievable range "
             f"[{rg_lo:.6g}, {rg_hi:.6g}] mm for pressures in [0, {p_max}] kPa",
             reachable=(rg_lo, rg_hi),
         )
-
-    def f(p: float) -> float:
-        return aperture_vs_pressure(assembly, p, box) - target_rg
-
-    if f(0.0) == 0.0:
+    if rg_lo == target_rg:
         return 0.0
-    if f(p_max) == 0.0:
+    if rg_hi == target_rg:
         return p_max
-    return brentq(f, 0.0, p_max, xtol=tol, rtol=4 * _EPS)
+    theta = brentq(lambda t: rg(t) - target_rg, lo, hi, xtol=tol)
+    # Near the rest angle the closed form can round a few ulps below zero.
+    return max(pressure_at_angle(geom, mat, theta), 0.0)
 
 
 def workspace(
-    assembly: GripperAssembly, p_max: float = 40.0, box: SolverBox | None = None
+    assembly: GripperAssembly,
+    p_max: float = 40.0,
+    box: SolverBox | None = None,
+    tol: float = 1e-12,
 ) -> Workspace:
     """Aperture range over the admissible pressure span.
 
@@ -145,8 +154,8 @@ def workspace(
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
-    rest = aperture_vs_pressure(assembly, 0.0, box)
-    largest = aperture_vs_pressure(assembly, p_max, box)
+    rest = aperture_vs_pressure(assembly, 0.0, box, tol)
+    largest = aperture_vs_pressure(assembly, p_max, box, tol)
     return Workspace(
         min_aperture_mm=assembly.folded_aperture_mm,
         rest_aperture_mm=rest,
@@ -176,6 +185,7 @@ def sweep(
     steps: int,
     box: SolverBox | None = None,
     quad_rel_tol: float = 1e-9,
+    tol: float = 1e-12,
 ) -> list[SweepRow]:
     """Evaluate the forward model on a uniform pressure grid.
 
@@ -190,7 +200,7 @@ def sweep(
     rows = []
     for i in range(steps):
         p = p_from + (p_to - p_from) * i / (steps - 1)
-        state = solve_deformation(geom, mat, p, box)
+        state = solve_deformation(geom, mat, p, box, tol)
         d = wall_distance(state)
         rows.append(
             SweepRow(

@@ -2,12 +2,27 @@
 
 These deliberately avoid the library's solver path: the grid search scans
 the full 3-D unknown space with its own (numpy) pressure evaluation, so a
-bug in the scalar reduction cannot hide.
+bug in the scalar reduction cannot hide.  The nested inverse inverts the
+forward map by root finding over pressure, so it shares no step with the
+library's inverse, which solves over theta0.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import brentq
+
+from accordion_gripper import aperture_vs_pressure
+
+
+def nested_inverse_pressure(assembly, target_rg, p_max=40.0, box=None):
+    """Pressure (kPa) of aperture target_rg (mm): Brent over p of the forward map."""
+    return brentq(
+        lambda p: aperture_vs_pressure(assembly, p, box) - target_rg,
+        0.0,
+        p_max,
+        xtol=1e-12,
+    )
 
 
 def grid_search_state(geom, mat, p_target, box, n=400):

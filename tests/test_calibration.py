@@ -178,8 +178,8 @@ def test_extract_peak_force_validation():
 # Suction fit
 
 
-def synthetic_suction_series(assembly, a_eff, h_eff, lift=5000.0, ambient=101.325):
-    pressures = [0.0, 5.0, 10.0, 15.0, 20.0]
+def synthetic_suction_series(assembly, a_eff, h_eff, lift=5000.0, ambient=101.325,
+                             pressures=(0.0, 5.0, 10.0, 15.0, 20.0)):
     rg0 = aperture_vs_pressure(assembly, 0.0)
     v0 = math.pi * rg0 * rg0 * h_eff
     rows = []
@@ -190,9 +190,19 @@ def synthetic_suction_series(assembly, a_eff, h_eff, lift=5000.0, ambient=101.32
     return MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, rows)
 
 
-def test_fit_suction_synthetic_round_trip(assembly):
-    truth_a, truth_h = 2000.0, 46.0
-    series = synthetic_suction_series(assembly, truth_a, truth_h)
+@pytest.mark.parametrize(
+    "c1, n_chambers, truth_h, pressures",
+    [
+        (119.0, 22, 46.0, (0.0, 5.0, 10.0, 15.0, 20.0)),
+        # Stiffest ring: the aperture barely moves, so the peaks are nearly flat.
+        (200.0, 16, 30.0, (5.0, 10.0, 15.0, 20.0, 25.0)),
+    ],
+    ids=["default-ring", "stiffest-ring"],
+)
+def test_fit_suction_synthetic_round_trip(geom, c1, n_chambers, truth_h, pressures):
+    assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
+    truth_a = 2000.0
+    series = synthetic_suction_series(assembly, truth_a, truth_h, pressures=pressures)
     report = fit_suction(series, assembly)
     assert abs(report.params["A_eff_mm2"] - truth_a) / truth_a < 0.02
     assert abs(report.params["h_eff_mm"] - truth_h) / truth_h < 0.02

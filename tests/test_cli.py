@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -229,3 +230,90 @@ def test_bad_config_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(path), "solve", "--pressure", "0")
     assert code == 1
     assert "config error" in err
+
+
+def write_config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_plan_suction_checks_configured_box(capsys, tmp_path):
+    # The box reaches only [0, 12.68] kPa, below the 20 kPa suction phase.
+    cfg = write_config(
+        tmp_path, {"solver": {"box": {"theta0_deg": [57.6, 62]}, "p_max_kPa": 5}}
+    )
+    path = write_object(
+        tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0}
+    )
+    code, _, err = run(capsys, "--config", cfg, "plan", "--object", path)
+    assert code == 2
+    assert "12.68" in err
+
+
+@pytest.mark.parametrize(
+    "command", ["solve", "invert", "workspace", "plan", "sweep", "validate"]
+)
+def test_theta_tol_reaches_every_solve(capsys, tmp_path, monkeypatch, command):
+    import accordion_gripper.chamber as chamber
+    import accordion_gripper.gripper as gripper
+
+    xtols = []
+
+    def spy(real):
+        def brentq(f, a, b, **kwargs):
+            xtols.append(kwargs.get("xtol"))
+            return real(f, a, b, **kwargs)
+        return brentq
+
+    for module in (chamber, gripper):
+        monkeypatch.setattr(module, "brentq", spy(module.brentq))
+    argv = {
+        "solve": ["--pressure", "20"],
+        "invert": ["--aperture", "21.5"],
+        "workspace": [],
+        "plan": ["--object", write_object(
+            tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0}
+        )],
+        "sweep": ["--out", str(tmp_path / "sweep.csv")],
+        "validate": [],
+    }[command]
+    cfg = write_config(tmp_path, {"solver": {"theta_tol_rad": 1e-3}})
+    run(capsys, "--config", cfg, command, *argv)
+    assert xtols
+    assert set(xtols) == {1e-3}
+
+
+PLAN = ["plan", "--object", "object.json"]
+
+
+@pytest.mark.parametrize(
+    "config, descriptor, argv",
+    [
+        ({"suction": {"A_eff_mm2": math.nan}}, None, ["solve", "--pressure", "0"]),
+        ({"solver": {"p_max_kPa": math.inf}}, None, ["workspace"]),
+        ({"solver": {"box": {"r0_mm": [4.56, math.inf]}}}, None, ["solve", "--pressure", "0"]),
+        ({"capacity": {"cone": {"slope_N_per_kPa": math.nan, "plateau_N": 8.0}}}, None,
+         ["solve", "--pressure", "0"]),
+        (None, None, ["solve", "--pressure", "inf"]),
+        (None, None, ["solve", "--pressure", "nan"]),
+        (None, None, ["invert", "--aperture", "nan"]),
+        (None, None, ["workspace", "--p-max", "inf"]),
+        (None, None, ["sweep", "--from", "nan", "--out", "unused.csv"]),
+        (None, None, ["sweep", "--to", "inf", "--out", "unused.csv"]),
+        (None, {"characteristic_diameter_mm": math.nan}, PLAN),
+        (None, {"mass_kg": math.inf}, PLAN),
+        (None, {"has_aperture": True, "aperture_diameter_mm": math.inf}, PLAN),
+    ],
+)
+def test_non_finite_input_exit_1(capsys, tmp_path, monkeypatch, config, descriptor, argv):
+    monkeypatch.chdir(tmp_path)
+    if descriptor is not None:
+        write_object(
+            tmp_path,
+            {"shape_class": "cylinder", "characteristic_diameter_mm": 40.0} | descriptor,
+        )
+    prefix = ["--config", write_config(tmp_path, config)] if config else []
+    code, _, err = run(capsys, *prefix, *argv)
+    assert code == 1
+    assert "finite" in err

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from accordion_gripper import (
     GripperAssembly,
+    HyperelasticMaterial,
     OutOfWorkspaceError,
     aperture_radius,
     aperture_vs_pressure,
@@ -18,6 +19,8 @@ from accordion_gripper.gripper import (
     format_sweep_csv,
     write_sweep_csv,
 )
+
+from oracles import nested_inverse_pressure
 
 
 def test_sector_angle(assembly):
@@ -56,6 +59,26 @@ def test_forward_map_frozen_values(assembly):
 def test_inverse_round_trip(assembly, p):
     rg = aperture_vs_pressure(assembly, p)
     assert inverse_pressure(assembly, rg) == pytest.approx(p, abs=1e-7)
+
+
+@pytest.mark.parametrize("n_chambers", [16, 22, 28])
+@pytest.mark.parametrize("c1", [85.0, 119.0, 160.0, 210.0])
+def test_inverse_matches_nested_oracle(geom, c1, n_chambers):
+    assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
+    ws = workspace(assembly)
+    span = ws.max_aperture_mm - ws.rest_aperture_mm
+    for f in (0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999):
+        target = ws.rest_aperture_mm + f * span
+        assert inverse_pressure(assembly, target) == pytest.approx(
+            nested_inverse_pressure(assembly, target), abs=1e-9
+        )
+
+
+def test_inverse_just_above_rest_stays_on_inflation_branch(assembly):
+    rest = aperture_vs_pressure(assembly, 0.0)
+    p = inverse_pressure(assembly, math.nextafter(rest, math.inf))
+    assert p >= 0.0
+    assert aperture_vs_pressure(assembly, p) == pytest.approx(rest, abs=1e-12)
 
 
 def test_inverse_out_of_range_reports_reachable(assembly):
