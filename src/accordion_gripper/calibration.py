@@ -21,15 +21,16 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
-from scipy.optimize import minimize_scalar
+from typing import TYPE_CHECKING
 
 from .chamber import ChamberGeometry, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
 from .grasp import suction_law
 from .gripper import GripperAssembly, aperture_vs_pressure
 from .material import HyperelasticMaterial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SeriesKind(str, Enum):
@@ -77,9 +78,13 @@ class MeasurementSeries:
         return cls(kind=kind, rows=tuple((float(x), float(y)) for x, y in pairs))
 
     def xs(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([x for x, _ in self.rows])
 
     def ys(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([y for _, y in self.rows])
 
 
@@ -148,6 +153,97 @@ def _per_point(xs, ys, preds):
     )
 
 
+def _with_cap_note(notes: str, status: int) -> str:
+    """``notes``, plus a remark when the minimiser stopped at its evaluation cap."""
+    if status != 1:
+        return notes
+    return "; ".join(filter(None, (notes, "optimizer stopped at its evaluation cap")))
+
+
+def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
+                      maxiter: int = 500) -> tuple[float, float, int, int]:
+    """Minimum of a scalar function on a closed interval.
+
+    Brent's golden-section search with parabolic interpolation (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5), in the
+    form of scipy's ``minimize_scalar(method="bounded")``: same steps in the
+    same floating-point order, so x, f(x) and the evaluation count match it.
+    Returns ``(x, f(x), evaluations, status)``; status 0 is converged, 1 the
+    ``maxiter`` evaluation cap reached, 2 a NaN met.
+    """
+    a, b = bounds
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("optimization bounds must be finite scalars")
+    if a > b:
+        raise ValueError("the lower bound exceeds the upper bound")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    status = 0
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:
+            # Parabola through the three best points.
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            status = 1
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        status = 2
+    return xf, fx, num, status
+
+
 # ---------------------------------------------------------------------------
 # Material constant
 
@@ -158,8 +254,14 @@ def fit_c1(
     n_chambers: int = 22,
     bounds: tuple[float, float] = (10.0, 1000.0),
     box: SolverBox | None = None,
+    tol: float = 1e-12,
 ) -> FitReport:
-    """Fit the material constant c1 (kPa) to an aperture-vs-pressure series."""
+    """Fit the material constant c1 (kPa) to an aperture-vs-pressure series.
+
+    ``tol`` is the theta0 tolerance (rad) of every forward solve.
+    """
+    import numpy as np
+
     if series.kind is not SeriesKind.PRESSURE_APERTURE:
         raise CalibrationError(f"fit_c1 needs a pressure_aperture series, got {series.kind.value}")
     xs, ys = series.xs(), series.ys()
@@ -177,7 +279,7 @@ def fit_c1(
 
     def predict(c1: float) -> np.ndarray:
         assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
-        return np.array([aperture_vs_pressure(assembly, p, box) for p in xs])
+        return np.array([aperture_vs_pressure(assembly, p, box, tol) for p in xs])
 
     def sse(c1: float) -> float:
         evals[0] += 1
@@ -188,10 +290,7 @@ def fit_c1(
             # the solver box; steer the search away.
             return 1e12 * (1.0 + abs(math.log(c1 / bounds[1])))
 
-    result = minimize_scalar(
-        sse, bounds=bounds, method="bounded", options={"xatol": 1e-9}
-    )
-    c1_hat = float(result.x)
+    c1_hat, _, _, status = _minimize_bounded(sse, bounds)
     try:
         preds = predict(c1_hat)
     except OutOfWorkspaceError:
@@ -205,7 +304,7 @@ def fit_c1(
         residual_norm=float(np.sqrt(np.sum((preds - ys) ** 2))),
         per_point=_per_point(xs, ys, preds),
         at_bound=at_bound,
-        notes="optimizer at bound" if at_bound else "",
+        notes=_with_cap_note("optimizer at bound" if at_bound else "", status),
         n_evals=evals[0],
     )
 
@@ -220,6 +319,8 @@ def extract_peak_force(series: MeasurementSeries, smoothing_window: int = 1) -> 
     ``smoothing_window`` > 1 applies a centred moving average before taking
     the maximum (window 1 means no smoothing).
     """
+    import numpy as np
+
     if series.kind is not SeriesKind.FORCE_DISPLACEMENT:
         raise CalibrationError(
             f"extract_peak_force needs a force_displacement series, got {series.kind.value}"
@@ -249,15 +350,19 @@ def fit_suction(
     area_bounds: tuple[float, float] = (1.0, 1e5),
     height_bounds: tuple[float, float] = (1.0, 500.0),
     box: SolverBox | None = None,
+    tol: float = 1e-12,
 ) -> FitReport:
     """Fit (A_eff mm^2, h_eff mm) of the suction model to measured peaks.
 
     The aperture radii at the series pressures depend only on the assembly,
-    so they are solved once up front.  The predicted peaks are A_eff times a
-    function of h_eff, so for each h_eff the least-squares A_eff is a
-    projection (variable projection, Golub & Pereyra 1973); a bounded scalar
-    search over log h_eff minimizes what remains.
+    so they are solved once up front (theta0 tolerance ``tol``, rad).  The
+    predicted peaks are A_eff times a function of h_eff, so for each h_eff
+    the least-squares A_eff is a projection (variable projection, Golub &
+    Pereyra 1973); a bounded scalar search over log h_eff minimizes what
+    remains.
     """
+    import numpy as np
+
     if series.kind is not SeriesKind.SUCTION_FORCE:
         raise CalibrationError(
             f"fit_suction needs a suction_force series, got {series.kind.value}"
@@ -270,8 +375,8 @@ def fit_suction(
             "underdetermined fit: need peaks at >= 2 distinct chamber pressures"
         )
 
-    rg0 = aperture_vs_pressure(assembly, 0.0, box)
-    rgs = np.array([aperture_vs_pressure(assembly, p, box) for p in xs])
+    rg0 = aperture_vs_pressure(assembly, 0.0, box, tol)
+    rgs = np.array([aperture_vs_pressure(assembly, p, box, tol) for p in xs])
 
     def predict(a_eff: float, h_eff: float) -> np.ndarray:
         v0 = math.pi * rg0 * rg0 * h_eff
@@ -286,13 +391,10 @@ def fit_suction(
         h_eff = math.exp(log_h)
         return float(np.sum((predict(best_area(h_eff), h_eff) - ys) ** 2))
 
-    result = minimize_scalar(
-        sse,
-        bounds=(math.log(height_bounds[0]), math.log(height_bounds[1])),
-        method="bounded",
-        options={"xatol": 1e-9},
+    log_h, _, nfev, status = _minimize_bounded(
+        sse, (math.log(height_bounds[0]), math.log(height_bounds[1]))
     )
-    h_hat = math.exp(result.x)
+    h_hat = math.exp(log_h)
     a_hat = best_area(h_hat)
     preds = predict(a_hat, h_hat)
     at_bound = _near_bound(a_hat, area_bounds) or _near_bound(h_hat, height_bounds)
@@ -305,6 +407,6 @@ def fit_suction(
         residual_norm=float(np.sqrt(np.sum((preds - ys) ** 2))),
         per_point=_per_point(xs, ys, preds),
         at_bound=at_bound,
-        notes=notes,
-        n_evals=int(result.nfev),
+        notes=_with_cap_note(notes, status),
+        n_evals=nfev,
     )

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import ConvergenceError, OutOfWorkspaceError
 from .material import HyperelasticMaterial, stress_difference
 
@@ -270,6 +268,82 @@ def pressure_closed_form(
         * (1.0 / r0**2 - 1.0 / r1**2)
         - log_coeff * c1 * (big_theta / theta) * math.log(r0 / r1)
     )
+
+
+# ---------------------------------------------------------------------------
+# Bracketed root finder
+
+_RTOL = 4 * 2.220446049250313e-16  # 4 machine epsilons: brentq's floor on rtol
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
+           maxiter: int = 100) -> float:
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
+    in the form of scipy's ``brentq.c``: same defaults, same steps and the
+    same floating-point operations in the same order, so every iterate
+    matches scipy's bit for bit.  Converged when half the bracket is below
+    ``(xtol + rtol*|x|)/2``.  Raises ValueError when f(a) and f(b) share a
+    sign or f returns NaN, and ConvergenceError after ``maxiter`` steps.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ConvergenceError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 # ---------------------------------------------------------------------------

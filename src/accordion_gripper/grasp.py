@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Callable
 
 from .chamber import SolverBox
-from .errors import CalibrationError
+from .errors import CalibrationError, OutOfWorkspaceError
 from .gripper import (
     GripperAssembly,
     Workspace,
@@ -384,9 +384,14 @@ def plan_grasp(
     suction_model: SuctionModel | None = None,
     stretch_margin_mm: float = 8.65,
     lift_volume_increase_mm3: float = 5000.0,
+    p_max_kPa: float = PRESSURE_LIMIT_KPA,
     **schedule_pressures,
 ) -> GraspPlan:
-    """Full plan for one object: mode, schedule, capacity, feasibility."""
+    """Full plan for one object: mode, schedule, capacity, feasibility.
+
+    A positive schedule pressure above ``p_max_kPa``, the pressure the
+    workspace was solved at, raises OutOfWorkspaceError.
+    """
     sel = select_mode(obj, assembly, ws, stretch_margin_mm)
     if not sel.feasible:
         return GraspPlan(None, [], 0.0, False, sel.reason)
@@ -404,4 +409,13 @@ def plan_grasp(
         capacity = suction_force(
             suction_model, schedule[-1][1], lift_volume_increase_mm3
         )
+    # Checked after the capacity, so that a suction pressure the solver box
+    # cannot reach at all reports the box's own range.
+    for label, p in schedule:
+        if p > p_max_kPa:
+            raise OutOfWorkspaceError(
+                f"schedule phase {label!r} at {p:g} kPa is outside the range "
+                f"[0, {p_max_kPa:g}] kPa the workspace was solved over (solver.p_max_kPa)",
+                reachable=(0.0, p_max_kPa),
+            )
     return GraspPlan(sel.mode, schedule, capacity, True, sel.reason)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .chamber import (
     ChamberGeometry,
     SolverBox,
     area_residual,
+    brentq,
     pin_residual,
     pressure_at_angle,
     pressure_quadrature,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from accordion_gripper import (
     CalibrationError,
@@ -9,6 +10,7 @@ from accordion_gripper import (
     HyperelasticMaterial,
     aperture_vs_pressure,
 )
+from accordion_gripper import calibration
 from accordion_gripper.calibration import (
     MeasurementSeries,
     SeriesKind,
@@ -239,3 +241,54 @@ def test_fit_suction_input_validation(assembly):
     )
     with pytest.raises(CalibrationError, match="underdetermined"):
         fit_suction(duplicate, assembly)
+
+
+# ---------------------------------------------------------------------------
+# Bounded minimiser: a port of scipy's minimize_scalar(method="bounded")
+
+
+def test_bounded_minimiser_matches_scipy():
+    rng = np.random.default_rng(77)
+    problems = []
+    for _ in range(200):
+        lo = rng.uniform(-10.0, 10.0)
+        hi = lo + rng.uniform(0.01, 50.0)
+        c, k = rng.uniform(lo - 5.0, hi + 5.0), rng.uniform(0.1, 10.0)
+        problems += [
+            (lambda x, c=c, k=k: k * (x - c) ** 2, (lo, hi)),
+            (lambda x, c=c: abs(x - c) ** 0.5 + math.sin(3.0 * x), (lo, hi)),
+            (lambda x, c=c, k=k: math.cosh(k * (x - c) / 10.0) + 0.1 * x, (lo, hi)),
+        ]
+    for xatol in (1e-9, 1e-5):
+        for f, bounds in problems:
+            x, fun, nfev, status = calibration._minimize_bounded(f, bounds, xatol=xatol)
+            ref = minimize_scalar(f, bounds=bounds, method="bounded", options={"xatol": xatol})
+            assert (x, fun, nfev, status) == (ref.x, ref.fun, ref.nfev, ref.status)
+
+
+def test_bounded_minimiser_reports_cap():
+    def f(x):
+        return abs(x - 1.0) ** 0.5
+
+    x, _, nfev, status = calibration._minimize_bounded(f, (-100.0, 100.0), maxiter=4)
+    ref = minimize_scalar(f, bounds=(-100.0, 100.0), method="bounded", options={"maxiter": 4})
+    assert (x, nfev, status) == (ref.x, 4, 1)
+
+
+@pytest.mark.parametrize("fit", ["fit_c1", "fit_suction"])
+def test_capped_fit_says_so(monkeypatch, geom, assembly, fit):
+    real = calibration._minimize_bounded
+    monkeypatch.setattr(
+        calibration, "_minimize_bounded", lambda f, bounds: real(f, bounds, maxiter=3)
+    )
+    if fit == "fit_c1":
+        report = fit_c1(make_aperture_series(geom), geom)
+    else:
+        report = fit_suction(synthetic_suction_series(assembly, 2000.0, 46.0), assembly)
+    assert "optimizer stopped at its evaluation cap" in report.notes
+    assert report.n_evals == 3
+
+
+def test_uncapped_fit_notes_unchanged(geom):
+    report = fit_c1(make_aperture_series(geom), geom)
+    assert report.notes == ""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 from scipy.optimize import root
 
 from accordion_gripper import (
@@ -20,6 +21,7 @@ from accordion_gripper import (
 )
 from accordion_gripper.chamber import (
     adaptive_simpson,
+    brentq,
     area_residual,
     pin_residual,
     pressure_at_angle,
@@ -324,3 +326,54 @@ def test_solver_agrees_with_full_3d_residual_system():
     assert sol.x[0] == pytest.approx(state.r_outer, rel=1e-9)
     assert sol.x[1] == pytest.approx(state.r_inner, rel=1e-9)
     assert sol.x[2] == pytest.approx(state.half_angle, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Root finder: a port of scipy's brentq, checked against it
+
+
+def recorded(f):
+    """f plus the list of points it was called at."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+@pytest.mark.parametrize("xtol", [1e-12, 1e-9, 1e-6, 1e-3])
+def test_brentq_matches_scipy_bit_for_bit(xtol):
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        geom = ChamberGeometry(
+            rng.uniform(3.5, 6.0), rng.uniform(1.5, 3.4), math.radians(rng.uniform(40, 70))
+        )
+        mat = HyperelasticMaterial(rng.uniform(50.0, 300.0))
+        lo, hi = geom.half_angle_0, math.radians(rng.uniform(75.0, 85.0))
+        # A numpy scalar on purpose: the fits hand the solver numpy.float64.
+        p = np.float64(rng.uniform(0.0, pressure_at_angle(geom, mat, hi)))
+        f = lambda t: pressure_at_angle(geom, mat, t) - p  # noqa: E731
+        ours, our_xs = recorded(f)
+        theirs, their_xs = recorded(f)
+        root_ours = brentq(ours, lo, hi, xtol=xtol)
+        root_theirs = optimize.brentq(theirs, lo, hi, xtol=xtol)
+        assert root_ours == root_theirs
+        assert type(root_ours) is float
+        assert our_xs == their_xs
+
+
+def test_brentq_same_sign_bracket_rejected():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brentq_nan_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.1 else x - 0.5, 0.0, 1.0)
+
+
+def test_brentq_maxiter_exhausted():
+    with pytest.raises(ConvergenceError, match="3 iterations"):
+        brentq(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-15, maxiter=3)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -251,8 +255,42 @@ def test_plan_suction_checks_configured_box(capsys, tmp_path):
     assert "12.68" in err
 
 
+def test_plan_contraction_checks_p_max(capsys, tmp_path):
+    # The 40 kPa "open" phase is above the 5 kPa the workspace was solved at.
+    cfg = write_config(
+        tmp_path, {"solver": {"box": {"theta0_deg": [57.6, 62]}, "p_max_kPa": 5}}
+    )
+    path = write_object(
+        tmp_path, {"shape_class": "cylinder", "characteristic_diameter_mm": 40.0}
+    )
+    code, out, err = run(capsys, "--config", cfg, "plan", "--object", path)
+    assert code == 2
+    assert out == ""
+    assert "'open' at 40 kPa" in err
+    assert "[0, 5] kPa" in err
+
+
+@pytest.mark.parametrize("n_chambers", [16, 28])
+def test_validate_other_chamber_counts(capsys, tmp_path, n_chambers):
+    cfg = write_config(tmp_path, {"assembly": {"n_chambers": n_chambers}})
+    code, out, _ = run(capsys, "--config", cfg, "validate")
+    assert code == 0
+    assert "PASS  rest_aperture_pin" in out
+    assert "overall: PASS" in out
+
+
+def write_fit_data(tmp_path, command):
+    path = tmp_path / f"{command}.csv"
+    if command == "fit-c1":
+        path.write_text("pressure_kPa,aperture_mm\n10,21.0\n20,21.6\n30,22.1\n")
+    else:
+        path.write_text("pressure_kPa,force_N\n0,15\n20,30\n")
+    return ["--data", str(path)]
+
+
 @pytest.mark.parametrize(
-    "command", ["solve", "invert", "workspace", "plan", "sweep", "validate"]
+    "command",
+    ["solve", "invert", "workspace", "plan", "sweep", "validate", "fit-c1", "fit-suction"],
 )
 def test_theta_tol_reaches_every_solve(capsys, tmp_path, monkeypatch, command):
     import accordion_gripper.chamber as chamber
@@ -277,11 +315,68 @@ def test_theta_tol_reaches_every_solve(capsys, tmp_path, monkeypatch, command):
         )],
         "sweep": ["--out", str(tmp_path / "sweep.csv")],
         "validate": [],
+        "fit-c1": write_fit_data(tmp_path, command),
+        "fit-suction": write_fit_data(tmp_path, command),
     }[command]
     cfg = write_config(tmp_path, {"solver": {"theta_tol_rad": 1e-3}})
     run(capsys, "--config", cfg, command, *argv)
     assert xtols
     assert set(xtols) == {1e-3}
+
+
+IMPORT_PROBE = textwrap.dedent(
+    """
+    import json, sys
+    from accordion_gripper.cli import main
+
+    loaded = {}
+    for argv in json.loads(sys.argv[1]):
+        code = main(argv)
+        loaded[argv[0]] = [code, sorted({"numpy", "scipy"} & set(sys.modules))]
+    print(json.dumps(loaded), file=sys.stderr)
+    """
+)
+
+
+def probe_imports(tmp_path, commands):
+    """Exit code and the modules among numpy/scipy loaded after each command,
+    run in turn in one fresh interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("GRIPPER_CONFIG", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_model_commands_import_neither_numpy_nor_scipy(tmp_path):
+    obj = write_object(tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0})
+    loaded = probe_imports(tmp_path, [
+        ["solve", "--pressure", "20"],
+        ["invert", "--aperture", "21.5"],
+        ["workspace"],
+        ["plan", "--object", obj],
+        ["sweep", "--out", "sweep.csv"],
+        ["config"],
+    ])
+    assert loaded == {
+        k: [0, []] for k in ("solve", "invert", "workspace", "plan", "sweep", "config")
+    }
+
+
+def test_no_command_imports_scipy(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("displacement_mm,force_N\n0,1.0\n1,4.5\n2,2.0\n")
+    loaded = probe_imports(tmp_path, [
+        ["validate"],
+        ["fit-c1", *write_fit_data(tmp_path, "fit-c1")],
+        ["fit-suction", *write_fit_data(tmp_path, "fit-suction")],
+        ["peak-force", "--data", str(trace)],
+    ])
+    assert list(loaded) == ["validate", "fit-c1", "fit-suction", "peak-force"]
+    assert all(code == 0 and "scipy" not in mods for code, mods in loaded.values())
 
 
 PLAN = ["plan", "--object", "object.json"]
