@@ -273,24 +273,21 @@ def pressure_closed_form(
 # ---------------------------------------------------------------------------
 # Bracketed root finder
 
-_RTOL = 4 * 2.220446049250313e-16  # 4 machine epsilons: brentq's floor on rtol
+_RTOL = 4 * 2.220446049250313e-16  # 4 machine epsilons: scipy's default rtol
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> float:
     """Root of f in the bracket [a, b] by Brent's method.
 
     Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
     in the form of scipy's ``brentq.c``: same defaults, same steps and the
     same floating-point operations in the same order, so every iterate
     matches scipy's bit for bit.  Converged when half the bracket is below
-    ``(xtol + rtol*|x|)/2``.  Raises ValueError when f(a) and f(b) share a
+    ``(xtol + 4*eps*|x|)/2``.  Raises ValueError when f(a) and f(b) share a
     sign or f returns NaN, and ConvergenceError after ``maxiter`` steps.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
 
     def call(x: float) -> float:
         fx = float(f(x))
@@ -315,7 +312,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

@@ -186,7 +186,6 @@ def cmd_plan(ctx: ModelContext, args) -> int:
         insert_kPa=float(grasp_cfg["insert_kPa"]),
         expand_kPa=float(grasp_cfg["expand_kPa"]),
         suction_kPa=float(grasp_cfg["suction_kPa"]),
-        p_max_kPa=ctx.p_max_kPa,
     )
     _print_json(plan.to_dict())
     return 0 if plan.feasible else 2
@@ -256,18 +255,15 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
     )
     add("fixed_point", fixed_err < 1e-9, f"max deviation {fixed_err:.3e}")
 
-    rest_rg = aperture_radius(wall_distance(state0), assembly)
+    # The published rest aperture holds only for the published assembly; on
+    # any other, Rg(0) is the undeformed geometry's, which fixed_point checks.
     if geom == ChamberGeometry() and assembly.n_chambers == 22:
-        # The published assembly: pin the published rest aperture.
-        expected_rg, source = 20.676, "pinned"
-    else:
-        expected_rg = aperture_radius(wall_distance(geom.undeformed_state()), assembly)
-        source = "undeformed-geometry value"
-    add(
-        "rest_aperture_pin",
-        abs(rest_rg - expected_rg) < 1e-3,
-        f"Rg(0) = {rest_rg:.6f} mm ({source} {expected_rg:.6g} +/- 0.001)",
-    )
+        rest_rg = aperture_radius(wall_distance(state0), assembly)
+        add(
+            "rest_aperture_pin",
+            abs(rest_rg - 20.676) < 1e-3,
+            f"Rg(0) = {rest_rg:.6f} mm (pinned 20.676 +/- 0.001)",
+        )
 
     rows = sweep(assembly, 0.0, ctx.p_max_kPa, 41, box, ctx.quad_rel_tol, ctx.theta_tol_rad)
     max_rel = 0.0

@@ -384,13 +384,12 @@ def plan_grasp(
     suction_model: SuctionModel | None = None,
     stretch_margin_mm: float = 8.65,
     lift_volume_increase_mm3: float = 5000.0,
-    p_max_kPa: float = PRESSURE_LIMIT_KPA,
     **schedule_pressures,
 ) -> GraspPlan:
     """Full plan for one object: mode, schedule, capacity, feasibility.
 
-    A positive schedule pressure above ``p_max_kPa``, the pressure the
-    workspace was solved at, raises OutOfWorkspaceError.
+    A positive schedule pressure above ``ws.p_max_kPa``, the pressure the
+    workspace was solved up to, raises OutOfWorkspaceError.
     """
     sel = select_mode(obj, assembly, ws, stretch_margin_mm)
     if not sel.feasible:
@@ -412,10 +411,10 @@ def plan_grasp(
     # Checked after the capacity, so that a suction pressure the solver box
     # cannot reach at all reports the box's own range.
     for label, p in schedule:
-        if p > p_max_kPa:
+        if p > ws.p_max_kPa:
             raise OutOfWorkspaceError(
                 f"schedule phase {label!r} at {p:g} kPa is outside the range "
-                f"[0, {p_max_kPa:g}] kPa the workspace was solved over (solver.p_max_kPa)",
-                reachable=(0.0, p_max_kPa),
+                f"[0, {ws.p_max_kPa:g}] kPa the workspace was solved over (solver.p_max_kPa)",
+                reachable=(0.0, ws.p_max_kPa),
             )
     return GraspPlan(sel.mode, schedule, capacity, True, sel.reason)

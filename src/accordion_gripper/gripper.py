@@ -59,11 +59,13 @@ class GripperAssembly:
 
 @dataclass(frozen=True)
 class Workspace:
-    """Aperture radii reachable by the gripper, mm."""
+    """Aperture radii reachable by the gripper, mm, and the pressure (kPa)
+    the range was solved up to."""
 
     min_aperture_mm: float
     rest_aperture_mm: float
     max_aperture_mm: float
+    p_max_kPa: float
 
     def as_dict(self) -> dict:
         return {
@@ -159,6 +161,7 @@ def workspace(
         min_aperture_mm=assembly.folded_aperture_mm,
         rest_aperture_mm=rest,
         max_aperture_mm=largest,
+        p_max_kPa=p_max,
     )
 
 

@@ -275,7 +275,9 @@ def test_validate_other_chamber_counts(capsys, tmp_path, n_chambers):
     cfg = write_config(tmp_path, {"assembly": {"n_chambers": n_chambers}})
     code, out, _ = run(capsys, "--config", cfg, "validate")
     assert code == 0
-    assert "PASS  rest_aperture_pin" in out
+    # The 20.676 mm pin is the published assembly's; fixed_point covers Rg(0) here.
+    assert "rest_aperture_pin" not in out
+    assert "PASS  fixed_point" in out
     assert "overall: PASS" in out
 
 

@@ -8,6 +8,7 @@ from accordion_gripper import (
     GraspMode,
     GraspPlan,
     ObjectDescriptor,
+    OutOfWorkspaceError,
     ShapeClass,
     SuctionModel,
     contraction_capacity,
@@ -246,6 +247,14 @@ def test_plan_contraction(assembly, ws, calib, suction):
     as_dict = plan.to_dict()
     assert as_dict["mode"] == "contraction"
     assert as_dict["schedule"][0] == {"phase": "open", "pressure_kPa": 40.0}
+
+
+def test_plan_checks_workspace_p_max(assembly, calib, suction):
+    # The 40 kPa "open" phase is above the 5 kPa the workspace was solved up to.
+    low = workspace(assembly, 5.0)
+    assert low.p_max_kPa == 5.0 and "p_max_kPa" not in low.as_dict()
+    with pytest.raises(OutOfWorkspaceError, match=r"'open' at 40 kPa .*\[0, 5\] kPa"):
+        plan_grasp(obj(ShapeClass.CYLINDER, 40.0), assembly, low, calib, suction)
 
 
 def test_plan_suction(assembly, ws, calib, suction):
