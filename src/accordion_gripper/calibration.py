@@ -21,16 +21,14 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from itertools import accumulate
+from operator import sub
 
 from .chamber import ChamberGeometry, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
-from .grasp import suction_law
+from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, suction_law
 from .gripper import GripperAssembly, aperture_vs_pressure
 from .material import HyperelasticMaterial
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class SeriesKind(str, Enum):
@@ -66,6 +64,11 @@ class MeasurementSeries:
                 f"{self.kind.value} series needs at least "
                 f"{_MIN_ROWS[self.kind]} rows, got {len(self.rows)}"
             )
+        for i, (x, y) in enumerate(self.rows, start=1):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise CalibrationError(
+                    f"{self.kind.value} series row {i}: non-finite value ({x}, {y})"
+                )
         if self.kind is SeriesKind.PRESSURE_APERTURE:
             xs = [x for x, _ in self.rows]
             if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -77,15 +80,11 @@ class MeasurementSeries:
     def from_pairs(cls, kind: SeriesKind, pairs) -> "MeasurementSeries":
         return cls(kind=kind, rows=tuple((float(x), float(y)) for x, y in pairs))
 
-    def xs(self) -> np.ndarray:
-        import numpy as np
+    def xs(self) -> list[float]:
+        return [x for x, _ in self.rows]
 
-        return np.array([x for x, _ in self.rows])
-
-    def ys(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([y for _, y in self.rows])
+    def ys(self) -> list[float]:
+        return [y for _, y in self.rows]
 
 
 def load_series_csv(path, kind: SeriesKind) -> MeasurementSeries:
@@ -116,7 +115,7 @@ def load_series_csv(path, kind: SeriesKind) -> MeasurementSeries:
                 raise CalibrationError(
                     f"{path}:{lineno}: non-numeric value in {row!r}"
                 ) from None
-    return MeasurementSeries.from_pairs(kind, pairs)
+    return MeasurementSeries(kind, tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -148,9 +147,14 @@ def _near_bound(x: float, bounds: tuple[float, float]) -> bool:
 
 def _per_point(xs, ys, preds):
     return tuple(
-        {"x": float(x), "measured": float(y), "predicted": float(p), "error": float(p - y)}
+        {"x": x, "measured": y, "predicted": p, "error": p - y}
         for x, y, p in zip(xs, ys, preds)
     )
+
+
+def _sum_sq(preds, ys) -> float:
+    """Sum of squared residuals."""
+    return math.fsum((p - y) * (p - y) for p, y in zip(preds, ys))
 
 
 def _with_cap_note(notes: str, status: int) -> str:
@@ -260,37 +264,36 @@ def fit_c1(
 
     ``tol`` is the theta0 tolerance (rad) of every forward solve.
     """
-    import numpy as np
-
     if series.kind is not SeriesKind.PRESSURE_APERTURE:
         raise CalibrationError(f"fit_c1 needs a pressure_aperture series, got {series.kind.value}")
     xs, ys = series.xs(), series.ys()
-    if np.any(xs <= 0):
+    if any(x <= 0 for x in xs):
         raise CalibrationError("fit_c1 needs pressures strictly above 0 kPa")
     # A flat or shrinking aperture trend carries no stiffness information.
-    slope = np.polyfit(xs, ys, 1)[0]
-    if slope <= 0:
+    # Least-squares slope, with y measured from ys[0] instead of its mean:
+    # the same value, as the x deviations sum to 0, and 0 on a flat series.
+    x_bar = math.fsum(xs) / len(xs)
+    trend = math.fsum((x - x_bar) * (y - ys[0]) for x, y in zip(xs, ys))
+    if trend <= 0:
+        slope = trend / math.fsum((x - x_bar) * (x - x_bar) for x in xs)
         raise CalibrationError(
             f"series rejected: aperture does not increase with pressure "
             f"(fitted trend {slope:.3g} mm/kPa)"
         )
 
-    evals = [0]
-
-    def predict(c1: float) -> np.ndarray:
+    def predict(c1: float) -> list[float]:
         assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
-        return np.array([aperture_vs_pressure(assembly, p, box, tol) for p in xs])
+        return [aperture_vs_pressure(assembly, p, box, tol) for p in xs]
 
     def sse(c1: float) -> float:
-        evals[0] += 1
         try:
-            return float(np.sum((predict(c1) - ys) ** 2))
+            return _sum_sq(predict(c1), ys)
         except OutOfWorkspaceError:
             # Softer material cannot reach the highest series pressure inside
             # the solver box; steer the search away.
             return 1e12 * (1.0 + abs(math.log(c1 / bounds[1])))
 
-    c1_hat, _, _, status = _minimize_bounded(sse, bounds)
+    c1_hat, _, nfev, status = _minimize_bounded(sse, bounds)
     try:
         preds = predict(c1_hat)
     except OutOfWorkspaceError:
@@ -301,11 +304,11 @@ def fit_c1(
     at_bound = _near_bound(c1_hat, bounds)
     return FitReport(
         params={"c1_kPa": c1_hat},
-        residual_norm=float(np.sqrt(np.sum((preds - ys) ** 2))),
+        residual_norm=math.sqrt(_sum_sq(preds, ys)),
         per_point=_per_point(xs, ys, preds),
         at_bound=at_bound,
         notes=_with_cap_note("optimizer at bound" if at_bound else "", status),
-        n_evals=evals[0],
+        n_evals=nfev,
     )
 
 
@@ -319,23 +322,21 @@ def extract_peak_force(series: MeasurementSeries, smoothing_window: int = 1) -> 
     ``smoothing_window`` > 1 applies a centred moving average before taking
     the maximum (window 1 means no smoothing).
     """
-    import numpy as np
-
     if series.kind is not SeriesKind.FORCE_DISPLACEMENT:
         raise CalibrationError(
             f"extract_peak_force needs a force_displacement series, got {series.kind.value}"
         )
     ys = series.ys()
-    if smoothing_window < 1:
-        raise ValueError(f"smoothing window must be >= 1, got {smoothing_window}")
-    if smoothing_window > len(ys):
-        raise CalibrationError(
-            f"smoothing window {smoothing_window} exceeds series length {len(ys)}"
-        )
-    if smoothing_window > 1:
-        kernel = np.ones(smoothing_window) / smoothing_window
-        ys = np.convolve(ys, kernel, mode="valid")
-    return float(np.max(ys))
+    w = smoothing_window
+    if w < 1:
+        raise ValueError(f"smoothing window must be >= 1, got {w}")
+    if w > len(ys):
+        raise CalibrationError(f"smoothing window {w} exceeds series length {len(ys)}")
+    if w == 1:
+        return max(ys)
+    # Window sums as differences of prefix sums: O(n) for any window.
+    sums = list(accumulate(ys, initial=0.0))
+    return max(map(sub, sums[w:], sums)) / w
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +346,8 @@ def extract_peak_force(series: MeasurementSeries, smoothing_window: int = 1) -> 
 def fit_suction(
     series: MeasurementSeries,
     assembly: GripperAssembly,
-    lift_volume_increase_mm3: float = 5000.0,
-    ambient_pressure_kPa: float = 101.325,
+    lift_volume_increase_mm3: float = LIFT_VOLUME_INCREASE_MM3,
+    ambient_pressure_kPa: float = AMBIENT_KPA,
     area_bounds: tuple[float, float] = (1.0, 1e5),
     height_bounds: tuple[float, float] = (1.0, 500.0),
     box: SolverBox | None = None,
@@ -361,35 +362,36 @@ def fit_suction(
     Pereyra 1973); a bounded scalar search over log h_eff minimizes what
     remains.
     """
-    import numpy as np
-
     if series.kind is not SeriesKind.SUCTION_FORCE:
         raise CalibrationError(
             f"fit_suction needs a suction_force series, got {series.kind.value}"
         )
     xs, ys = series.xs(), series.ys()
-    if np.any(xs < 0):
+    if any(x < 0 for x in xs):
         raise CalibrationError("chamber pressures must be >= 0 kPa")
-    if len(np.unique(xs)) < 2:
+    if len(set(xs)) < 2:
         raise CalibrationError(
             "underdetermined fit: need peaks at >= 2 distinct chamber pressures"
         )
 
     rg0 = aperture_vs_pressure(assembly, 0.0, box, tol)
-    rgs = np.array([aperture_vs_pressure(assembly, p, box, tol) for p in xs])
+    rgs = [aperture_vs_pressure(assembly, p, box, tol) for p in xs]
 
-    def predict(a_eff: float, h_eff: float) -> np.ndarray:
+    def predict(a_eff: float, h_eff: float) -> list[float]:
         v0 = math.pi * rg0 * rg0 * h_eff
-        volumes = math.pi * rgs**2 * h_eff + lift_volume_increase_mm3
-        return suction_law(ambient_pressure_kPa, a_eff, v0, volumes)
+        volumes = [math.pi * (rg * rg) * h_eff + lift_volume_increase_mm3 for rg in rgs]
+        return [suction_law(ambient_pressure_kPa, a_eff, v0, v) for v in volumes]
 
     def best_area(h_eff: float) -> float:
         unit = predict(1.0, h_eff)
-        return float(np.clip(unit @ ys / (unit @ unit), *area_bounds))
+        norm_sq = math.fsum(u * u for u in unit)
+        # No force predicted at any pressure leaves A_eff free: its lower bound.
+        area = math.fsum(u * y for u, y in zip(unit, ys)) / norm_sq if norm_sq else 0.0
+        return min(max(area, area_bounds[0]), area_bounds[1])
 
     def sse(log_h: float) -> float:
         h_eff = math.exp(log_h)
-        return float(np.sum((predict(best_area(h_eff), h_eff) - ys) ** 2))
+        return _sum_sq(predict(best_area(h_eff), h_eff), ys)
 
     log_h, _, nfev, status = _minimize_bounded(
         sse, (math.log(height_bounds[0]), math.log(height_bounds[1]))
@@ -404,7 +406,7 @@ def fit_suction(
         notes = "optimizer at bound" if at_bound else ""
     return FitReport(
         params={"A_eff_mm2": a_hat, "h_eff_mm": h_hat},
-        residual_norm=float(np.sqrt(np.sum((preds - ys) ** 2))),
+        residual_norm=math.sqrt(_sum_sq(preds, ys)),
         per_point=_per_point(xs, ys, preds),
         at_bound=at_bound,
         notes=_with_cap_note(notes, status),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 
 from . import __version__
@@ -39,7 +40,7 @@ from .gripper import (
     workspace,
     write_sweep_csv,
 )
-from .grasp import ObjectDescriptor, plan_grasp
+from .grasp import SCHEDULE_KPA, ObjectDescriptor, plan_grasp
 
 
 def _fmt(value: float) -> str:
@@ -181,11 +182,7 @@ def cmd_plan(ctx: ModelContext, args) -> int:
         suction_model=ctx.suction_model(),
         stretch_margin_mm=float(grasp_cfg["stretch_margin_mm"]),
         lift_volume_increase_mm3=float(ctx.config["suction"]["lift_volume_increase_mm3"]),
-        open_kPa=float(grasp_cfg["open_kPa"]),
-        envelop_kPa=float(grasp_cfg["envelop_kPa"]),
-        insert_kPa=float(grasp_cfg["insert_kPa"]),
-        expand_kPa=float(grasp_cfg["expand_kPa"]),
-        suction_kPa=float(grasp_cfg["suction_kPa"]),
+        **{key: float(grasp_cfg[key]) for key in SCHEDULE_KPA},
     )
     _print_json(plan.to_dict())
     return 0 if plan.feasible else 2
@@ -239,8 +236,6 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
     audit only: under inflation the pin and area constraints drive r0 and
     r1 below its lower edges, so box membership is informational.
     """
-    import numpy as np
-
     geom, mat, assembly, box = ctx.geometry, ctx.material, ctx.assembly, ctx.box
     checks = []
 
@@ -303,11 +298,11 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
         f"(= c1*ln(R0/R1) = {expected:.4f} kPa; the rederived variant gives 0)",
     )
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     lo, hi = box.half_angle_range
     worst = 0.0
-    for theta in rng.uniform(lo, hi, size=100):
-        state = state_at_angle(geom, float(theta))
+    for _ in range(100):
+        state = state_at_angle(geom, rng.uniform(lo, hi))
         printed = pressure_closed_form(geom, state, mat, "as_printed")
         rederived = pressure_closed_form(geom, state, mat, "rederived")
         identity = (

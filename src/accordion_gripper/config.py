@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass, fields
 
 from .chamber import ChamberGeometry, SolverBox
 from .errors import ConfigError
+from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA
 from .grasp import CapacityCalibration, CapacityEntry, SuctionModel
-from .gripper import GripperAssembly
+from .gripper import P_MAX_KPA, STRETCH_MARGIN_MM, GripperAssembly
 from .material import HyperelasticMaterial
 
 ENV_CONFIG_VAR = "GRIPPER_CONFIG"
@@ -39,23 +40,16 @@ DEFAULT_CONFIG = {
         },
         "theta_tol_rad": 1e-12,
         "quad_rel_tol": 1e-9,
-        "p_max_kPa": 40.0,
+        "p_max_kPa": P_MAX_KPA,
     },
     "suction": {
-        "ambient_kPa": 101.325,
+        "ambient_kPa": AMBIENT_KPA,
         "A_eff_mm2": 2264.0,
         "h_eff_mm": 53.0,
-        "lift_volume_increase_mm3": 5000.0,
+        "lift_volume_increase_mm3": LIFT_VOLUME_INCREASE_MM3,
         "seal_threshold_kPa": 0.0,
     },
-    "grasp": {
-        "stretch_margin_mm": 8.65,
-        "open_kPa": 40.0,
-        "envelop_kPa": -40.0,
-        "insert_kPa": -40.0,
-        "expand_kPa": 40.0,
-        "suction_kPa": 20.0,
-    },
+    "grasp": {"stretch_margin_mm": STRETCH_MARGIN_MM, **SCHEDULE_KPA},
     "capacity": {name: asdict(e) for name, e in CapacityCalibration.defaults().entries.items()},
 }
 
@@ -172,12 +166,9 @@ class ModelContext:
                     for name, entry in _capacity_entries(cfg).items()
                 }
             )
-            for key in ("ambient_kPa", "A_eff_mm2", "h_eff_mm",
-                        "lift_volume_increase_mm3", "seal_threshold_kPa"):
-                _require_number(cfg, "suction", key)
-            for key in ("stretch_margin_mm", "open_kPa", "envelop_kPa",
-                        "insert_kPa", "expand_kPa", "suction_kPa"):
-                _require_number(cfg, "grasp", key)
+            for section in ("suction", "grasp"):
+                for key in DEFAULT_CONFIG[section]:
+                    _require_number(cfg, section, key)
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -22,6 +22,7 @@ from typing import Callable
 from .chamber import SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
 from .gripper import (
+    STRETCH_MARGIN_MM,
     GripperAssembly,
     Workspace,
     aperture_vs_pressure,
@@ -29,6 +30,16 @@ from .gripper import (
 )
 
 PRESSURE_LIMIT_KPA = 40.0  # schedules never exceed +/- this
+
+#: Default ambient pressure, kPa.
+AMBIENT_KPA = 101.325
+
+#: Default growth of the sealed volume while lifting, mm^3.
+LIFT_VOLUME_INCREASE_MM3 = 5000.0
+
+#: Default target pressure (kPa) of each schedule phase, by keyword.
+SCHEDULE_KPA = {"open_kPa": 40.0, "envelop_kPa": -40.0, "insert_kPa": -40.0,
+                "expand_kPa": 40.0, "suction_kPa": 20.0}
 
 
 class ShapeClass(str, Enum):
@@ -184,8 +195,8 @@ def contraction_capacity(
 def suction_law(ambient_kPa, effective_seal_area_mm2, rest_volume_mm3, volume_mm3):
     """Suction force (N) of the isothermal closure P_I*V = P_atm*V0.
 
-    Force is (P_atm - P_I)*A_eff floored at zero; kPa*mm^2 = mN.  Takes
-    floats or numpy arrays: the floor is (f + |f|)/2, which is exact.
+    Force is (P_atm - P_I)*A_eff floored at zero; kPa*mm^2 = mN.  The
+    floor is (f + |f|)/2, which is exact.
     """
     p_interior = ambient_kPa * rest_volume_mm3 / volume_mm3
     force_mN = (ambient_kPa - p_interior) * effective_seal_area_mm2
@@ -215,7 +226,7 @@ class SuctionModel:
         assembly: GripperAssembly,
         effective_seal_area_mm2: float,
         h_eff_mm: float,
-        ambient_pressure_kPa: float = 101.325,
+        ambient_pressure_kPa: float = AMBIENT_KPA,
         box: SolverBox | None = None,
         tol: float = 1e-12,
     ) -> "SuctionModel":
@@ -308,7 +319,7 @@ def select_mode(
     obj: ObjectDescriptor,
     assembly: GripperAssembly,
     ws: Workspace,
-    stretch_margin_mm: float = 8.65,
+    stretch_margin_mm: float = STRETCH_MARGIN_MM,
 ) -> ModeSelection:
     """Pick a grasp mode for an object; infeasibility is a value, not an error.
 
@@ -352,11 +363,11 @@ def select_mode(
 
 def pressure_schedule(
     mode: GraspMode,
-    open_kPa: float = 40.0,
-    envelop_kPa: float = -40.0,
-    insert_kPa: float = -40.0,
-    expand_kPa: float = 40.0,
-    suction_kPa: float = 20.0,
+    open_kPa: float = SCHEDULE_KPA["open_kPa"],
+    envelop_kPa: float = SCHEDULE_KPA["envelop_kPa"],
+    insert_kPa: float = SCHEDULE_KPA["insert_kPa"],
+    expand_kPa: float = SCHEDULE_KPA["expand_kPa"],
+    suction_kPa: float = SCHEDULE_KPA["suction_kPa"],
 ) -> list:
     """Ordered (phase, target pressure kPa) pairs for a grasp mode."""
     if mode is GraspMode.CONTRACTION:
@@ -382,8 +393,8 @@ def plan_grasp(
     ws: Workspace,
     calib: CapacityCalibration,
     suction_model: SuctionModel | None = None,
-    stretch_margin_mm: float = 8.65,
-    lift_volume_increase_mm3: float = 5000.0,
+    stretch_margin_mm: float = STRETCH_MARGIN_MM,
+    lift_volume_increase_mm3: float = LIFT_VOLUME_INCREASE_MM3,
     **schedule_pressures,
 ) -> GraspPlan:
     """Full plan for one object: mode, schedule, capacity, feasibility.

@@ -10,7 +10,7 @@ R_g = D/alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .chamber import (
     ChamberGeometry,
@@ -27,11 +27,11 @@ from .chamber import (
 from .errors import OutOfWorkspaceError
 from .material import HyperelasticMaterial
 
-#: Column order of the sweep CSV export.
-SWEEP_CSV_HEADER = (
-    "pressure_kPa,r0_mm,r1_mm,theta0_rad,D_mm,Rg_mm,"
-    "pin_residual,area_residual,quadrature_check_kPa"
-)
+#: Default upper end (kPa) of the inflation range: inverse and workspace.
+P_MAX_KPA = 40.0
+
+#: Default stretch margin (mm) of the contraction-feasible diameters.
+STRETCH_MARGIN_MM = 8.65
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,12 @@ class SweepRow:
     quadrature_check_kPa: float
 
 
+_SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+#: Column order of the sweep CSV export: the ``SweepRow`` fields.
+SWEEP_CSV_HEADER = ",".join(_SWEEP_COLUMNS)
+
+
 def aperture_radius(d: float, assembly: GripperAssembly) -> float:
     """Aperture radius R_g = D/alpha for wall distance d (mm)."""
     if d < 0:
@@ -109,7 +115,7 @@ def aperture_vs_pressure(
 def inverse_pressure(
     assembly: GripperAssembly,
     target_rg: float,
-    p_max: float = 40.0,
+    p_max: float = P_MAX_KPA,
     tol: float = 1e-12,
     box: SolverBox | None = None,
 ) -> float:
@@ -144,7 +150,7 @@ def inverse_pressure(
 
 def workspace(
     assembly: GripperAssembly,
-    p_max: float = 40.0,
+    p_max: float = P_MAX_KPA,
     box: SolverBox | None = None,
     tol: float = 1e-12,
 ) -> Workspace:
@@ -166,7 +172,7 @@ def workspace(
 
 
 def contraction_diameter_range(
-    ws: Workspace, stretch_margin_mm: float = 8.65
+    ws: Workspace, stretch_margin_mm: float = STRETCH_MARGIN_MM
 ) -> tuple[float, float]:
     """Feasible object diameters (mm) for contraction grasping.
 
@@ -223,23 +229,7 @@ def sweep(
 def format_sweep_csv(rows: list[SweepRow]) -> str:
     """Render sweep rows as CSV text, 9 significant digits per value."""
     lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                f"{v:.9g}"
-                for v in (
-                    row.pressure_kPa,
-                    row.r0_mm,
-                    row.r1_mm,
-                    row.theta0_rad,
-                    row.D_mm,
-                    row.Rg_mm,
-                    row.pin_residual,
-                    row.area_residual,
-                    row.quadrature_check_kPa,
-                )
-            )
-        )
+    lines += [",".join(f"{getattr(row, name):.9g}" for name in _SWEEP_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -54,6 +54,20 @@ def test_series_requires_increasing_pressures():
         )
 
 
+@pytest.mark.parametrize(
+    "kind, pairs",
+    [
+        (SeriesKind.PRESSURE_APERTURE, [(5, 20.8), (10, math.nan), (15, 21.2)]),
+        (SeriesKind.FORCE_DISPLACEMENT, [(0, 1.0), (1, math.inf), (2, 2.0)]),
+        (SeriesKind.SUCTION_FORCE, [(0, 15.0), (-math.inf, 30.0)]),
+    ],
+    ids=["pressure_aperture", "force_displacement", "suction_force"],
+)
+def test_series_rejects_non_finite_values(kind, pairs):
+    with pytest.raises(CalibrationError, match="row 2: non-finite"):
+        MeasurementSeries.from_pairs(kind, pairs)
+
+
 def test_load_series_csv_round_trip(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("pressure_kPa,aperture_mm\n5,20.8\n10,21.0\n15,21.2\n")
@@ -153,14 +167,22 @@ def test_extract_peak_force_plain():
 
 
 def test_extract_peak_force_smoothing_suppresses_spikes():
-    ys = [1.0, 1.0, 9.0, 1.0, 3.0, 3.2, 3.1, 1.0]
-    series = MeasurementSeries.from_pairs(
-        SeriesKind.FORCE_DISPLACEMENT, list(enumerate(ys))
-    )
-    assert extract_peak_force(series) == 9.0
-    smoothed = extract_peak_force(series, smoothing_window=3)
-    assert smoothed == pytest.approx(np.max(np.convolve(ys, np.ones(3) / 3, "valid")))
-    assert smoothed < 9.0
+    # A short trace, and a long one: a smooth hump with noise and spikes.
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 1.0, 20_000)
+    long_ys = 10.0 * np.sin(np.pi * t) + rng.normal(0.0, 0.05, t.size)
+    long_ys[rng.integers(0, t.size, 40)] += 25.0
+    for ys, windows in (([1.0, 1.0, 9.0, 1.0, 3.0, 3.2, 3.1, 1.0], (3,)),
+                        (long_ys.tolist(), (5, 25))):
+        series = MeasurementSeries.from_pairs(
+            SeriesKind.FORCE_DISPLACEMENT, list(enumerate(ys))
+        )
+        assert extract_peak_force(series) == max(ys)
+        for w in windows:
+            smoothed = extract_peak_force(series, smoothing_window=w)
+            oracle = np.max(np.convolve(ys, np.ones(w) / w, "valid"))
+            assert smoothed == pytest.approx(oracle, rel=1e-12)
+            assert smoothed < max(ys)
 
 
 def test_extract_peak_force_validation():
@@ -241,6 +263,14 @@ def test_fit_suction_input_validation(assembly):
     )
     with pytest.raises(CalibrationError, match="underdetermined"):
         fit_suction(duplicate, assembly)
+    # With no lift the predicted force is 0 (or rounding noise) wherever the
+    # aperture has not moved, so nothing determines the seal area.
+    unmoved = MeasurementSeries.from_pairs(
+        SeriesKind.SUCTION_FORCE, [(0.0, 15.0), (1e-300, 30.0)]
+    )
+    report = fit_suction(unmoved, assembly, lift_volume_increase_mm3=0.0)
+    assert report.at_bound
+    assert math.isfinite(report.params["A_eff_mm2"]) and math.isfinite(report.residual_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,7 @@ def test_brentq_matches_scipy_bit_for_bit(xtol):
         )
         mat = HyperelasticMaterial(rng.uniform(50.0, 300.0))
         lo, hi = geom.half_angle_0, math.radians(rng.uniform(75.0, 85.0))
-        # A numpy scalar on purpose: the fits hand the solver numpy.float64.
+        # A numpy scalar on purpose: public callers may pass numpy.float64.
         p = np.float64(rng.uniform(0.0, pressure_at_angle(geom, mat, hi)))
         f = lambda t: pressure_at_angle(geom, mat, t) - p  # noqa: E731
         ours, our_xs = recorded(f)

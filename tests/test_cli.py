@@ -353,32 +353,23 @@ def probe_imports(tmp_path, commands):
     return json.loads(proc.stderr.splitlines()[-1])
 
 
-def test_model_commands_import_neither_numpy_nor_scipy(tmp_path):
+def test_no_command_imports_numpy_or_scipy(tmp_path):
     obj = write_object(tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0})
-    loaded = probe_imports(tmp_path, [
+    trace = tmp_path / "trace.csv"
+    trace.write_text("displacement_mm,force_N\n0,1.0\n1,4.5\n2,2.0\n")
+    commands = [
+        ["config"],
         ["solve", "--pressure", "20"],
         ["invert", "--aperture", "21.5"],
         ["workspace"],
         ["plan", "--object", obj],
         ["sweep", "--out", "sweep.csv"],
-        ["config"],
-    ])
-    assert loaded == {
-        k: [0, []] for k in ("solve", "invert", "workspace", "plan", "sweep", "config")
-    }
-
-
-def test_no_command_imports_scipy(tmp_path):
-    trace = tmp_path / "trace.csv"
-    trace.write_text("displacement_mm,force_N\n0,1.0\n1,4.5\n2,2.0\n")
-    loaded = probe_imports(tmp_path, [
         ["validate"],
         ["fit-c1", *write_fit_data(tmp_path, "fit-c1")],
         ["fit-suction", *write_fit_data(tmp_path, "fit-suction")],
-        ["peak-force", "--data", str(trace)],
-    ])
-    assert list(loaded) == ["validate", "fit-c1", "fit-suction", "peak-force"]
-    assert all(code == 0 and "scipy" not in mods for code, mods in loaded.values())
+        ["peak-force", "--data", str(trace), "--window", "2"],
+    ]
+    assert probe_imports(tmp_path, commands) == {argv[0]: [0, []] for argv in commands}
 
 
 PLAN = ["plan", "--object", "object.json"]
@@ -401,10 +392,12 @@ PLAN = ["plan", "--object", "object.json"]
         (None, {"characteristic_diameter_mm": math.nan}, PLAN),
         (None, {"mass_kg": math.inf}, PLAN),
         (None, {"has_aperture": True, "aperture_diameter_mm": math.inf}, PLAN),
+        (None, None, ["fit-c1", "--data", "nan.csv"]),
     ],
 )
 def test_non_finite_input_exit_1(capsys, tmp_path, monkeypatch, config, descriptor, argv):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.csv").write_text("pressure_kPa,aperture_mm\n5,20.8\n10,nan\n15,21.2\n")
     if descriptor is not None:
         write_object(
             tmp_path,
