@@ -353,7 +353,24 @@ def probe_imports(tmp_path, commands):
     return json.loads(proc.stderr.splitlines()[-1])
 
 
-def test_no_command_imports_numpy_or_scipy(tmp_path):
+def test_model_commands_import_neither_numpy_nor_scipy(tmp_path):
+    obj = write_object(tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0})
+    loaded = probe_imports(tmp_path, [
+        ["solve", "--pressure", "20"],
+        ["invert", "--aperture", "21.5"],
+        ["workspace"],
+        ["plan", "--object", obj],
+        ["sweep", "--out", "sweep.csv"],
+        ["config"],
+    ])
+    assert loaded == {
+        k: [0, []] for k in ("solve", "invert", "workspace", "plan", "sweep", "config")
+    }
+
+
+def test_no_command_imports_scipy(tmp_path):
+    """All ten commands in one interpreter: each exits 0, and afterwards
+    neither scipy nor numpy is loaded."""
     obj = write_object(tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0})
     trace = tmp_path / "trace.csv"
     trace.write_text("displacement_mm,force_N\n0,1.0\n1,4.5\n2,2.0\n")
