@@ -1,0 +1,124 @@
+"""Every CLI command's output, pinned byte for byte.
+
+``golden_cli.json`` maps each command line to the stdout, stderr and exit
+code it gave (plus the CSV a ``sweep`` wrote) when the file was last
+written.  The ten commands run under the default config and two
+(c1, n_chambers) overrides.  A change that moves an output digit rewrites
+the file with ``PYTHONPATH=src python tests/test_cli_golden.py``, so its
+diff lists every moved digit.
+"""
+
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from accordion_gripper.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+CONFIGS = {
+    "default.json": {},
+    "c1_85_n16.json": {"material": {"c1_kPa": 85.0}, "assembly": {"n_chambers": 16}},
+    "c1_210_n28.json": {"material": {"c1_kPa": 210.0}, "assembly": {"n_chambers": 28}},
+}
+
+INPUTS = {
+    "cylinder.json": json.dumps({"shape_class": "cylinder", "characteristic_diameter_mm": 40.0}),
+    "plate.json": json.dumps({"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0}),
+    "ring.json": json.dumps({"shape_class": "cylinder", "characteristic_diameter_mm": 60.0,
+                             "has_aperture": True, "aperture_diameter_mm": 40.0}),
+    "sphere.json": json.dumps({"shape_class": "sphere", "characteristic_diameter_mm": 200.0}),
+    "aperture.csv": "pressure_kPa,aperture_mm\n5,20.8\n10,20.97\n20,21.55\n30,22.05\n40,22.5\n",
+    "suction.csv": "pressure_kPa,force_N\n0,15\n20,30\n40,41\n",
+    "trace.csv": "displacement_mm,force_N\n0,0.5\n1,1.8\n2,3.9\n3,4.6\n4,4.4\n5,4.9\n6,3.1\n7,1.2\n",
+}
+
+COMMANDS = (
+    ["config"],
+    ["config", "--print-default"],
+    ["solve", "--pressure", "0"],
+    ["solve", "--pressure", "12.5"],
+    ["solve", "--pressure", "40", "--json"],
+    ["solve", "--pressure", "100"],
+    ["solve", "--pressure", "-5"],
+    ["sweep", "--out", "sweep.csv"],
+    ["invert", "--aperture", "15.5"],
+    ["invert", "--aperture", "21.5", "--json"],
+    ["invert", "--aperture", "26.5"],
+    ["invert", "--aperture", "40"],
+    ["workspace"],
+    ["workspace", "--p-max", "20", "--json"],
+    ["validate"],
+    ["validate", "--json"],
+    ["plan", "--object", "cylinder.json"],
+    ["plan", "--object", "plate.json"],
+    ["plan", "--object", "ring.json"],
+    ["plan", "--object", "sphere.json"],
+    ["fit-c1", "--data", "aperture.csv"],
+    ["fit-suction", "--data", "suction.csv"],
+    ["peak-force", "--data", "trace.csv"],
+    ["peak-force", "--data", "trace.csv", "--window", "3", "--json"],
+)
+
+CASES = [["--config", cfg, *argv] for cfg in CONFIGS for argv in COMMANDS]
+
+
+def write_inputs(directory: Path) -> None:
+    for name, payload in CONFIGS.items():
+        (directory / name).write_text(json.dumps(payload))
+    for name, text in INPUTS.items():
+        (directory / name).write_text(text)
+
+
+def record(argv) -> dict:
+    """Exit code, stdout and stderr of one command run in the current directory."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    # Text is kept as lists of lines, so that a diff of the file shows single lines.
+    entry = {"exit": code, "stdout": out.getvalue().splitlines(True),
+             "stderr": err.getvalue().splitlines(True)}
+    if "--out" in argv:
+        entry["out_file"] = Path(argv[argv.index("--out") + 1]).read_text().splitlines(True)
+    return entry
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(" ".join(argv) for argv in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_matches_golden(golden, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRIPPER_CONFIG", raising=False)
+    write_inputs(tmp_path)
+    assert record(argv) == golden[" ".join(argv)]
+
+
+def rewrite() -> None:
+    os.environ.pop("GRIPPER_CONFIG", None)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write_inputs(Path(tmp))
+            golden = {" ".join(argv): record(argv) for argv in CASES}
+        finally:
+            os.chdir(cwd)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(golden)} cases to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    rewrite()
