@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import accumulate
 from operator import sub
 
-from .chamber import ChamberGeometry, SolverBox
+from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, suction_law
 from .gripper import GripperAssembly, aperture_vs_pressure
@@ -255,10 +255,10 @@ def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
 def fit_c1(
     series: MeasurementSeries,
     geom: ChamberGeometry,
-    n_chambers: int = 22,
+    n_chambers: int = GripperAssembly.n_chambers,
     bounds: tuple[float, float] = (10.0, 1000.0),
     box: SolverBox | None = None,
-    tol: float = 1e-12,
+    tol: float = THETA_TOL_RAD,
 ) -> FitReport:
     """Fit the material constant c1 (kPa) to an aperture-vs-pressure series.
 
@@ -351,7 +351,7 @@ def fit_suction(
     area_bounds: tuple[float, float] = (1.0, 1e5),
     height_bounds: tuple[float, float] = (1.0, 500.0),
     box: SolverBox | None = None,
-    tol: float = 1e-12,
+    tol: float = THETA_TOL_RAD,
 ) -> FitReport:
     """Fit (A_eff mm^2, h_eff mm) of the suction model to measured peaks.
 

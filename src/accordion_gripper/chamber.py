@@ -38,6 +38,9 @@ from .material import HyperelasticMaterial, stress_difference
 #: the radial ranges are retained for reporting (see SolverBox notes).
 _DEFAULT_BOX = ((4.56, 5.0), (3.0, 3.8), (math.radians(57.6), math.radians(80.0)))
 
+#: Default tolerance (rad) on theta0 of every bracketed solve.
+THETA_TOL_RAD = 1e-12
+
 
 @dataclass(frozen=True)
 class ChamberGeometry:
@@ -161,7 +164,11 @@ def radial_stretch(geom: ChamberGeometry, state: DeformedState, r: float) -> flo
 
 def wall_distance(state: DeformedState) -> float:
     """Interior chamber width D = 2*(r0 - r1*cos(theta0)), mm."""
-    return 2.0 * (state.r_outer - state.r_inner * math.cos(state.half_angle))
+    return _wall_distance(state.r_outer, state.r_inner, state.half_angle)
+
+
+def _wall_distance(r0: float, r1: float, theta: float) -> float:
+    return 2.0 * (r0 - r1 * math.cos(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +262,13 @@ def pressure_closed_form(
     """
     if variant not in ("rederived", "as_printed"):
         raise ValueError(f"unknown closed-form variant {variant!r}")
-    c1 = mat.c1
-    big_theta = geom.half_angle_0
-    theta = state.half_angle
-    r0, r1 = state.r_outer, state.r_inner
     log_coeff = 2.0 if variant == "rederived" else 1.0
+    return _pressure(geom, mat.c1, state.r_outer, state.r_inner, state.half_angle, log_coeff)
+
+
+def _pressure(geom, c1, r0, r1, theta, log_coeff=2.0):
+    """The closed form on plain floats: every pressure query evaluates this."""
+    big_theta = geom.half_angle_0
     return (
         2.0 * c1 * (theta / big_theta) * math.log(geom.r_outer_0 / geom.r_inner_0)
         + c1
@@ -347,20 +356,24 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> fl
 # Deformation solver (scalar reduction on theta0)
 
 
-def state_at_angle(geom: ChamberGeometry, theta: float) -> DeformedState:
-    """Deformed state implied by theta0 via the pin and area constraints."""
+def _radii(geom: ChamberGeometry, theta: float) -> tuple[float, float]:
+    """(r0, r1), mm, implied by theta0 via the pin and area constraints."""
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"half angle {theta} outside (0, pi/2)")
     r1 = geom.pin_half_distance / math.sin(theta)
-    r0 = math.sqrt(r1 * r1 + geom.sector_area_scale / theta)
-    return DeformedState(r0, r1, theta)
+    return math.sqrt(r1 * r1 + geom.sector_area_scale / theta), r1
+
+
+def state_at_angle(geom: ChamberGeometry, theta: float) -> DeformedState:
+    """Deformed state implied by theta0 via the pin and area constraints."""
+    return DeformedState(*_radii(geom, theta), theta)
 
 
 def pressure_at_angle(
     geom: ChamberGeometry, mat: HyperelasticMaterial, theta: float
 ) -> float:
-    """Rederived closed-form pressure on the constraint manifold, kPa."""
-    return pressure_closed_form(geom, state_at_angle(geom, theta), mat)
+    """Rederived closed-form pressure on the constraint manifold, kPa; builds no state."""
+    return _pressure(geom, mat.c1, *_radii(geom, theta), theta)
 
 
 def reachable_pressure_range(
@@ -377,7 +390,7 @@ def solve_deformation(
     mat: HyperelasticMaterial,
     p: float,
     box: SolverBox | None = None,
-    tol: float = 1e-12,
+    tol: float = THETA_TOL_RAD,
 ) -> DeformedState:
     """Solve for the deformed state at inflation pressure p (kPa).
 
@@ -393,21 +406,16 @@ def solve_deformation(
         )
     box = box or SolverBox()
     lo, hi = box.half_angle_range
-
-    def f(theta: float) -> float:
-        return pressure_at_angle(geom, mat, theta) - p
-
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return state_at_angle(geom, lo)
-    if fhi == 0.0:
-        return state_at_angle(geom, hi)
-    if flo > 0.0 or fhi < 0.0:
-        p_lo, p_hi = flo + p, fhi + p
+    try:
+        # brentq evaluates both box ends once and rejects a same-sign bracket.
+        theta = brentq(lambda t: pressure_at_angle(geom, mat, t) - p, lo, hi, xtol=tol)
+    except ValueError:
+        p_lo, p_hi = reachable_pressure_range(geom, mat, box)
+        if not (p < p_lo or p > p_hi):  # a NaN pressure or a bad tol, not the bracket
+            raise
         raise OutOfWorkspaceError(
             f"pressure {p} kPa outside the range [{p_lo:.6g}, {p_hi:.6g}] kPa "
             "reachable inside the solver box",
             reachable=(p_lo, p_hi),
-        )
-    theta = brentq(f, lo, hi, xtol=tol)
+        ) from None
     return state_at_angle(geom, theta)

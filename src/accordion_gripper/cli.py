@@ -24,6 +24,7 @@ from .chamber import (
     ChamberGeometry,
     pin_residual,
     area_residual,
+    pressure_at_angle,
     pressure_closed_form,
     solve_deformation,
     state_at_angle,
@@ -32,6 +33,7 @@ from .chamber import (
 from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_config
 from .errors import ConfigError, GripperError, OutOfWorkspaceError
 from .gripper import (
+    P_MAX_KPA,
     aperture_radius,
     aperture_vs_pressure,
     contraction_diameter_range,
@@ -265,9 +267,7 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
     max_pin = 0.0
     max_area = 0.0
     for row in rows:
-        closed = pressure_closed_form(
-            geom, state_at_angle(geom, row.theta0_rad), mat, "rederived"
-        )
+        closed = pressure_at_angle(geom, mat, row.theta0_rad)
         scale = max(1.0, abs(closed))
         max_rel = max(max_rel, abs(closed - row.quadrature_check_kPa) / scale)
         max_pin = max(max_pin, abs(row.pin_residual))
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="pressure sweep exported as CSV")
     p.add_argument("--from", dest="from_kpa", type=float, default=0.0, metavar="KPA")
-    p.add_argument("--to", dest="to_kpa", type=float, default=40.0, metavar="KPA")
+    p.add_argument("--to", dest="to_kpa", type=float, default=P_MAX_KPA, metavar="KPA")
     p.add_argument("--steps", type=int, default=41)
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_sweep)

@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .chamber import ChamberGeometry, SolverBox
+from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox
 from .errors import ConfigError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA
 from .grasp import CapacityCalibration, CapacityEntry, SuctionModel
@@ -31,14 +31,14 @@ ENV_CONFIG_VAR = "GRIPPER_CONFIG"
 DEFAULT_CONFIG = {
     "geometry": {"R0_mm": 4.56, "R1_mm": 3.0, "Theta0_deg": 57.6},
     "material": {"c1_kPa": 119.0},
-    "assembly": {"n_chambers": 22, "folded_aperture_mm": 5.0},
+    "assembly": {"n_chambers": GripperAssembly.n_chambers, "folded_aperture_mm": 5.0},
     "solver": {
         "box": {
             "r0_mm": [4.56, 5.0],
             "r1_mm": [3.0, 3.8],
             "theta0_deg": [57.6, 80.0],
         },
-        "theta_tol_rad": 1e-12,
+        "theta_tol_rad": THETA_TOL_RAD,
         "quad_rel_tol": 1e-9,
         "p_max_kPa": P_MAX_KPA,
     },
@@ -194,6 +194,7 @@ class ModelContext:
             ambient_pressure_kPa=float(suction["ambient_kPa"]),
             box=self.box,
             tol=self.theta_tol_rad,
+            seal_threshold_kPa=float(suction["seal_threshold_kPa"]),
         )
 
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable
 
-from .chamber import SolverBox
+from .chamber import THETA_TOL_RAD, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
 from .gripper import (
     STRETCH_MARGIN_MM,
@@ -205,67 +204,55 @@ def suction_law(ambient_kPa, effective_seal_area_mm2, rest_volume_mm3, volume_mm
 
 @dataclass(frozen=True)
 class SuctionModel:
-    """Isothermal gas closure of the sealed interior space."""
+    """Isothermal gas closure of the sealed space V(P_C) = pi*R_g(P_C)^2*h_eff."""
 
-    ambient_pressure_kPa: float
+    assembly: GripperAssembly
     effective_seal_area_mm2: float
-    rest_volume_mm3: float
-    volume_vs_chamber_pressure: Callable[[float], float]
+    h_eff_mm: float
+    ambient_pressure_kPa: float = AMBIENT_KPA
+    box: SolverBox | None = None
+    tol: float = THETA_TOL_RAD
+    seal_threshold_kPa: float = 0.0
+    rest_volume_mm3: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.ambient_pressure_kPa <= 0:
             raise ValueError("ambient pressure must be positive")
         if self.effective_seal_area_mm2 <= 0:
             raise ValueError("effective seal area must be positive")
-        if self.rest_volume_mm3 <= 0:
-            raise ValueError("rest volume must be positive")
+        if self.h_eff_mm <= 0:
+            raise ValueError(f"effective height must be positive, got {self.h_eff_mm}")
+        object.__setattr__(self, "rest_volume_mm3", self.volume(0.0))
+
+    def volume(self, p_chamber: float) -> float:
+        """Enclosed volume (mm^3) at chamber pressure p_chamber (kPa)."""
+        rg = aperture_vs_pressure(self.assembly, p_chamber, self.box, self.tol)
+        return math.pi * rg * rg * self.h_eff_mm
 
     @classmethod
-    def from_assembly(
-        cls,
-        assembly: GripperAssembly,
-        effective_seal_area_mm2: float,
-        h_eff_mm: float,
-        ambient_pressure_kPa: float = AMBIENT_KPA,
-        box: SolverBox | None = None,
-        tol: float = 1e-12,
-    ) -> "SuctionModel":
-        """Build the enclosed-volume map V(P_C) = pi*R_g(P_C)^2*h_eff."""
-        if h_eff_mm <= 0:
-            raise ValueError(f"effective height must be positive, got {h_eff_mm}")
-
-        def volume(p_chamber: float) -> float:
-            rg = aperture_vs_pressure(assembly, p_chamber, box, tol)
-            return math.pi * rg * rg * h_eff_mm
-
-        return cls(
-            ambient_pressure_kPa=ambient_pressure_kPa,
-            effective_seal_area_mm2=effective_seal_area_mm2,
-            rest_volume_mm3=volume(0.0),
-            volume_vs_chamber_pressure=volume,
-        )
+    def from_assembly(cls, *args, **kwargs) -> "SuctionModel":
+        """``SuctionModel(assembly, ...)``, the model's documented constructor."""
+        return cls(*args, **kwargs)
 
 
 def suction_force(
     model: SuctionModel,
     p_chamber: float,
     lift_volume_increase_mm3: float = 0.0,
-    seal_threshold_kPa: float = 0.0,
 ) -> float:
     """Suction lifting force (N) with the seal formed.
 
-    ``suction_law`` with V = V(p_chamber) + lift_volume_increase.
+    ``suction_law`` with V = V(p_chamber) + lift_volume_increase; below the
+    model's seal threshold no seal forms and ValueError is raised.
     """
-    if p_chamber < seal_threshold_kPa:
+    if p_chamber < model.seal_threshold_kPa:
         raise ValueError(
             f"chamber pressure {p_chamber} kPa below seal threshold "
-            f"{seal_threshold_kPa} kPa; no seal is formed"
+            f"{model.seal_threshold_kPa} kPa; no seal is formed"
         )
     if lift_volume_increase_mm3 < 0:
         raise ValueError("lift volume increase must be >= 0")
-    volume = model.volume_vs_chamber_pressure(p_chamber) + lift_volume_increase_mm3
-    if volume <= 0:
-        raise ValueError(f"non-positive enclosed volume {volume} mm^3")
+    volume = model.volume(p_chamber) + lift_volume_increase_mm3
     return suction_law(
         model.ambient_pressure_kPa,
         model.effective_seal_area_mm2,

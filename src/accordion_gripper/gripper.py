@@ -13,15 +13,17 @@ import math
 from dataclasses import dataclass, fields
 
 from .chamber import (
+    THETA_TOL_RAD,
     ChamberGeometry,
     SolverBox,
+    _radii,
+    _wall_distance,
     area_residual,
     brentq,
     pin_residual,
     pressure_at_angle,
     pressure_quadrature,
     solve_deformation,
-    state_at_angle,
     wall_distance,
 )
 from .errors import OutOfWorkspaceError
@@ -105,7 +107,7 @@ def aperture_vs_pressure(
     assembly: GripperAssembly,
     p: float,
     box: SolverBox | None = None,
-    tol: float = 1e-12,
+    tol: float = THETA_TOL_RAD,
 ) -> float:
     """Forward map: aperture radius (mm) at inflation pressure p (kPa)."""
     state = solve_deformation(assembly.geometry, assembly.material, p, box, tol)
@@ -116,7 +118,7 @@ def inverse_pressure(
     assembly: GripperAssembly,
     target_rg: float,
     p_max: float = P_MAX_KPA,
-    tol: float = 1e-12,
+    tol: float = THETA_TOL_RAD,
     box: SolverBox | None = None,
 ) -> float:
     """Pressure (kPa) at which the aperture radius equals target_rg (mm).
@@ -130,7 +132,7 @@ def inverse_pressure(
     hi = solve_deformation(geom, mat, p_max, box, tol).half_angle
 
     def rg(theta: float) -> float:
-        return aperture_radius(wall_distance(state_at_angle(geom, theta)), assembly)
+        return aperture_radius(_wall_distance(*_radii(geom, theta), theta), assembly)
 
     rg_lo, rg_hi = rg(lo), rg(hi)
     if not rg_lo <= target_rg <= rg_hi:
@@ -143,7 +145,8 @@ def inverse_pressure(
         return 0.0
     if rg_hi == target_rg:
         return p_max
-    theta = brentq(lambda t: rg(t) - target_rg, lo, hi, xtol=tol)
+    ends = {lo: rg_lo, hi: rg_hi}  # brentq starts at the range ends: evaluate them once
+    theta = brentq(lambda t: (ends[t] if t in ends else rg(t)) - target_rg, lo, hi, xtol=tol)
     # Near the rest angle the closed form can round a few ulps below zero.
     return max(pressure_at_angle(geom, mat, theta), 0.0)
 
@@ -152,7 +155,7 @@ def workspace(
     assembly: GripperAssembly,
     p_max: float = P_MAX_KPA,
     box: SolverBox | None = None,
-    tol: float = 1e-12,
+    tol: float = THETA_TOL_RAD,
 ) -> Workspace:
     """Aperture range over the admissible pressure span.
 
@@ -193,7 +196,7 @@ def sweep(
     steps: int,
     box: SolverBox | None = None,
     quad_rel_tol: float = 1e-9,
-    tol: float = 1e-12,
+    tol: float = THETA_TOL_RAD,
 ) -> list[SweepRow]:
     """Evaluate the forward model on a uniform pressure grid.
 

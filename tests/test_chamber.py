@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -254,6 +255,38 @@ def test_pressure_monotone_in_angle():
     geom, mat = ChamberGeometry(), HyperelasticMaterial()
     ps = [pressure_at_angle(geom, mat, t) for t in np.linspace(THETA_LO, THETA_HI, 50)]
     assert all(b > a for a, b in zip(ps, ps[1:]))
+
+
+@pytest.mark.parametrize("c1, geom", [
+    (119.0, ChamberGeometry()),
+    (85.0, ChamberGeometry(4.8, 3.1, math.radians(50.0))),
+    (210.0, ChamberGeometry(5.0, 2.5, math.radians(60.0))),
+])
+def test_pressure_at_angle_is_the_closed_form(c1, geom):
+    # Bit for bit: solves evaluate the closed form without building states.
+    mat, rng = HyperelasticMaterial(c1), random.Random(c1)
+    for _ in range(200):
+        theta = rng.uniform(0.5 * geom.half_angle_0, 1.4)
+        assert pressure_at_angle(geom, mat, theta) == pressure_closed_form(
+            geom, state_at_angle(geom, theta), mat
+        )
+
+
+def test_solve_evaluates_each_box_end_once(monkeypatch):
+    import accordion_gripper.chamber as chamber
+
+    angles = []
+
+    def spy(geom, mat, theta):
+        angles.append(theta)
+        return pressure_at_angle(geom, mat, theta)
+
+    monkeypatch.setattr(chamber, "pressure_at_angle", spy)
+    lo, hi = SolverBox().half_angle_range
+    for p in (0.0, 12.5, 40.0):
+        angles.clear()
+        solve_deformation(ChamberGeometry(), HyperelasticMaterial(), p)
+        assert (angles.count(lo), angles.count(hi)) == (1, 1)
 
 
 def test_reachable_pressure_range():

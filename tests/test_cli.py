@@ -270,6 +270,18 @@ def test_plan_contraction_checks_p_max(capsys, tmp_path):
     assert "[0, 5] kPa" in err
 
 
+def test_plan_suction_below_seal_threshold_exit_1(capsys, tmp_path):
+    # The 20 kPa suction phase cannot form a seal that needs 30 kPa.
+    cfg = write_config(tmp_path, {"suction": {"seal_threshold_kPa": 30}})
+    path = write_object(
+        tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0}
+    )
+    code, out, err = run(capsys, "--config", cfg, "plan", "--object", path)
+    assert code == 1
+    assert out == ""
+    assert "below seal threshold" in err
+
+
 @pytest.mark.parametrize("n_chambers", [16, 28])
 def test_validate_other_chamber_counts(capsys, tmp_path, n_chambers):
     cfg = write_config(tmp_path, {"assembly": {"n_chambers": n_chambers}})
