@@ -175,7 +175,7 @@ def _wall_distance(r0: float, r1: float, theta: float) -> float:
 # Pressure functional
 
 
-def _adapt(f, a, b, fa, fm, fb, whole, eps, depth):
+def _adapt(f, a, b, fa, fm, fb, whole, eps, depth, level=0):
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -187,7 +187,8 @@ def _adapt(f, a, b, fa, fm, fb, whole, eps, depth):
     left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
     right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
     delta = left + right - whole
-    if abs(delta) <= 15.0 * eps:
+    # Two levels first: one refinement can match the whole by chance (Lyness 1969).
+    if abs(delta) <= 15.0 * eps and (level >= 2 or depth <= 0):
         return left + right + delta / 15.0
     if depth <= 0:
         raise ConvergenceError(
@@ -195,8 +196,8 @@ def _adapt(f, a, b, fa, fm, fb, whole, eps, depth):
             f"estimated error {abs(delta) / 15.0:.3e} exceeds budget {eps:.3e} "
             "at maximum subdivision depth"
         )
-    return _adapt(f, a, m, fa, flm, fm, left, 0.5 * eps, depth - 1) + _adapt(
-        f, m, b, fm, frm, fb, right, 0.5 * eps, depth - 1
+    return _adapt(f, a, m, fa, flm, fm, left, 0.5 * eps, depth - 1, level + 1) + _adapt(
+        f, m, b, fm, frm, fb, right, 0.5 * eps, depth - 1, level + 1
     )
 
 

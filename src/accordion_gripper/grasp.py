@@ -192,14 +192,13 @@ def contraction_capacity(
 
 
 def suction_law(ambient_kPa, effective_seal_area_mm2, rest_volume_mm3, volume_mm3):
-    """Suction force (N) of the isothermal closure P_I*V = P_atm*V0.
+    """Suction force (N) of the isothermal closure P_I*V = P_atm*V0, on floats.
 
-    Force is (P_atm - P_I)*A_eff floored at zero; kPa*mm^2 = mN.  The
-    floor is (f + |f|)/2, which is exact.
+    Force is (P_atm - P_I)*A_eff = P_atm*(V - V0)/V*A_eff floored at zero,
+    which is exactly 0 at V = V0; kPa*mm^2 = mN.
     """
-    p_interior = ambient_kPa * rest_volume_mm3 / volume_mm3
-    force_mN = (ambient_kPa - p_interior) * effective_seal_area_mm2
-    return 0.5 * (force_mN + abs(force_mN)) / 1000.0
+    force_mN = ambient_kPa * (volume_mm3 - rest_volume_mm3) / volume_mm3 * effective_seal_area_mm2
+    return max(0.0, force_mN) / 1000.0
 
 
 @dataclass(frozen=True)

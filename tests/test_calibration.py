@@ -263,13 +263,14 @@ def test_fit_suction_input_validation(assembly):
     )
     with pytest.raises(CalibrationError, match="underdetermined"):
         fit_suction(duplicate, assembly)
-    # With no lift the predicted force is 0 (or rounding noise) wherever the
-    # aperture has not moved, so nothing determines the seal area.
+    # With no lift the predicted force is exactly 0 wherever the aperture
+    # has not moved, so nothing determines the seal area.
     unmoved = MeasurementSeries.from_pairs(
         SeriesKind.SUCTION_FORCE, [(0.0, 15.0), (1e-300, 30.0)]
     )
     report = fit_suction(unmoved, assembly, lift_volume_increase_mm3=0.0)
     assert report.at_bound
+    assert report.notes == "degenerate: effective seal area at lower bound"
     assert math.isfinite(report.params["A_eff_mm2"]) and math.isfinite(report.residual_norm)
 
 

@@ -193,6 +193,23 @@ def test_quadrature_frozen_value():
     assert p == pytest.approx(36.966514131660006, rel=1e-9)
 
 
+def test_quadrature_scan_matches_closed_form():
+    # Adaptive Simpson once accepted its first refinement here, 1.9e-6 off
+    # (c1 98.149 kPa, 29.6125 kPa: the state validate's 30 kPa point meets at
+    # c1 99.433 kPa); the scan covers states the box reaches at other c1.
+    geom, rng = ChamberGeometry(), random.Random(20261018)
+    known = (98.149, solve_deformation(geom, HyperelasticMaterial(98.149), 29.61250468663659))
+    states = [known] + [
+        (rng.uniform(80.0, 220.0), state_at_angle(geom, rng.uniform(THETA_LO, THETA_HI)))
+        for _ in range(1000)
+    ]
+    for c1, state in states:
+        mat = HyperelasticMaterial(c1)
+        closed = pressure_closed_form(geom, state, mat)
+        quad = pressure_quadrature(geom, state, mat)
+        assert abs(quad - closed) <= 1e-8 * max(1.0, abs(closed)), (c1, state)
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 

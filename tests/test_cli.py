@@ -282,6 +282,14 @@ def test_plan_suction_below_seal_threshold_exit_1(capsys, tmp_path):
     assert "below seal threshold" in err
 
 
+def test_validate_quadrature_at_soft_material(capsys, tmp_path):
+    # The 30 kPa sweep point once stopped the quadrature 1.9e-6 off.
+    cfg = write_config(tmp_path, {"material": {"c1_kPa": 99.43333166710374}})
+    code, out, _ = run(capsys, "--config", cfg, "validate")
+    assert code == 0
+    assert "PASS  closed_form_vs_quadrature" in out
+
+
 @pytest.mark.parametrize("n_chambers", [16, 28])
 def test_validate_other_chamber_counts(capsys, tmp_path, n_chambers):
     cfg = write_config(tmp_path, {"assembly": {"n_chambers": n_chambers}})

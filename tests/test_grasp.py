@@ -174,8 +174,11 @@ def test_suction_force_monotone_in_chamber_pressure(suction):
     assert all(b > a for a, b in zip(fs, fs[1:]))
 
 
-def test_suction_zero_without_volume_growth(suction):
-    assert suction_force(suction, 0.0, lift_volume_increase_mm3=0.0) == 0.0
+def test_suction_zero_without_volume_growth(assembly):
+    # At 250 and 500 mm, P_atm*V0/V once rounded away from P_atm at V = V0.
+    for h_eff_mm in (53.0, 250.0, 500.0):
+        model = SuctionModel.from_assembly(assembly, 2264.0, h_eff_mm=h_eff_mm)
+        assert suction_force(model, 0.0, lift_volume_increase_mm3=0.0) == 0.0, h_eff_mm
 
 
 def test_suction_seal_threshold(suction):
