@@ -26,7 +26,7 @@ from operator import sub
 
 from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
-from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, suction_law
+from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, sealed_volume, suction_law
 from .gripper import GripperAssembly, aperture_vs_pressure
 from .material import HyperelasticMaterial
 
@@ -378,8 +378,8 @@ def fit_suction(
     rgs = [aperture_vs_pressure(assembly, p, box, tol) for p in xs]
 
     def predict(a_eff: float, h_eff: float) -> list[float]:
-        v0 = math.pi * rg0 * rg0 * h_eff
-        volumes = [math.pi * (rg * rg) * h_eff + lift_volume_increase_mm3 for rg in rgs]
+        v0 = sealed_volume(rg0, h_eff)
+        volumes = [sealed_volume(rg, h_eff) + lift_volume_increase_mm3 for rg in rgs]
         return [suction_law(ambient_pressure_kPa, a_eff, v0, v) for v in volumes]
 
     def best_area(h_eff: float) -> float:

@@ -33,13 +33,15 @@ from .errors import ConvergenceError, OutOfWorkspaceError
 from .material import HyperelasticMaterial, stress_difference
 
 #: Default ranges the deformed unknowns were searched over in the original
-#: design study: r0 in [4.56, 5] mm, r1 in [3, 3.8] mm, theta0 in
-#: [57.6 deg, 80 deg].  Only the angle range constrains the scalar solver;
-#: the radial ranges are retained for reporting (see SolverBox notes).
+#: design study, r0 in [4.56, 5] mm, r1 in [3, 3.8] mm, theta0 in [57.6 deg,
+#: 80 deg]; the lower corner is the default undeformed geometry.  Only the
+#: angle range constrains the scalar solver (see SolverBox notes).
 _DEFAULT_BOX = ((4.56, 5.0), (3.0, 3.8), (math.radians(57.6), math.radians(80.0)))
 
-#: Default tolerance (rad) on theta0 of every bracketed solve.
+#: Default tolerances: on theta0 (rad) of every bracketed solve, and the
+#: relative tolerance of the pressure quadrature.
 THETA_TOL_RAD = 1e-12
+QUAD_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,9 @@ class ChamberGeometry:
     endpoints) is derived, never user-set.
     """
 
-    r_outer_0: float = 4.56  # R0, mm
-    r_inner_0: float = 3.0  # R1, mm
-    half_angle_0: float = math.radians(57.6)  # Theta0, rad
+    r_outer_0: float = _DEFAULT_BOX[0][0]  # R0, mm
+    r_inner_0: float = _DEFAULT_BOX[1][0]  # R1, mm
+    half_angle_0: float = _DEFAULT_BOX[2][0]  # Theta0, rad
 
     def __post_init__(self) -> None:
         if not 0.0 < self.r_inner_0 < self.r_outer_0:
@@ -201,7 +203,7 @@ def _adapt(f, a, b, fa, fm, fb, whole, eps, depth, level=0):
     )
 
 
-def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-9,
+def adaptive_simpson(f, a: float, b: float, rel_tol: float = QUAD_REL_TOL,
                      abs_tol: float = 0.0, max_depth: int = 48) -> float:
     """Adaptive Simpson quadrature with interval-halving error control.
 
@@ -224,7 +226,7 @@ def pressure_quadrature(
     geom: ChamberGeometry,
     state: DeformedState,
     mat: HyperelasticMaterial,
-    rel_tol: float = 1e-9,
+    rel_tol: float = QUAD_REL_TOL,
 ) -> float:
     """Inflation pressure by direct integration of radial equilibrium, kPa.
 
@@ -380,10 +382,10 @@ def pressure_at_angle(
 def reachable_pressure_range(
     geom: ChamberGeometry, mat: HyperelasticMaterial, box: SolverBox | None = None
 ) -> tuple[float, float]:
-    """Pressures reachable inside the box's angle range, kPa."""
+    """Pressures (kPa) reachable in the box's angle range; rest-angle noise below 0 floors to 0."""
     box = box or SolverBox()
     lo, hi = box.half_angle_range
-    return pressure_at_angle(geom, mat, lo), pressure_at_angle(geom, mat, hi)
+    return max(pressure_at_angle(geom, mat, lo), 0.0), pressure_at_angle(geom, mat, hi)
 
 
 def solve_deformation(

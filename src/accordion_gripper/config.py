@@ -4,11 +4,11 @@ The tool runs with zero arguments; a user config file only needs to list
 the keys it overrides.  Angles are degrees in the file and radians
 internally; lengths are mm, pressures kPa.
 
-Note on the geometry defaults: the uninflated (R0, R1, Theta0) were
-inferred as the lower corner of the published solver search box, since the
-undeformed state must be reachable at zero pressure.  They are
-configurable, and the ``validate`` report pins the implied rest aperture
-so silent drift is caught.
+Each default is read from the domain type that owns it.  The uninflated
+(R0, R1, Theta0) are the lower corner of the published solver search box
+(``SolverBox``), since the undeformed state must be reachable at zero
+pressure; the ``validate`` report pins the implied rest aperture so silent
+drift is caught.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox
+from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox
 from .errors import ConfigError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA
 from .grasp import CapacityCalibration, CapacityEntry, SuctionModel
@@ -29,17 +29,19 @@ from .material import HyperelasticMaterial
 ENV_CONFIG_VAR = "GRIPPER_CONFIG"
 
 DEFAULT_CONFIG = {
-    "geometry": {"R0_mm": 4.56, "R1_mm": 3.0, "Theta0_deg": 57.6},
-    "material": {"c1_kPa": 119.0},
-    "assembly": {"n_chambers": GripperAssembly.n_chambers, "folded_aperture_mm": 5.0},
+    "geometry": {"R0_mm": ChamberGeometry.r_outer_0, "R1_mm": ChamberGeometry.r_inner_0,
+                 "Theta0_deg": math.degrees(ChamberGeometry.half_angle_0)},
+    "material": {"c1_kPa": HyperelasticMaterial.c1},
+    "assembly": {"n_chambers": GripperAssembly.n_chambers,
+                 "folded_aperture_mm": GripperAssembly.folded_aperture_mm},
     "solver": {
         "box": {
-            "r0_mm": [4.56, 5.0],
-            "r1_mm": [3.0, 3.8],
-            "theta0_deg": [57.6, 80.0],
+            "r0_mm": list(SolverBox.r_outer_range),
+            "r1_mm": list(SolverBox.r_inner_range),
+            "theta0_deg": [math.degrees(a) for a in SolverBox.half_angle_range],
         },
         "theta_tol_rad": THETA_TOL_RAD,
-        "quad_rel_tol": 1e-9,
+        "quad_rel_tol": QUAD_REL_TOL,
         "p_max_kPa": P_MAX_KPA,
     },
     "suction": {
@@ -47,7 +49,7 @@ DEFAULT_CONFIG = {
         "A_eff_mm2": 2264.0,
         "h_eff_mm": 53.0,
         "lift_volume_increase_mm3": LIFT_VOLUME_INCREASE_MM3,
-        "seal_threshold_kPa": 0.0,
+        "seal_threshold_kPa": SuctionModel.seal_threshold_kPa,
     },
     "grasp": {"stretch_margin_mm": STRETCH_MARGIN_MM, **SCHEDULE_KPA},
     "capacity": {name: asdict(e) for name, e in CapacityCalibration.defaults().entries.items()},
@@ -80,18 +82,24 @@ def _require_finite(value, where: str):
     return value
 
 
-def _require_number(cfg: dict, section: str, key: str):
-    try:
-        value = cfg[section][key]
-    except (KeyError, TypeError):
-        raise ConfigError(f"missing config key {section}.{key}") from None
-    return _require_finite(value, f"{section}.{key}")
-
-
-def _require_pair(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
+def _require_like(default, value, where: str) -> None:
+    """Require the shape of ``default``: its keys, finite numbers, integers, [lo, hi] pairs."""
+    if isinstance(default, dict):
+        for key, sub in default.items():
+            try:
+                item = value[key]
+            except (KeyError, TypeError):
+                raise ConfigError(f"missing config key {where}.{key}") from None
+            _require_like(sub, item, f"{where}.{key}")
+    elif not isinstance(default, list):
+        _require_finite(value, where)
+        if isinstance(default, int) and int(value) != value:
+            raise ConfigError(f"{where} must be an integer, got {value}")
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        for item in value:
+            _require_finite(item, where)
+    else:
         raise ConfigError(f"config key {where} must be a [lo, hi] number pair, got {value!r}")
-    return float(_require_finite(value[0], where)), float(_require_finite(value[1], where))
 
 
 def load_config(path: str | None = None) -> dict:
@@ -132,30 +140,27 @@ class ModelContext:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ModelContext":
+        for section, default in DEFAULT_CONFIG.items():
+            if section != "capacity":  # open-ended shapes: see _capacity_entries
+                _require_like(default, cfg.get(section), section)
+        geo, solver, box_cfg = cfg["geometry"], cfg["solver"], cfg["solver"]["box"]
         try:
             geometry = ChamberGeometry(
-                r_outer_0=float(_require_number(cfg, "geometry", "R0_mm")),
-                r_inner_0=float(_require_number(cfg, "geometry", "R1_mm")),
-                half_angle_0=math.radians(_require_number(cfg, "geometry", "Theta0_deg")),
+                r_outer_0=float(geo["R0_mm"]),
+                r_inner_0=float(geo["R1_mm"]),
+                half_angle_0=math.radians(geo["Theta0_deg"]),
             )
-            material = HyperelasticMaterial(c1=float(_require_number(cfg, "material", "c1_kPa")))
-            n_chambers = _require_number(cfg, "assembly", "n_chambers")
-            if int(n_chambers) != n_chambers:
-                raise ConfigError(f"assembly.n_chambers must be an integer, got {n_chambers}")
+            material = HyperelasticMaterial(c1=float(cfg["material"]["c1_kPa"]))
             assembly = GripperAssembly(
                 geometry=geometry,
                 material=material,
-                n_chambers=int(n_chambers),
-                folded_aperture_mm=float(
-                    _require_number(cfg, "assembly", "folded_aperture_mm")
-                ),
+                n_chambers=int(cfg["assembly"]["n_chambers"]),
+                folded_aperture_mm=float(cfg["assembly"]["folded_aperture_mm"]),
             )
-            box_cfg = cfg["solver"]["box"]
-            theta_lo, theta_hi = _require_pair(box_cfg.get("theta0_deg"), "solver.box.theta0_deg")
             box = SolverBox(
-                r_outer_range=_require_pair(box_cfg.get("r0_mm"), "solver.box.r0_mm"),
-                r_inner_range=_require_pair(box_cfg.get("r1_mm"), "solver.box.r1_mm"),
-                half_angle_range=(math.radians(theta_lo), math.radians(theta_hi)),
+                r_outer_range=tuple(map(float, box_cfg["r0_mm"])),
+                r_inner_range=tuple(map(float, box_cfg["r1_mm"])),
+                half_angle_range=tuple(map(math.radians, box_cfg["theta0_deg"])),
             )
             capacity = CapacityCalibration(
                 entries={
@@ -166,11 +171,6 @@ class ModelContext:
                     for name, entry in _capacity_entries(cfg).items()
                 }
             )
-            for section in ("suction", "grasp"):
-                for key in DEFAULT_CONFIG[section]:
-                    _require_number(cfg, section, key)
-        except ConfigError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(
@@ -180,9 +180,9 @@ class ModelContext:
             assembly=assembly,
             box=box,
             capacity=capacity,
-            theta_tol_rad=float(_require_number(cfg, "solver", "theta_tol_rad")),
-            quad_rel_tol=float(_require_number(cfg, "solver", "quad_rel_tol")),
-            p_max_kPa=float(_require_number(cfg, "solver", "p_max_kPa")),
+            theta_tol_rad=float(solver["theta_tol_rad"]),
+            quad_rel_tol=float(solver["quad_rel_tol"]),
+            p_max_kPa=float(solver["p_max_kPa"]),
         )
 
     def suction_model(self) -> SuctionModel:

@@ -15,7 +15,7 @@ single-parameter cylinder model V(P_C) = pi * R_g(P_C)^2 * h_eff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .chamber import THETA_TOL_RAD, SolverBox
@@ -83,6 +83,8 @@ class ObjectDescriptor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectDescriptor":
+        if not isinstance(data, dict):
+            raise ValueError(f"object descriptor must be a JSON object, got {type(data).__name__}")
         try:
             shape = ShapeClass(data["shape_class"])
         except KeyError:
@@ -92,24 +94,23 @@ class ObjectDescriptor:
                 f"unknown shape_class {data.get('shape_class')!r}; expected one of "
                 f"{[s.value for s in ShapeClass]}"
             ) from None
-        unknown = set(data) - {f.name for f in fields(cls)}
+        casts = {"characteristic_diameter_mm": float, "mass_kg": float, "has_aperture": bool,
+                 "aperture_diameter_mm": float, "has_flat_sealable_surface": bool,
+                 "orientation_note": str}
+        unknown = set(data) - {"shape_class", *casts}
         if unknown:
             raise ValueError(f"unknown object descriptor keys: {sorted(unknown)}")
         if "characteristic_diameter_mm" not in data:
             raise ValueError("object descriptor missing 'characteristic_diameter_mm'")
-        return cls(
-            shape_class=shape,
-            characteristic_diameter_mm=float(data["characteristic_diameter_mm"]),
-            mass_kg=float(data.get("mass_kg", 0.0)),
-            has_aperture=bool(data.get("has_aperture", False)),
-            aperture_diameter_mm=(
-                float(data["aperture_diameter_mm"])
-                if data.get("aperture_diameter_mm") is not None
-                else None
-            ),
-            has_flat_sealable_surface=bool(data.get("has_flat_sealable_surface", False)),
-            orientation_note=str(data.get("orientation_note", "")),
-        )
+        # A key left out takes the field's default; a null aperture diameter means none.
+        kwargs = {"shape_class": shape}
+        for key, value in data.items():
+            if key != "shape_class" and (value is not None or key != "aperture_diameter_mm"):
+                try:
+                    kwargs[key] = casts[key](value)
+                except (TypeError, OverflowError):  # float() of null, a list, a huge int...
+                    raise ValueError(f"{key} must be a finite number, got {value!r}") from None
+        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +152,9 @@ class CapacityCalibration:
         """The default table, also the config file's default ``capacity``."""
         return cls(
             entries={
-                "cylinder": CapacityEntry(1.0, 20.0, 30.0, 20.0),
-                "sphere": CapacityEntry(0.75, 15.0, 30.0, 15.0),
-                "default": CapacityEntry(0.5, 10.0, 30.0, 10.0),
+                "cylinder": CapacityEntry(1.0, 20.0, prestretch_N=20.0),
+                "sphere": CapacityEntry(0.75, 15.0, prestretch_N=15.0),
+                "default": CapacityEntry(0.5, 10.0, prestretch_N=10.0),
             }
         )
 
@@ -163,7 +164,6 @@ def contraction_capacity(
     p_vac: float,
     calib: CapacityCalibration,
     rest_aperture_mm: float | None = None,
-    threshold_override_kPa: float | None = None,
 ) -> float:
     """Predicted lifting capacity (N) at vacuum pressure p_vac (kPa, <= 0).
 
@@ -175,16 +175,13 @@ def contraction_capacity(
     if p_vac > 0:
         raise ValueError(f"vacuum pressure must be <= 0 kPa, got {p_vac}")
     entry = calib.lookup(obj.shape_class)
-    threshold = threshold_override_kPa if threshold_override_kPa is not None else entry.threshold_kPa
-    if threshold <= 0:
-        raise ValueError(f"plateau threshold must be > 0 kPa, got {threshold}")
     prestretched = (
         rest_aperture_mm is not None
         and obj.characteristic_diameter_mm > 2.0 * rest_aperture_mm
     )
     base = entry.prestretch_N if prestretched else 0.0
     cap = max(entry.plateau_N, base)
-    return min(base + entry.slope_N_per_kPa * min(abs(p_vac), threshold), cap)
+    return min(base + entry.slope_N_per_kPa * min(abs(p_vac), entry.threshold_kPa), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +196,11 @@ def suction_law(ambient_kPa, effective_seal_area_mm2, rest_volume_mm3, volume_mm
     """
     force_mN = ambient_kPa * (volume_mm3 - rest_volume_mm3) / volume_mm3 * effective_seal_area_mm2
     return max(0.0, force_mN) / 1000.0
+
+
+def sealed_volume(aperture_radius_mm: float, h_eff_mm: float) -> float:
+    """Volume (mm^3) sealed under the gripper, the cylinder pi*R_g^2*h_eff."""
+    return math.pi * aperture_radius_mm * aperture_radius_mm * h_eff_mm
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ class SuctionModel:
     def volume(self, p_chamber: float) -> float:
         """Enclosed volume (mm^3) at chamber pressure p_chamber (kPa)."""
         rg = aperture_vs_pressure(self.assembly, p_chamber, self.box, self.tol)
-        return math.pi * rg * rg * self.h_eff_mm
+        return sealed_volume(rg, self.h_eff_mm)
 
     @classmethod
     def from_assembly(cls, *args, **kwargs) -> "SuctionModel":
@@ -280,12 +282,6 @@ class GraspPlan:
     rationale: str
 
     def __post_init__(self) -> None:
-        for label, p in self.schedule:
-            if abs(p) > PRESSURE_LIMIT_KPA:
-                raise ValueError(
-                    f"schedule phase {label!r} target {p} kPa exceeds "
-                    f"+/-{PRESSURE_LIMIT_KPA} kPa"
-                )
         if self.predicted_capacity_N < 0:
             raise ValueError("predicted capacity must be >= 0")
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .chamber import (
+    QUAD_REL_TOL,
     THETA_TOL_RAD,
     ChamberGeometry,
     SolverBox,
@@ -195,7 +196,7 @@ def sweep(
     p_to: float,
     steps: int,
     box: SolverBox | None = None,
-    quad_rel_tol: float = 1e-9,
+    quad_rel_tol: float = QUAD_REL_TOL,
     tol: float = THETA_TOL_RAD,
 ) -> list[SweepRow]:
     """Evaluate the forward model on a uniform pressure grid.

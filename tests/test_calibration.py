@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from accordion_gripper import (
     CalibrationError,
     GripperAssembly,
     HyperelasticMaterial,
+    SuctionModel,
     aperture_vs_pressure,
+    suction_force,
 )
 from accordion_gripper import calibration
 from accordion_gripper.calibration import (
@@ -232,6 +235,29 @@ def test_fit_suction_synthetic_round_trip(geom, c1, n_chambers, truth_h, pressur
     assert abs(report.params["h_eff_mm"] - truth_h) / truth_h < 0.02
     assert report.residual_norm < 1e-3
     assert not report.at_bound
+
+
+def test_fit_suction_predicts_with_the_suction_model(geom):
+    # The fit and SuctionModel share one volume law, so a model built from
+    # the fitted parameters gives each predicted peak bit for bit.
+    rng = random.Random(20261018)
+    for i in range(40):
+        assembly = GripperAssembly(
+            geom, HyperelasticMaterial(rng.uniform(80.0, 220.0)), rng.choice((16, 22, 28))
+        )
+        pressures = sorted(rng.uniform(0.0, 30.0) for _ in range(5))
+        series = synthetic_suction_series(
+            assembly, rng.uniform(500.0, 5000.0), rng.uniform(10.0, 200.0), pressures=pressures
+        )
+        if i % 2:
+            series = MeasurementSeries.from_pairs(
+                SeriesKind.SUCTION_FORCE,
+                [(p, f * (1.0 + 0.02 * rng.gauss(0.0, 1.0))) for p, f in series.rows],
+            )
+        report = fit_suction(series, assembly)
+        model = SuctionModel(assembly, report.params["A_eff_mm2"], report.params["h_eff_mm"])
+        for point in report.per_point:
+            assert point["predicted"] == suction_force(model, point["x"], 5000.0)
 
 
 def test_fit_suction_reproduces_anchor_forces(assembly):

@@ -312,6 +312,19 @@ def test_reachable_pressure_range():
     assert hi == pytest.approx(68.644240011938394, rel=1e-13)
 
 
+@pytest.mark.parametrize("c1", [85.0, 119.0])
+def test_reachable_pressure_range_floors_rest_noise_at_zero(c1):
+    # P(Theta0) rounds a few ulps below 0 kPa (-5.7e-14 at c1 = 119).
+    geom, mat = ChamberGeometry(), HyperelasticMaterial(c1)
+    assert pressure_at_angle(geom, mat, geom.half_angle_0) < 0.0
+    lo, hi = reachable_pressure_range(geom, mat)
+    assert lo == 0.0
+    assert hi == pressure_at_angle(geom, mat, SolverBox().half_angle_range[1])
+    with pytest.raises(OutOfWorkspaceError) as exc:
+        solve_deformation(geom, mat, 100.0)
+    assert exc.value.reachable == (0.0, hi)
+
+
 # ---------------------------------------------------------------------------
 # Solver
 

@@ -188,6 +188,23 @@ def test_plan_bad_descriptor_exit_1(capsys, tmp_path):
     assert "unknown shape_class" in err
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        [{"shape_class": "cylinder", "characteristic_diameter_mm": 40.0}],
+        {"shape_class": "cylinder", "characteristic_diameter_mm": 40.0, "mass_kg": None},
+        {"shape_class": "cylinder", "characteristic_diameter_mm": [40]},
+        {"shape_class": "cylinder", "characteristic_diameter_mm": {"a": 1}},
+        {"shape_class": "cylinder", "characteristic_diameter_mm": 10**400},
+    ],
+    ids=["array", "null-mass", "list-diameter", "object-diameter", "huge-int-diameter"],
+)
+def test_plan_malformed_descriptor_exit_1(capsys, tmp_path, descriptor):
+    code, out, err = run(capsys, "plan", "--object", write_object(tmp_path, descriptor))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_fit_c1_from_csv(capsys, tmp_path, assembly):
     from accordion_gripper import aperture_vs_pressure
 

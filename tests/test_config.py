@@ -3,7 +3,15 @@ import math
 
 import pytest
 
-from accordion_gripper import ConfigError
+from accordion_gripper import (
+    CapacityCalibration,
+    ChamberGeometry,
+    ConfigError,
+    HyperelasticMaterial,
+    SolverBox,
+    SuctionModel,
+)
+from accordion_gripper.chamber import QUAD_REL_TOL
 from accordion_gripper.config import (
     DEFAULT_CONFIG,
     ENV_CONFIG_VAR,
@@ -85,6 +93,13 @@ def test_context_from_defaults(ctx):
     assert ctx.box.half_angle_range[1] == pytest.approx(math.radians(80.0))
     assert ctx.p_max_kPa == 40.0
     assert ctx.capacity.lookup("sphere").slope_N_per_kPa == 0.75
+    # Every default is the domain type's own.
+    assert ctx.geometry == ChamberGeometry()
+    assert ctx.material == HyperelasticMaterial()
+    assert ctx.box == SolverBox()
+    assert ctx.capacity == CapacityCalibration.defaults()
+    assert ctx.quad_rel_tol == QUAD_REL_TOL
+    assert ctx.suction_model().seal_threshold_kPa == SuctionModel.seal_threshold_kPa
 
 
 def test_context_rejects_bad_values(tmp_path):
@@ -94,6 +109,7 @@ def test_context_rejects_bad_values(tmp_path):
         {"assembly": {"n_chambers": 21.5}},
         {"geometry": {"Theta0_deg": 0.0}},
         {"solver": {"box": {"theta0_deg": [80.0]}}},
+        {"solver": {"box": 5}},
         {"capacity": {"cone": {"plateau_N": 8.0}}},
         {"capacity": {"cone": {"slope_N_per_kPa": 0.4, "plateau_N": 8.0, "hue": 1}}},
     ]
