@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import accumulate
 from operator import sub
@@ -53,28 +53,26 @@ _MIN_ROWS = {
 }
 
 
-@dataclass(frozen=True)
-class MeasurementSeries:
-    kind: SeriesKind
-    rows: tuple  # ordered (x, y) pairs
+class MeasurementSeries(namedtuple("MeasurementSeries", "kind rows")):
+    """A measured series: its kind and its ordered (x, y) pairs."""
 
-    def __post_init__(self) -> None:
-        if len(self.rows) < _MIN_ROWS[self.kind]:
+    __slots__ = ()
+
+    def __new__(cls, kind: SeriesKind, rows: tuple):
+        if len(rows) < _MIN_ROWS[kind]:
             raise CalibrationError(
-                f"{self.kind.value} series needs at least "
-                f"{_MIN_ROWS[self.kind]} rows, got {len(self.rows)}"
+                f"{kind.value} series needs at least {_MIN_ROWS[kind]} rows, got {len(rows)}"
             )
-        for i, (x, y) in enumerate(self.rows, start=1):
+        for i, (x, y) in enumerate(rows, start=1):
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise CalibrationError(
-                    f"{self.kind.value} series row {i}: non-finite value ({x}, {y})"
-                )
-        if self.kind is SeriesKind.PRESSURE_APERTURE:
-            xs = [x for x, _ in self.rows]
+                raise CalibrationError(f"{kind.value} series row {i}: non-finite value ({x}, {y})")
+        if kind is SeriesKind.PRESSURE_APERTURE:
+            xs = [x for x, _ in rows]
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise CalibrationError(
                     "pressure_aperture series must have strictly increasing pressures"
                 )
+        return tuple.__new__(cls, (kind, rows))
 
     @classmethod
     def from_pairs(cls, kind: SeriesKind, pairs) -> "MeasurementSeries":
@@ -118,16 +116,11 @@ def load_series_csv(path, kind: SeriesKind) -> MeasurementSeries:
     return MeasurementSeries(kind, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(namedtuple("FitReport", "params residual_norm per_point at_bound notes n_evals",
+                           defaults=(False, "", 0))):
     """Outcome of a parameter fit."""
 
-    params: dict
-    residual_norm: float
-    per_point: tuple
-    at_bound: bool = False
-    notes: str = ""
-    n_evals: int = 0
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -255,7 +248,7 @@ def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
 def fit_c1(
     series: MeasurementSeries,
     geom: ChamberGeometry,
-    n_chambers: int = GripperAssembly.n_chambers,
+    n_chambers: int = GripperAssembly(ChamberGeometry(), HyperelasticMaterial()).n_chambers,
     bounds: tuple[float, float] = (10.0, 1000.0),
     box: SolverBox | None = None,
     tol: float = THETA_TOL_RAD,

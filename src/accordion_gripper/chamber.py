@@ -27,7 +27,7 @@ agrees with the quadrature and vanishes at zero deformation) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError, OutOfWorkspaceError
 from .material import HyperelasticMaterial, stress_difference
@@ -44,62 +44,52 @@ THETA_TOL_RAD = 1e-12
 QUAD_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ChamberGeometry:
-    """Uninflated half-chamber cross section.
+class ChamberGeometry(namedtuple("ChamberGeometry", "r_outer_0 r_inner_0 half_angle_0 "
+                                                    "pin_half_distance sector_area_scale")):
+    """Uninflated half-chamber cross section: R0 and R1 (mm), Theta0 (rad).
 
-    ``pin_half_distance`` (half the distance between the fixed inner-edge
-    endpoints) is derived, never user-set.
+    Two constants are derived at construction, never user-set, because every
+    pressure evaluation reads them: ``pin_half_distance`` a = R1*sin(Theta0),
+    mm, half the distance between the fixed inner-edge endpoints, and
+    ``sector_area_scale`` (R0^2 - R1^2)*Theta0, mm^2*rad, conserved under
+    deformation.
     """
 
-    r_outer_0: float = _DEFAULT_BOX[0][0]  # R0, mm
-    r_inner_0: float = _DEFAULT_BOX[1][0]  # R1, mm
-    half_angle_0: float = _DEFAULT_BOX[2][0]  # Theta0, rad
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r_inner_0 < self.r_outer_0:
-            raise ValueError(
-                f"require 0 < R1 < R0, got R1={self.r_inner_0}, R0={self.r_outer_0}"
-            )
-        if not 0.0 < self.half_angle_0 < math.pi / 2:
-            raise ValueError(
-                f"require 0 < Theta0 < pi/2 rad, got {self.half_angle_0}"
-            )
+    def __new__(cls, r_outer_0: float = _DEFAULT_BOX[0][0], r_inner_0: float = _DEFAULT_BOX[1][0],
+                half_angle_0: float = _DEFAULT_BOX[2][0]):
+        if not 0.0 < r_inner_0 < r_outer_0:
+            raise ValueError(f"require 0 < R1 < R0, got R1={r_inner_0}, R0={r_outer_0}")
+        if not 0.0 < half_angle_0 < math.pi / 2:
+            raise ValueError(f"require 0 < Theta0 < pi/2 rad, got {half_angle_0}")
+        return tuple.__new__(cls, (r_outer_0, r_inner_0, half_angle_0,
+                                   r_inner_0 * math.sin(half_angle_0),
+                                   (r_outer_0**2 - r_inner_0**2) * half_angle_0))
 
-    @property
-    def pin_half_distance(self) -> float:
-        """a = R1*sin(Theta0), mm."""
-        return self.r_inner_0 * math.sin(self.half_angle_0)
-
-    @property
-    def sector_area_scale(self) -> float:
-        """(R0^2 - R1^2)*Theta0, mm^2*rad; conserved under deformation."""
-        return (self.r_outer_0**2 - self.r_inner_0**2) * self.half_angle_0
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle call __new__, which takes only the three inputs.
+        return tuple(self)[:3]
 
     def undeformed_state(self) -> "DeformedState":
         return DeformedState(self.r_outer_0, self.r_inner_0, self.half_angle_0)
 
 
-@dataclass(frozen=True)
-class DeformedState:
-    """Deformed half-chamber unknowns (r0, r1, theta0)."""
+class DeformedState(namedtuple("DeformedState", "r_outer r_inner half_angle")):
+    """Deformed half-chamber unknowns r0, r1 (mm) and theta0 (rad)."""
 
-    r_outer: float  # mm
-    r_inner: float  # mm
-    half_angle: float  # rad
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r_inner < self.r_outer:
-            raise ValueError(
-                f"require 0 < r1 < r0, got r1={self.r_inner}, r0={self.r_outer}"
-            )
-        if not 0.0 < self.half_angle < math.pi:
-            raise ValueError(f"require 0 < theta0 < pi, got {self.half_angle}")
+    def __new__(cls, r_outer: float, r_inner: float, half_angle: float):
+        if not 0.0 < r_inner < r_outer:
+            raise ValueError(f"require 0 < r1 < r0, got r1={r_inner}, r0={r_outer}")
+        if not 0.0 < half_angle < math.pi:
+            raise ValueError(f"require 0 < theta0 < pi, got {half_angle}")
+        return tuple.__new__(cls, (r_outer, r_inner, half_angle))
 
 
-@dataclass(frozen=True)
-class SolverBox:
-    """Search ranges for the deformed unknowns.
+class SolverBox(namedtuple("SolverBox", "r_outer_range r_inner_range half_angle_range")):
+    """Search ranges (lo, hi) for the deformed unknowns.
 
     The scalar-reduction solver brackets only on ``half_angle_range``; the
     pin and area constraints then determine r1 and r0 uniquely, so the
@@ -107,23 +97,19 @@ class SolverBox:
     cannot be enforced without making the problem infeasible).
     """
 
-    r_outer_range: tuple[float, float] = _DEFAULT_BOX[0]
-    r_inner_range: tuple[float, float] = _DEFAULT_BOX[1]
-    half_angle_range: tuple[float, float] = _DEFAULT_BOX[2]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in (
-            ("r_outer_range", self.r_outer_range),
-            ("r_inner_range", self.r_inner_range),
-            ("half_angle_range", self.half_angle_range),
-        ):
+    def __new__(cls, r_outer_range: tuple[float, float] = _DEFAULT_BOX[0],
+                r_inner_range: tuple[float, float] = _DEFAULT_BOX[1],
+                half_angle_range: tuple[float, float] = _DEFAULT_BOX[2]):
+        self = tuple.__new__(cls, (r_outer_range, r_inner_range, half_angle_range))
+        for name, (lo, hi) in zip(self._fields, self):
             if not lo <= hi:
                 raise ValueError(f"{name} is empty: [{lo}, {hi}]")
-        lo, hi = self.half_angle_range
+        lo, hi = half_angle_range
         if not 0.0 < lo <= hi < math.pi / 2:
-            raise ValueError(
-                f"half_angle_range must lie in (0, pi/2), got [{lo}, {hi}]"
-            )
+            raise ValueError(f"half_angle_range must lie in (0, pi/2), got [{lo}, {hi}]")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +140,17 @@ def hoop_stretch(geom: ChamberGeometry, state: DeformedState, r: float) -> float
         raise ValueError(
             f"radius {r} outside deformed wall [{state.r_inner}, {state.r_outer}]"
         )
+    return _stretch_map(geom, state)(r)
+
+
+def _stretch_map(geom: ChamberGeometry, state: DeformedState):
+    """r -> lam_theta on plain floats, for r inside the deformed wall.
+
+    The quadrature evaluates it at every node, so it reads no record field.
+    """
     k = state.half_angle / geom.half_angle_0
-    big_r_sq = geom.r_inner_0**2 + (r * r - state.r_inner**2) * k
-    return r * k / math.sqrt(big_r_sq)
+    big_r1_sq, r1_sq = geom.r_inner_0**2, state.r_inner**2
+    return lambda r: r * k / math.sqrt(big_r1_sq + (r * r - r1_sq) * k)
 
 
 def radial_stretch(geom: ChamberGeometry, state: DeformedState, r: float) -> float:
@@ -234,8 +228,10 @@ def pressure_quadrature(
     This is the ground-truth oracle for the closed forms.
     """
 
+    stretch = _stretch_map(geom, state)
+
     def integrand(r: float) -> float:
-        lam_t = hoop_stretch(geom, state, r)
+        lam_t = stretch(r)
         return stress_difference(mat, lam_t, 1.0 / lam_t) / r
 
     # The integrand carries absolute roundoff of order eps_mach*c1, so give

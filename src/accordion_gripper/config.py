@@ -17,28 +17,32 @@ import copy
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+import sys
+from collections import namedtuple
 
 from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox
 from .errors import ConfigError
-from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA
+from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA, SEAL_THRESHOLD_KPA
 from .grasp import CapacityCalibration, CapacityEntry, SuctionModel
 from .gripper import P_MAX_KPA, STRETCH_MARGIN_MM, GripperAssembly
 from .material import HyperelasticMaterial
 
 ENV_CONFIG_VAR = "GRIPPER_CONFIG"
 
+# Default instances: each record's defaults live in its constructor.
+_ASM = GripperAssembly(ChamberGeometry(), HyperelasticMaterial())
+_BOX = SolverBox()
+
 DEFAULT_CONFIG = {
-    "geometry": {"R0_mm": ChamberGeometry.r_outer_0, "R1_mm": ChamberGeometry.r_inner_0,
-                 "Theta0_deg": math.degrees(ChamberGeometry.half_angle_0)},
-    "material": {"c1_kPa": HyperelasticMaterial.c1},
-    "assembly": {"n_chambers": GripperAssembly.n_chambers,
-                 "folded_aperture_mm": GripperAssembly.folded_aperture_mm},
+    "geometry": {"R0_mm": _ASM.geometry.r_outer_0, "R1_mm": _ASM.geometry.r_inner_0,
+                 "Theta0_deg": math.degrees(_ASM.geometry.half_angle_0)},
+    "material": {"c1_kPa": _ASM.material.c1},
+    "assembly": {"n_chambers": _ASM.n_chambers, "folded_aperture_mm": _ASM.folded_aperture_mm},
     "solver": {
         "box": {
-            "r0_mm": list(SolverBox.r_outer_range),
-            "r1_mm": list(SolverBox.r_inner_range),
-            "theta0_deg": [math.degrees(a) for a in SolverBox.half_angle_range],
+            "r0_mm": list(_BOX.r_outer_range),
+            "r1_mm": list(_BOX.r_inner_range),
+            "theta0_deg": [math.degrees(a) for a in _BOX.half_angle_range],
         },
         "theta_tol_rad": THETA_TOL_RAD,
         "quad_rel_tol": QUAD_REL_TOL,
@@ -49,13 +53,13 @@ DEFAULT_CONFIG = {
         "A_eff_mm2": 2264.0,
         "h_eff_mm": 53.0,
         "lift_volume_increase_mm3": LIFT_VOLUME_INCREASE_MM3,
-        "seal_threshold_kPa": SuctionModel.seal_threshold_kPa,
+        "seal_threshold_kPa": SEAL_THRESHOLD_KPA,
     },
     "grasp": {"stretch_margin_mm": STRETCH_MARGIN_MM, **SCHEDULE_KPA},
-    "capacity": {name: asdict(e) for name, e in CapacityCalibration.defaults().entries.items()},
+    "capacity": {name: e._asdict() for name, e in CapacityCalibration.defaults().entries.items()},
 }
 
-_CAPACITY_KEYS = {f.name for f in fields(CapacityEntry)}
+_CAPACITY_KEYS = set(CapacityEntry._fields)
 
 
 def default_config() -> dict:
@@ -76,8 +80,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def _require_finite(value, where: str):
-    # json accepts NaN and Infinity.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # json accepts NaN, Infinity and integers beyond the float range.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"config key {where} must be a finite number, got {value!r}")
     return value
 
@@ -124,19 +129,11 @@ def load_config(path: str | None = None) -> dict:
     return cfg
 
 
-@dataclass(frozen=True)
-class ModelContext:
+class ModelContext(namedtuple("ModelContext", "config geometry material assembly box capacity "
+                                              "theta_tol_rad quad_rel_tol p_max_kPa")):
     """Validated domain objects and knobs built from one config dict."""
 
-    config: dict
-    geometry: ChamberGeometry
-    material: HyperelasticMaterial
-    assembly: GripperAssembly
-    box: SolverBox
-    capacity: CapacityCalibration
-    theta_tol_rad: float
-    quad_rel_tol: float
-    p_max_kPa: float
+    __slots__ = ()
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ModelContext":
@@ -173,6 +170,11 @@ class ModelContext:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
+        if box.half_angle_range[1] <= geometry.half_angle_0:
+            raise ConfigError(
+                f"solver.box.theta0_deg ends at {box_cfg['theta0_deg'][1]} deg, at or below the "
+                f"rest angle Theta0 = {geo['Theta0_deg']} deg: no pressure > 0 is reachable"
+            )
         return cls(
             config=cfg,
             geometry=geometry,

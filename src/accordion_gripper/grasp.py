@@ -15,7 +15,7 @@ single-parameter cylinder model V(P_C) = pi * R_g(P_C)^2 * h_eff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 from .chamber import THETA_TOL_RAD, SolverBox
@@ -32,6 +32,9 @@ PRESSURE_LIMIT_KPA = 40.0  # schedules never exceed +/- this
 
 #: Default ambient pressure, kPa.
 AMBIENT_KPA = 101.325
+
+#: Default chamber pressure (kPa) below which no suction seal forms.
+SEAL_THRESHOLD_KPA = 0.0
 
 #: Default growth of the sealed volume while lifting, mm^3.
 LIFT_VOLUME_INCREASE_MM3 = 5000.0
@@ -57,29 +60,30 @@ class GraspMode(str, Enum):
     SUCTION = "suction"
 
 
-@dataclass(frozen=True)
-class ObjectDescriptor:
+class ObjectDescriptor(namedtuple("ObjectDescriptor", (
+        "shape_class", "characteristic_diameter_mm", "mass_kg", "has_aperture",
+        "aperture_diameter_mm", "has_flat_sealable_surface", "orientation_note"))):
     """Size/shape/pose summary of a candidate object."""
 
-    shape_class: ShapeClass
-    characteristic_diameter_mm: float
-    mass_kg: float = 0.0
-    has_aperture: bool = False
-    aperture_diameter_mm: float | None = None
-    has_flat_sealable_surface: bool = False
-    orientation_note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d = self.characteristic_diameter_mm
+    def __new__(cls, shape_class: ShapeClass, characteristic_diameter_mm: float,
+                mass_kg: float = 0.0, has_aperture: bool = False,
+                aperture_diameter_mm: float | None = None,
+                has_flat_sealable_surface: bool = False, orientation_note: str = ""):
+        d = characteristic_diameter_mm
         if not (math.isfinite(d) and d > 0):
             raise ValueError(f"characteristic diameter must be finite and > 0, got {d}")
-        if not (math.isfinite(self.mass_kg) and self.mass_kg >= 0):
-            raise ValueError(f"mass must be finite and >= 0, got {self.mass_kg}")
-        if self.has_aperture != (self.aperture_diameter_mm is not None):
+        if not (math.isfinite(mass_kg) and mass_kg >= 0):
+            raise ValueError(f"mass must be finite and >= 0, got {mass_kg}")
+        if has_aperture != (aperture_diameter_mm is not None):
             raise ValueError("aperture_diameter_mm must be present iff has_aperture")
-        d = self.aperture_diameter_mm
+        d = aperture_diameter_mm
         if d is not None and not (math.isfinite(d) and d > 0):
             raise ValueError(f"aperture diameter must be finite and > 0, got {d}")
+        return tuple.__new__(cls, (shape_class, characteristic_diameter_mm, mass_kg, has_aperture,
+                                   aperture_diameter_mm, has_flat_sealable_surface,
+                                   orientation_note))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectDescriptor":
@@ -117,27 +121,32 @@ class ObjectDescriptor:
 # Squeeze capacity (contraction mode)
 
 
-@dataclass(frozen=True)
-class CapacityEntry:
-    """Empirical capacity parameters for one shape class."""
+class CapacityEntry(namedtuple("CapacityEntry",
+                               "slope_N_per_kPa plateau_N threshold_kPa prestretch_N")):
+    """Empirical capacity parameters for one shape class.
 
-    slope_N_per_kPa: float
-    plateau_N: float
-    threshold_kPa: float = 30.0  # vacuum level beyond which walls buckle
-    prestretch_N: float = 0.0  # baseline when the object pre-stretches the gripper
+    ``threshold_kPa`` is the vacuum level beyond which the walls buckle;
+    ``prestretch_N`` the baseline when the object pre-stretches the gripper.
+    """
 
-    def __post_init__(self) -> None:
-        if self.slope_N_per_kPa < 0 or self.plateau_N < 0:
+    __slots__ = ()
+
+    def __new__(cls, slope_N_per_kPa: float, plateau_N: float, threshold_kPa: float = 30.0,
+                prestretch_N: float = 0.0):
+        if slope_N_per_kPa < 0 or plateau_N < 0:
             raise ValueError("capacity slope and plateau must be >= 0")
-        if self.threshold_kPa <= 0:
+        if threshold_kPa <= 0:
             raise ValueError("plateau threshold must be > 0 kPa")
+        return tuple.__new__(cls, (slope_N_per_kPa, plateau_N, threshold_kPa, prestretch_N))
 
 
-@dataclass(frozen=True)
-class CapacityCalibration:
+class CapacityCalibration(namedtuple("CapacityCalibration", "entries")):
     """Per-shape-class capacity table; 'default' applies to unlisted shapes."""
 
-    entries: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, entries: dict | None = None):
+        return tuple.__new__(cls, ({} if entries is None else entries,))
 
     def lookup(self, shape: ShapeClass) -> CapacityEntry:
         key = shape.value if isinstance(shape, ShapeClass) else str(shape)
@@ -203,27 +212,33 @@ def sealed_volume(aperture_radius_mm: float, h_eff_mm: float) -> float:
     return math.pi * aperture_radius_mm * aperture_radius_mm * h_eff_mm
 
 
-@dataclass(frozen=True)
-class SuctionModel:
-    """Isothermal gas closure of the sealed space V(P_C) = pi*R_g(P_C)^2*h_eff."""
+class SuctionModel(namedtuple("SuctionModel", (
+        "assembly", "effective_seal_area_mm2", "h_eff_mm", "ambient_pressure_kPa", "box", "tol",
+        "seal_threshold_kPa", "rest_volume_mm3"))):
+    """Isothermal gas closure of the sealed space V(P_C) = pi*R_g(P_C)^2*h_eff.
 
-    assembly: GripperAssembly
-    effective_seal_area_mm2: float
-    h_eff_mm: float
-    ambient_pressure_kPa: float = AMBIENT_KPA
-    box: SolverBox | None = None
-    tol: float = THETA_TOL_RAD
-    seal_threshold_kPa: float = 0.0
-    rest_volume_mm3: float = field(init=False)
+    ``rest_volume_mm3``, V(0), is solved once at construction, not passed.
+    """
 
-    def __post_init__(self) -> None:
-        if self.ambient_pressure_kPa <= 0:
+    __slots__ = ()
+
+    def __new__(cls, assembly: GripperAssembly, effective_seal_area_mm2: float, h_eff_mm: float,
+                ambient_pressure_kPa: float = AMBIENT_KPA, box: SolverBox | None = None,
+                tol: float = THETA_TOL_RAD, seal_threshold_kPa: float = SEAL_THRESHOLD_KPA):
+        if ambient_pressure_kPa <= 0:
             raise ValueError("ambient pressure must be positive")
-        if self.effective_seal_area_mm2 <= 0:
+        if effective_seal_area_mm2 <= 0:
             raise ValueError("effective seal area must be positive")
-        if self.h_eff_mm <= 0:
-            raise ValueError(f"effective height must be positive, got {self.h_eff_mm}")
-        object.__setattr__(self, "rest_volume_mm3", self.volume(0.0))
+        if h_eff_mm <= 0:
+            raise ValueError(f"effective height must be positive, got {h_eff_mm}")
+        rest_volume = sealed_volume(aperture_vs_pressure(assembly, 0.0, box, tol), h_eff_mm)
+        return tuple.__new__(cls, (assembly, effective_seal_area_mm2, h_eff_mm,
+                                   ambient_pressure_kPa, box, tol, seal_threshold_kPa,
+                                   rest_volume))
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle call __new__, which takes every field but the rest volume.
+        return tuple(self)[:-1]
 
     def volume(self, p_chamber: float) -> float:
         """Enclosed volume (mm^3) at chamber pressure p_chamber (kPa)."""
@@ -266,24 +281,20 @@ def suction_force(
 # Mode selection and planning
 
 
-@dataclass(frozen=True)
-class ModeSelection:
-    mode: GraspMode | None
-    feasible: bool
-    reason: str
+ModeSelection = namedtuple("ModeSelection", "mode feasible reason")
 
 
-@dataclass(frozen=True)
-class GraspPlan:
-    mode: GraspMode | None
-    schedule: list  # ordered (phase label, target pressure kPa)
-    predicted_capacity_N: float
-    feasible: bool
-    rationale: str
+class GraspPlan(namedtuple("GraspPlan",
+                           "mode schedule predicted_capacity_N feasible rationale")):
+    """``schedule`` is the ordered list of (phase label, target pressure kPa)."""
 
-    def __post_init__(self) -> None:
-        if self.predicted_capacity_N < 0:
+    __slots__ = ()
+
+    def __new__(cls, mode: GraspMode | None, schedule: list, predicted_capacity_N: float,
+                feasible: bool, rationale: str):
+        if predicted_capacity_N < 0:
             raise ValueError("predicted capacity must be >= 0")
+        return tuple.__new__(cls, (mode, schedule, predicted_capacity_N, feasible, rationale))
 
     def to_dict(self) -> dict:
         return {

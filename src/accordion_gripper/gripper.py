@@ -10,7 +10,7 @@ R_g = D/alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .chamber import (
     QUAD_REL_TOL,
@@ -37,22 +37,22 @@ P_MAX_KPA = 40.0
 STRETCH_MARGIN_MM = 8.65
 
 
-@dataclass(frozen=True)
-class GripperAssembly:
-    """Ring of identical chambers plus the shared wall material."""
+class GripperAssembly(namedtuple("GripperAssembly",
+                                 "geometry material n_chambers folded_aperture_mm")):
+    """Ring of identical chambers plus the shared wall material.
 
-    geometry: ChamberGeometry
-    material: HyperelasticMaterial
-    n_chambers: int = 22
-    folded_aperture_mm: float = 5.0  # contraction-side bound, configured not modelled
+    ``folded_aperture_mm`` is the contraction-side bound, configured not modelled.
+    """
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n_chambers, int) and self.n_chambers >= 3):
-            raise ValueError(f"n_chambers must be an integer >= 3, got {self.n_chambers}")
-        if self.folded_aperture_mm < 0:
-            raise ValueError(
-                f"folded_aperture_mm must be >= 0, got {self.folded_aperture_mm}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, geometry: ChamberGeometry, material: HyperelasticMaterial,
+                n_chambers: int = 22, folded_aperture_mm: float = 5.0):
+        if not (isinstance(n_chambers, int) and n_chambers >= 3):
+            raise ValueError(f"n_chambers must be an integer >= 3, got {n_chambers}")
+        if folded_aperture_mm < 0:
+            raise ValueError(f"folded_aperture_mm must be >= 0, got {folded_aperture_mm}")
+        return tuple.__new__(cls, (geometry, material, n_chambers, folded_aperture_mm))
 
     @property
     def sector_angle(self) -> float:
@@ -60,15 +60,12 @@ class GripperAssembly:
         return 2.0 * math.pi / self.n_chambers
 
 
-@dataclass(frozen=True)
-class Workspace:
+class Workspace(namedtuple("Workspace",
+                           "min_aperture_mm rest_aperture_mm max_aperture_mm p_max_kPa")):
     """Aperture radii reachable by the gripper, mm, and the pressure (kPa)
     the range was solved up to."""
 
-    min_aperture_mm: float
-    rest_aperture_mm: float
-    max_aperture_mm: float
-    p_max_kPa: float
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -78,23 +75,11 @@ class Workspace:
         }
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    pressure_kPa: float
-    r0_mm: float
-    r1_mm: float
-    theta0_rad: float
-    D_mm: float
-    Rg_mm: float
-    pin_residual: float
-    area_residual: float
-    quadrature_check_kPa: float
-
-
-_SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+SweepRow = namedtuple("SweepRow", "pressure_kPa r0_mm r1_mm theta0_rad D_mm Rg_mm "
+                                  "pin_residual area_residual quadrature_check_kPa")
 
 #: Column order of the sweep CSV export: the ``SweepRow`` fields.
-SWEEP_CSV_HEADER = ",".join(_SWEEP_COLUMNS)
+SWEEP_CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def aperture_radius(d: float, assembly: GripperAssembly) -> float:
@@ -233,7 +218,7 @@ def sweep(
 def format_sweep_csv(rows: list[SweepRow]) -> str:
     """Render sweep rows as CSV text, 9 significant digits per value."""
     lines = [SWEEP_CSV_HEADER]
-    lines += [",".join(f"{getattr(row, name):.9g}" for name in _SWEEP_COLUMNS) for row in rows]
+    lines += [",".join(f"{value:.9g}" for value in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -9,18 +9,18 @@ used in the prototype).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class HyperelasticMaterial:
+class HyperelasticMaterial(namedtuple("HyperelasticMaterial", "c1")):
     """Single-constant incompressible neo-Hookean material."""
 
-    c1: float = 119.0  # kPa
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.c1 > 0:
-            raise ValueError(f"material constant c1 must be positive, got {self.c1}")
+    def __new__(cls, c1: float = 119.0):  # kPa
+        if not c1 > 0:
+            raise ValueError(f"material constant c1 must be positive, got {c1}")
+        return tuple.__new__(cls, (c1,))
 
 
 def _check_stretches(lambda_theta: float, lambda_r: float) -> None:

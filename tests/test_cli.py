@@ -287,6 +287,15 @@ def test_plan_contraction_checks_p_max(capsys, tmp_path):
     assert "[0, 5] kPa" in err
 
 
+@pytest.mark.parametrize("command", [["solve", "--pressure", "0"], ["workspace"], ["validate"]])
+def test_box_below_rest_angle_exit_1(capsys, tmp_path, command):
+    # Every angle of the box is below Theta0 = 57.6 deg, so no pressure is reachable.
+    cfg = write_config(tmp_path, {"solver": {"box": {"theta0_deg": [40, 50]}}})
+    code, out, err = run(capsys, "--config", cfg, *command)
+    assert (code, out) == (1, "")
+    assert "below the rest angle" in err
+
+
 def test_plan_suction_below_seal_threshold_exit_1(capsys, tmp_path):
     # The 20 kPa suction phase cannot form a seal that needs 30 kPa.
     cfg = write_config(tmp_path, {"suction": {"seal_threshold_kPa": 30}})
@@ -368,23 +377,24 @@ IMPORT_PROBE = textwrap.dedent(
     import json, sys
     from accordion_gripper.cli import main
 
+    watch = set(json.loads(sys.argv[2]))
     loaded = {}
     for argv in json.loads(sys.argv[1]):
         code = main(argv)
-        loaded[argv[0]] = [code, sorted({"numpy", "scipy"} & set(sys.modules))]
+        loaded[argv[0]] = [code, sorted(watch & set(sys.modules))]
     print(json.dumps(loaded), file=sys.stderr)
     """
 )
 
 
-def probe_imports(tmp_path, commands):
-    """Exit code and the modules among numpy/scipy loaded after each command,
+def probe_imports(tmp_path, commands, watch=frozenset({"numpy", "scipy"})):
+    """Exit code and the modules among ``watch`` loaded after each command,
     run in turn in one fresh interpreter."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env.pop("GRIPPER_CONFIG", None)
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands), json.dumps(sorted(watch))],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stderr.splitlines()[-1])
@@ -405,13 +415,12 @@ def test_model_commands_import_neither_numpy_nor_scipy(tmp_path):
     }
 
 
-def test_no_command_imports_scipy(tmp_path):
-    """All ten commands in one interpreter: each exits 0, and afterwards
-    neither scipy nor numpy is loaded."""
+def all_commands(tmp_path):
+    """One invocation of each of the ten commands, with its input files."""
     obj = write_object(tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0})
     trace = tmp_path / "trace.csv"
     trace.write_text("displacement_mm,force_N\n0,1.0\n1,4.5\n2,2.0\n")
-    commands = [
+    return [
         ["config"],
         ["solve", "--pressure", "20"],
         ["invert", "--aperture", "21.5"],
@@ -423,7 +432,21 @@ def test_no_command_imports_scipy(tmp_path):
         ["fit-suction", *write_fit_data(tmp_path, "fit-suction")],
         ["peak-force", "--data", str(trace), "--window", "2"],
     ]
+
+
+def test_no_command_imports_scipy(tmp_path):
+    """All ten commands in one interpreter: each exits 0, and afterwards
+    neither scipy nor numpy is loaded."""
+    commands = all_commands(tmp_path)
     assert probe_imports(tmp_path, commands) == {argv[0]: [0, []] for argv in commands}
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    """All ten commands in one interpreter: each exits 0, and afterwards
+    neither dataclasses nor the inspect module it pulls in is loaded."""
+    commands = all_commands(tmp_path)
+    loaded = probe_imports(tmp_path, commands, watch={"dataclasses", "inspect"})
+    assert loaded == {argv[0]: [0, []] for argv in commands}
 
 
 PLAN = ["plan", "--object", "object.json"]
@@ -447,6 +470,10 @@ PLAN = ["plan", "--object", "object.json"]
         (None, {"mass_kg": math.inf}, PLAN),
         (None, {"has_aperture": True, "aperture_diameter_mm": math.inf}, PLAN),
         (None, None, ["fit-c1", "--data", "nan.csv"]),
+        # Integers too large for a float.
+        ({"material": {"c1_kPa": 10**400}}, None, ["solve", "--pressure", "0"]),
+        ({"capacity": {"cone": {"slope_N_per_kPa": 10**400, "plateau_N": 8.0}}}, None,
+         ["solve", "--pressure", "0"]),
     ],
 )
 def test_non_finite_input_exit_1(capsys, tmp_path, monkeypatch, config, descriptor, argv):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import sys
 
 import pytest
 
@@ -8,9 +10,18 @@ from accordion_gripper import (
     ChamberGeometry,
     ConfigError,
     HyperelasticMaterial,
+    ObjectDescriptor,
+    ShapeClass,
     SolverBox,
     SuctionModel,
+    aperture_vs_pressure,
+    plan_grasp,
+    select_mode,
+    solve_deformation,
+    sweep,
+    workspace,
 )
+from accordion_gripper.calibration import FitReport, MeasurementSeries, SeriesKind
 from accordion_gripper.chamber import QUAD_REL_TOL
 from accordion_gripper.config import (
     DEFAULT_CONFIG,
@@ -20,6 +31,7 @@ from accordion_gripper.config import (
     load_config,
     load_context,
 )
+from accordion_gripper.grasp import SEAL_THRESHOLD_KPA, sealed_volume
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -99,7 +111,7 @@ def test_context_from_defaults(ctx):
     assert ctx.box == SolverBox()
     assert ctx.capacity == CapacityCalibration.defaults()
     assert ctx.quad_rel_tol == QUAD_REL_TOL
-    assert ctx.suction_model().seal_threshold_kPa == SuctionModel.seal_threshold_kPa
+    assert ctx.suction_model().seal_threshold_kPa == SEAL_THRESHOLD_KPA
 
 
 def test_context_rejects_bad_values(tmp_path):
@@ -110,6 +122,8 @@ def test_context_rejects_bad_values(tmp_path):
         {"geometry": {"Theta0_deg": 0.0}},
         {"solver": {"box": {"theta0_deg": [80.0]}}},
         {"solver": {"box": 5}},
+        {"solver": {"box": {"theta0_deg": [40.0, 50.0]}}},
+        {"solver": {"box": {"theta0_deg": [40.0, 57.6]}}},  # ends at the rest angle
         {"capacity": {"cone": {"plateau_N": 8.0}}},
         {"capacity": {"cone": {"slope_N_per_kPa": 0.4, "plateau_N": 8.0, "hue": 1}}},
     ]
@@ -125,3 +139,55 @@ def test_context_suction_model(ctx):
     assert model.rest_volume_mm3 == pytest.approx(
         math.pi * 20.675956017774557**2 * 53.0, rel=1e-9
     )
+
+
+@pytest.fixture(scope="module")
+def records(ctx):
+    """One instance of each of the package's records, by class name."""
+    asm = ctx.assembly
+    ws = workspace(asm, ctx.p_max_kPa, ctx.box)
+    obj = ObjectDescriptor(ShapeClass.CYLINDER, 40.0)
+    found = [
+        ctx, ctx.geometry, ctx.material, asm, ctx.box, ctx.capacity,
+        ctx.capacity.lookup("sphere"), ctx.suction_model(), ws, obj,
+        solve_deformation(ctx.geometry, ctx.material, 10.0),
+        sweep(asm, 0.0, 10.0, 2)[0],
+        select_mode(obj, asm, ws),
+        plan_grasp(obj, asm, ws, ctx.capacity),
+        MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, [(10.0, 1.0), (20.0, 2.0)]),
+        FitReport({"c1_kPa": 119.0}, 0.0, ()),
+    ]
+    return {type(r).__name__: r for r in found}
+
+
+RECORDS = (
+    "ModelContext", "ChamberGeometry", "HyperelasticMaterial", "GripperAssembly", "SolverBox",
+    "CapacityCalibration", "CapacityEntry", "SuctionModel", "Workspace", "ObjectDescriptor",
+    "DeformedState", "SweepRow", "ModeSelection", "GraspPlan", "MeasurementSeries", "FitReport",
+)
+
+
+def test_records_list_every_record():
+    package = [m for name, m in sys.modules.items() if name.startswith("accordion_gripper.")]
+    defined = {
+        name for m in package for name, v in vars(m).items()
+        if isinstance(v, type) and issubclass(v, tuple) and v.__module__ == m.__name__
+    }
+    assert defined == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen(records, name):
+    record = records[name]
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
+
+
+def test_suction_model_rest_volume(assembly):
+    model = SuctionModel(assembly, 2264.0, 53.0)
+    assert model.rest_volume_mm3 == sealed_volume(aperture_vs_pressure(assembly, 0.0), 53.0)
+    # copy rebuilds through __new__, which solves the rest volume again.
+    assert copy.deepcopy(model) == model
