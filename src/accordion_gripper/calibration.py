@@ -31,6 +31,12 @@ from .gripper import GripperAssembly, aperture_vs_pressure
 from .material import HyperelasticMaterial
 
 
+#: Search interval of each fitted parameter: c1 (kPa), A_eff (mm^2), h_eff (mm).
+C1_BOUNDS_KPA = (10.0, 1000.0)
+A_EFF_BOUNDS_MM2 = (1.0, 1e5)
+H_EFF_BOUNDS_MM = (1.0, 500.0)
+
+
 class SeriesKind(str, Enum):
     PRESSURE_APERTURE = "pressure_aperture"
     FORCE_DISPLACEMENT = "force_displacement"
@@ -169,10 +175,6 @@ def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
     ``maxiter`` evaluation cap reached, 2 a NaN met.
     """
     a, b = bounds
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("optimization bounds must be finite scalars")
-    if a > b:
-        raise ValueError("the lower bound exceeds the upper bound")
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     fulc = a + golden_mean * (b - a)
@@ -249,7 +251,6 @@ def fit_c1(
     series: MeasurementSeries,
     geom: ChamberGeometry,
     n_chambers: int = GripperAssembly(ChamberGeometry(), HyperelasticMaterial()).n_chambers,
-    bounds: tuple[float, float] = (10.0, 1000.0),
     box: SolverBox | None = None,
     tol: float = THETA_TOL_RAD,
 ) -> FitReport:
@@ -284,9 +285,9 @@ def fit_c1(
         except OutOfWorkspaceError:
             # Softer material cannot reach the highest series pressure inside
             # the solver box; steer the search away.
-            return 1e12 * (1.0 + abs(math.log(c1 / bounds[1])))
+            return 1e12 * (1.0 + abs(math.log(c1 / C1_BOUNDS_KPA[1])))
 
-    c1_hat, _, nfev, status = _minimize_bounded(sse, bounds)
+    c1_hat, _, nfev, status = _minimize_bounded(sse, C1_BOUNDS_KPA)
     try:
         preds = predict(c1_hat)
     except OutOfWorkspaceError:
@@ -294,7 +295,7 @@ def fit_c1(
             f"fit_c1 failed: optimum c1={c1_hat:.4g} kPa cannot reproduce the "
             "series inside the solver box"
         ) from None
-    at_bound = _near_bound(c1_hat, bounds)
+    at_bound = _near_bound(c1_hat, C1_BOUNDS_KPA)
     return FitReport(
         params={"c1_kPa": c1_hat},
         residual_norm=math.sqrt(_sum_sq(preds, ys)),
@@ -341,8 +342,6 @@ def fit_suction(
     assembly: GripperAssembly,
     lift_volume_increase_mm3: float = LIFT_VOLUME_INCREASE_MM3,
     ambient_pressure_kPa: float = AMBIENT_KPA,
-    area_bounds: tuple[float, float] = (1.0, 1e5),
-    height_bounds: tuple[float, float] = (1.0, 500.0),
     box: SolverBox | None = None,
     tol: float = THETA_TOL_RAD,
 ) -> FitReport:
@@ -362,6 +361,10 @@ def fit_suction(
     xs, ys = series.xs(), series.ys()
     if any(x < 0 for x in xs):
         raise CalibrationError("chamber pressures must be >= 0 kPa")
+    if ambient_pressure_kPa <= 0:
+        raise ValueError("ambient pressure must be positive")
+    if lift_volume_increase_mm3 < 0:
+        raise ValueError("lift volume increase must be >= 0")
     if len(set(xs)) < 2:
         raise CalibrationError(
             "underdetermined fit: need peaks at >= 2 distinct chamber pressures"
@@ -380,20 +383,18 @@ def fit_suction(
         norm_sq = math.fsum(u * u for u in unit)
         # No force predicted at any pressure leaves A_eff free: its lower bound.
         area = math.fsum(u * y for u, y in zip(unit, ys)) / norm_sq if norm_sq else 0.0
-        return min(max(area, area_bounds[0]), area_bounds[1])
+        return min(max(area, A_EFF_BOUNDS_MM2[0]), A_EFF_BOUNDS_MM2[1])
 
     def sse(log_h: float) -> float:
         h_eff = math.exp(log_h)
         return _sum_sq(predict(best_area(h_eff), h_eff), ys)
 
-    log_h, _, nfev, status = _minimize_bounded(
-        sse, (math.log(height_bounds[0]), math.log(height_bounds[1]))
-    )
+    log_h, _, nfev, status = _minimize_bounded(sse, tuple(map(math.log, H_EFF_BOUNDS_MM)))
     h_hat = math.exp(log_h)
     a_hat = best_area(h_hat)
     preds = predict(a_hat, h_hat)
-    at_bound = _near_bound(a_hat, area_bounds) or _near_bound(h_hat, height_bounds)
-    if a_hat - area_bounds[0] < 1e-3 * (area_bounds[1] - area_bounds[0]):
+    at_bound = _near_bound(a_hat, A_EFF_BOUNDS_MM2) or _near_bound(h_hat, H_EFF_BOUNDS_MM)
+    if a_hat - A_EFF_BOUNDS_MM2[0] < 1e-3 * (A_EFF_BOUNDS_MM2[1] - A_EFF_BOUNDS_MM2[0]):
         notes = "degenerate: effective seal area at lower bound"
     else:
         notes = "optimizer at bound" if at_bound else ""

@@ -30,7 +30,7 @@ from .chamber import (
     state_at_angle,
     wall_distance,
 )
-from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_config
+from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_config, read_json
 from .errors import ConfigError, GripperError, OutOfWorkspaceError
 from .gripper import (
     P_MAX_KPA,
@@ -123,11 +123,7 @@ def cmd_sweep(ctx: ModelContext, args) -> int:
         ctx.quad_rel_tol,
         ctx.theta_tol_rad,
     )
-    try:
-        write_sweep_csv(rows, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -160,20 +156,7 @@ def cmd_workspace(ctx: ModelContext, args) -> int:
 
 
 def cmd_plan(ctx: ModelContext, args) -> int:
-    try:
-        with open(args.object) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read {args.object}: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON in {args.object}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        obj = ObjectDescriptor.from_dict(data)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    obj = ObjectDescriptor.from_dict(read_json(args.object))
     grasp_cfg = ctx.config["grasp"]
     ws = workspace(ctx.assembly, ctx.p_max_kPa, ctx.box, ctx.theta_tol_rad)
     plan = plan_grasp(
@@ -467,7 +450,7 @@ def main(argv=None) -> int:
     except OutOfWorkspaceError as exc:
         print(f"out of workspace: {exc}", file=sys.stderr)
         return 2
-    except (GripperError, ValueError) as exc:
+    except (GripperError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

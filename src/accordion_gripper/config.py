@@ -13,8 +13,8 @@ drift is caught.
 
 from __future__ import annotations
 
-import copy
 import json
+import marshal
 import math
 import os
 import sys
@@ -60,23 +60,20 @@ DEFAULT_CONFIG = {
 }
 
 _CAPACITY_KEYS = set(CapacityEntry._fields)
+_DEFAULT_BYTES = marshal.dumps(DEFAULT_CONFIG)
 
 
 def default_config() -> dict:
-    return copy.deepcopy(DEFAULT_CONFIG)
+    return marshal.loads(_DEFAULT_BYTES)  # a fresh deep copy
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base and path != "capacity":
-            raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+def read_json(path):
+    """The JSON value in ``path``; a decode error becomes a ValueError that names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"invalid JSON in {path}: {exc}") from None
 
 
 def _require_finite(value, where: str):
@@ -87,24 +84,31 @@ def _require_finite(value, where: str):
     return value
 
 
-def _require_like(default, value, where: str) -> None:
-    """Require the shape of ``default``: its keys, finite numbers, integers, [lo, hi] pairs."""
+def _merge(default, value, where: str = ""):
+    """``value`` laid over ``default`` in new dicts and lists, in one walk that gives it
+    the shape of ``default``: an object, a [lo, hi] pair of finite numbers, a finite
+    number or an integer."""
     if isinstance(default, dict):
-        for key, sub in default.items():
-            try:
-                item = value[key]
-            except (KeyError, TypeError):
-                raise ConfigError(f"missing config key {where}.{key}") from None
-            _require_like(sub, item, f"{where}.{key}")
-    elif not isinstance(default, list):
-        _require_finite(value, where)
-        if isinstance(default, int) and int(value) != value:
-            raise ConfigError(f"{where} must be an integer, got {value}")
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        for item in value:
-            _require_finite(item, where)
-    else:
-        raise ConfigError(f"config key {where} must be a [lo, hi] number pair, got {value!r}")
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {where} must be an object, got {value!r}")
+        out = dict(default)
+        for key, item in value.items():
+            at = f"{where}.{key}" if where else key
+            if key in default:
+                out[key] = _merge(default[key], item, at)
+            elif where == "capacity":  # open-ended shapes: see _capacity_entries
+                out[key] = item
+            else:
+                raise ConfigError(f"unknown config key {at!r}")
+        return out
+    if isinstance(default, list):
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConfigError(f"config key {where} must be a [lo, hi] number pair, got {value!r}")
+        return [_require_finite(item, where) for item in value]
+    _require_finite(value, where)
+    if isinstance(default, int) and int(value) != value:
+        raise ConfigError(f"{where} must be an integer, got {value}")
+    return value
 
 
 def load_config(path: str | None = None) -> dict:
@@ -117,12 +121,11 @@ def load_config(path: str | None = None) -> dict:
     cfg = default_config()
     if path:
         try:
-            with open(path) as fh:
-                user = json.load(fh)
+            user = read_json(path)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not isinstance(user, dict):
             raise ConfigError(f"config root must be a JSON object, got {type(user).__name__}")
         cfg = _merge(cfg, user)
@@ -137,9 +140,8 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ModelContext":
-        for section, default in DEFAULT_CONFIG.items():
-            if section != "capacity":  # open-ended shapes: see _capacity_entries
-                _require_like(default, cfg.get(section), section)
+        """A context from ``cfg``; a key it leaves out takes its default."""
+        cfg = _merge(default_config(), cfg)
         geo, solver, box_cfg = cfg["geometry"], cfg["solver"], cfg["solver"]["box"]
         try:
             geometry = ChamberGeometry(
@@ -168,7 +170,7 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
                     for name, entry in _capacity_entries(cfg).items()
                 }
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
         if box.half_angle_range[1] <= geometry.half_angle_0:
             raise ConfigError(
@@ -201,10 +203,7 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
 
 
 def _capacity_entries(cfg: dict) -> dict:
-    table = cfg.get("capacity")
-    if not isinstance(table, dict) or not table:
-        raise ConfigError("config key 'capacity' must be a non-empty object")
-    for name, entry in table.items():
+    for name, entry in cfg["capacity"].items():
         if not isinstance(entry, dict):
             raise ConfigError(f"capacity.{name} must be an object")
         unknown = set(entry) - _CAPACITY_KEYS
@@ -213,7 +212,7 @@ def _capacity_entries(cfg: dict) -> dict:
         for key in ("slope_N_per_kPa", "plateau_N"):
             if key not in entry:
                 raise ConfigError(f"capacity.{name} missing {key!r}")
-    return table
+    return cfg["capacity"]
 
 
 def load_context(path: str | None = None) -> ModelContext:

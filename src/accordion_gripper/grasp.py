@@ -15,6 +15,7 @@ single-parameter cylinder model V(P_C) = pi * R_g(P_C)^2 * h_eff.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from enum import Enum
 
@@ -98,10 +99,10 @@ class ObjectDescriptor(namedtuple("ObjectDescriptor", (
                 f"unknown shape_class {data.get('shape_class')!r}; expected one of "
                 f"{[s.value for s in ShapeClass]}"
             ) from None
-        casts = {"characteristic_diameter_mm": float, "mass_kg": float, "has_aperture": bool,
+        kinds = {"characteristic_diameter_mm": float, "mass_kg": float, "has_aperture": bool,
                  "aperture_diameter_mm": float, "has_flat_sealable_surface": bool,
                  "orientation_note": str}
-        unknown = set(data) - {"shape_class", *casts}
+        unknown = set(data) - {"shape_class", *kinds}
         if unknown:
             raise ValueError(f"unknown object descriptor keys: {sorted(unknown)}")
         if "characteristic_diameter_mm" not in data:
@@ -109,11 +110,17 @@ class ObjectDescriptor(namedtuple("ObjectDescriptor", (
         # A key left out takes the field's default; a null aperture diameter means none.
         kwargs = {"shape_class": shape}
         for key, value in data.items():
-            if key != "shape_class" and (value is not None or key != "aperture_diameter_mm"):
-                try:
-                    kwargs[key] = casts[key](value)
-                except (TypeError, OverflowError):  # float() of null, a list, a huge int...
-                    raise ValueError(f"{key} must be a finite number, got {value!r}") from None
+            if key == "shape_class" or (value is None and key == "aperture_diameter_mm"):
+                continue
+            kind = kinds[key]
+            if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+                valid = abs(value) <= sys.float_info.max  # not a NaN, nor an int beyond floats
+            else:
+                valid = isinstance(value, kind)
+            if not valid:
+                name = {float: "a finite number", bool: "true or false", str: "a string"}[kind]
+                raise ValueError(f"{key} must be {name}, got {value!r}")
+            kwargs[key] = kind(value)
         return cls(**kwargs)
 
 

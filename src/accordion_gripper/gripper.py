@@ -169,6 +169,8 @@ def contraction_diameter_range(
     aperture plus a stretch margin for objects the gripper can stretch
     around after contact.
     """
+    if stretch_margin_mm < 0:
+        raise ValueError(f"stretch margin must be >= 0 mm, got {stretch_margin_mm}")
     return (
         2.0 * ws.min_aperture_mm,
         2.0 * ws.rest_aperture_mm + stretch_margin_mm,

@@ -289,6 +289,12 @@ def test_fit_suction_input_validation(assembly):
     )
     with pytest.raises(CalibrationError, match="underdetermined"):
         fit_suction(duplicate, assembly)
+    # The rules that SuctionModel and suction_force apply to the same parameters.
+    series = MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, [(0.0, 15.0), (20.0, 30.0)])
+    with pytest.raises(ValueError, match="ambient pressure must be positive"):
+        fit_suction(series, assembly, ambient_pressure_kPa=-101.0)
+    with pytest.raises(ValueError, match="lift volume increase must be >= 0"):
+        fit_suction(series, assembly, lift_volume_increase_mm3=-1e6)
     # With no lift the predicted force is exactly 0 wherever the aperture
     # has not moved, so nothing determines the seal area.
     unmoved = MeasurementSeries.from_pairs(

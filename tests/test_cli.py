@@ -188,21 +188,34 @@ def test_plan_bad_descriptor_exit_1(capsys, tmp_path):
     assert "unknown shape_class" in err
 
 
+CYLINDER = {"shape_class": "cylinder", "characteristic_diameter_mm": 40.0}
+
+
 @pytest.mark.parametrize(
-    "descriptor",
+    "descriptor, named",
     [
-        [{"shape_class": "cylinder", "characteristic_diameter_mm": 40.0}],
-        {"shape_class": "cylinder", "characteristic_diameter_mm": 40.0, "mass_kg": None},
-        {"shape_class": "cylinder", "characteristic_diameter_mm": [40]},
-        {"shape_class": "cylinder", "characteristic_diameter_mm": {"a": 1}},
-        {"shape_class": "cylinder", "characteristic_diameter_mm": 10**400},
+        ([CYLINDER], "JSON object"),
+        (CYLINDER | {"mass_kg": None}, "mass_kg"),
+        (CYLINDER | {"characteristic_diameter_mm": [40]}, "characteristic_diameter_mm"),
+        (CYLINDER | {"characteristic_diameter_mm": {"a": 1}}, "characteristic_diameter_mm"),
+        (CYLINDER | {"characteristic_diameter_mm": 10**400}, "characteristic_diameter_mm"),
+        # Each value must have its field's JSON type: no string, bool or number is coerced.
+        (CYLINDER | {"has_flat_sealable_surface": "false"}, "has_flat_sealable_surface"),
+        (CYLINDER | {"has_aperture": 1, "aperture_diameter_mm": 20.0}, "has_aperture"),
+        (CYLINDER | {"characteristic_diameter_mm": "40"}, "characteristic_diameter_mm"),
+        (CYLINDER | {"mass_kg": True}, "mass_kg"),
+        (CYLINDER | {"has_aperture": True, "aperture_diameter_mm": "20"}, "aperture_diameter_mm"),
+        (CYLINDER | {"orientation_note": 5}, "orientation_note"),
     ],
-    ids=["array", "null-mass", "list-diameter", "object-diameter", "huge-int-diameter"],
+    ids=["array", "null-mass", "list-diameter", "object-diameter", "huge-int-diameter",
+         "string-flag", "number-flag", "string-diameter", "bool-mass", "string-aperture",
+         "number-note"],
 )
-def test_plan_malformed_descriptor_exit_1(capsys, tmp_path, descriptor):
+def test_plan_malformed_descriptor_exit_1(capsys, tmp_path, descriptor, named):
     code, out, err = run(capsys, "plan", "--object", write_object(tmp_path, descriptor))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_fit_c1_from_csv(capsys, tmp_path, assembly):
@@ -243,6 +256,35 @@ def test_peak_force_json(capsys, tmp_path):
     code, out, _ = run(capsys, "peak-force", "--data", str(path), "--json")
     assert code == 0
     assert json.loads(out)["peak_force_N"] == 4.5
+
+
+@pytest.mark.parametrize("command", ["fit-c1", "fit-suction", "peak-force"])
+@pytest.mark.parametrize("data", ["missing.csv", "."], ids=["missing", "directory"])
+def test_unreadable_data_exit_1(capsys, tmp_path, monkeypatch, command, data):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--data", data)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({"suction": {"ambient_kPa": -101}}, ["fit-suction", "--data", "suction.csv"],
+         "ambient pressure must be positive"),
+        ({"suction": {"lift_volume_increase_mm3": -1e6}}, ["fit-suction", "--data", "suction.csv"],
+         "lift volume increase must be >= 0"),
+        ({"grasp": {"stretch_margin_mm": -100}}, ["workspace"], "stretch margin must be >= 0"),
+        ({"solver": {"theta_tol_rad": 0}}, ["solve", "--pressure", "10"], "xtol too small"),
+    ],
+    ids=["negative-ambient", "negative-lift", "negative-margin", "zero-theta-tol"],
+)
+def test_bad_model_parameter_exit_1(capsys, tmp_path, monkeypatch, config, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "suction.csv").write_text("pressure_kPa,force_N\n0,15\n20,30\n40,41\n")
+    code, out, err = run(capsys, "--config", write_config(tmp_path, config), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_bad_config_exit_1(capsys, tmp_path):

@@ -2,8 +2,8 @@
 
 ``golden_cli.json`` maps each command line to the stdout, stderr and exit
 code it gave (plus the CSV a ``sweep`` wrote) when the file was last
-written.  The ten commands run under the default config and two
-(c1, n_chambers) overrides.  A change that moves an output digit rewrites
+written.  The ten commands, and the error paths of bad input files, run
+under the default config and two (c1, n_chambers) overrides.  A change that moves an output digit rewrites
 the file with ``PYTHONPATH=src python tests/test_cli_golden.py``, so its
 diff lists every moved digit.
 """
@@ -34,6 +34,9 @@ INPUTS = {
     "ring.json": json.dumps({"shape_class": "cylinder", "characteristic_diameter_mm": 60.0,
                              "has_aperture": True, "aperture_diameter_mm": 40.0}),
     "sphere.json": json.dumps({"shape_class": "sphere", "characteristic_diameter_mm": 200.0}),
+    "string-flag.json": json.dumps({"shape_class": "cylinder", "characteristic_diameter_mm": 40.0,
+                                    "has_flat_sealable_surface": "false"}),
+    "invalid.json": "not json\n",
     "aperture.csv": "pressure_kPa,aperture_mm\n5,20.8\n10,20.97\n20,21.55\n30,22.05\n40,22.5\n",
     "suction.csv": "pressure_kPa,force_N\n0,15\n20,30\n40,41\n",
     "trace.csv": "displacement_mm,force_N\n0,0.5\n1,1.8\n2,3.9\n3,4.6\n4,4.4\n5,4.9\n6,3.1\n7,1.2\n",
@@ -64,6 +67,13 @@ COMMANDS = (
     ["fit-suction", "--data", "suction.csv"],
     ["peak-force", "--data", "trace.csv"],
     ["peak-force", "--data", "trace.csv", "--window", "3", "--json"],
+    # Bad input files: each is one error line and exit 1.
+    ["fit-c1", "--data", "missing.csv"],
+    ["peak-force", "--data", "missing.csv"],
+    ["sweep", "--out", "no-dir/sweep.csv"],
+    ["plan", "--object", "missing.json"],
+    ["plan", "--object", "invalid.json"],
+    ["plan", "--object", "string-flag.json"],
 )
 
 CASES = [["--config", cfg, *argv] for cfg in CONFIGS for argv in COMMANDS]
@@ -84,8 +94,9 @@ def record(argv) -> dict:
     # Text is kept as lists of lines, so that a diff of the file shows single lines.
     entry = {"exit": code, "stdout": out.getvalue().splitlines(True),
              "stderr": err.getvalue().splitlines(True)}
-    if "--out" in argv:
-        entry["out_file"] = Path(argv[argv.index("--out") + 1]).read_text().splitlines(True)
+    out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if out_file and out_file.exists():
+        entry["out_file"] = out_file.read_text().splitlines(True)
     return entry
 
 

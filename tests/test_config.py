@@ -133,6 +133,38 @@ def test_context_rejects_bad_values(tmp_path):
             load_context(path)
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"solver": {"box": 5}}, "config key solver.box must be an object, got 5"),
+        ({"solver": {"box": {"r0_mm": [4.0, "x"]}}}, "config key solver.box.r0_mm must be a finite"),
+        ({"solver": {"box": {"r0_mm": 4.0}}}, "solver.box.r0_mm must be a [lo, hi] number pair"),
+        ({"assembly": {"n_chambers": 21.5}}, "assembly.n_chambers must be an integer"),
+        ({"capacity": 5}, "config key capacity must be an object"),
+        ({"capacity": {"cone": 5}}, "capacity.cone must be an object"),
+        ({"capacity": {"cylinder": {"plateau_N": None}}},
+         "config key capacity.cylinder.plateau_N must be a finite number"),
+    ],
+)
+def test_config_shape_errors_name_the_key(tmp_path, payload, message):
+    path = write_config(tmp_path, payload)
+    with pytest.raises(ConfigError) as info:
+        load_context(path)
+    assert message in str(info.value)
+    # A dict handed to from_config directly goes through the same checks.
+    with pytest.raises(ConfigError) as info:
+        ModelContext.from_config(payload)
+    assert message in str(info.value)
+
+
+def test_context_fills_missing_keys_from_defaults():
+    ctx = ModelContext.from_config({"material": {"c1_kPa": 80.0}})
+    assert ctx.material.c1 == 80.0
+    assert ctx.geometry == ChamberGeometry()
+    assert ctx.config == load_config() | {"material": {"c1_kPa": 80.0}}
+    assert ModelContext.from_config({}) == ModelContext.from_config(load_config())
+
+
 def test_context_suction_model(ctx):
     model = ctx.suction_model()
     assert model.effective_seal_area_mm2 == 2264.0

@@ -61,11 +61,18 @@ def test_descriptor_from_dict_round_trip():
         "shape_class": "sphere",
         "characteristic_diameter_mm": 35.0,
         "mass_kg": 0.2,
+        "has_aperture": False,
+        "aperture_diameter_mm": None,
         "has_flat_sealable_surface": False,
+        "orientation_note": "stem up",
     }
     o = ObjectDescriptor.from_dict(data)
     assert o.shape_class is ShapeClass.SPHERE
     assert o.characteristic_diameter_mm == 35.0
+    assert (o.aperture_diameter_mm, o.orientation_note) == (None, "stem up")
+    # A JSON integer is a number.
+    o = ObjectDescriptor.from_dict({"shape_class": "cube", "characteristic_diameter_mm": 35})
+    assert type(o.characteristic_diameter_mm) is float
 
 
 def test_descriptor_from_dict_errors():
@@ -155,6 +162,12 @@ def test_capacity_rejects_positive_pressure(calib):
 def test_suction_model_validation(assembly):
     with pytest.raises(ValueError, match="height"):
         SuctionModel.from_assembly(assembly, 2264.0, h_eff_mm=0.0)
+    for ambient in (0.0, -101.325):
+        with pytest.raises(ValueError, match="ambient pressure must be positive"):
+            SuctionModel.from_assembly(assembly, 2264.0, 53.0, ambient_pressure_kPa=ambient)
+    for area in (0.0, -2264.0):
+        with pytest.raises(ValueError, match="effective seal area must be positive"):
+            SuctionModel.from_assembly(assembly, area, 53.0)
 
 
 def test_suction_frozen_anchor_forces(suction):

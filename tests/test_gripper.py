@@ -106,6 +106,8 @@ def test_contraction_diameter_range(assembly):
     lo, hi = contraction_diameter_range(ws, stretch_margin_mm=8.65)
     assert lo == pytest.approx(10.0)
     assert hi == pytest.approx(2.0 * 20.675956017774557 + 8.65, rel=1e-12)
+    with pytest.raises(ValueError, match="stretch margin must be >= 0"):
+        contraction_diameter_range(ws, stretch_margin_mm=-100.0)
 
 
 def test_sweep_validation(assembly):
