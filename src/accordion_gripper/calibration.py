@@ -26,7 +26,8 @@ from operator import sub
 
 from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
-from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, sealed_volume, suction_law
+from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, check_lift_volume, sealed_volume
+from .grasp import suction_law
 from .gripper import GripperAssembly, aperture_vs_pressure
 from .material import HyperelasticMaterial
 
@@ -363,8 +364,7 @@ def fit_suction(
         raise CalibrationError("chamber pressures must be >= 0 kPa")
     if ambient_pressure_kPa <= 0:
         raise ValueError("ambient pressure must be positive")
-    if lift_volume_increase_mm3 < 0:
-        raise ValueError("lift volume increase must be >= 0")
+    check_lift_volume(lift_volume_increase_mm3)
     if len(set(xs)) < 2:
         raise CalibrationError(
             "underdetermined fit: need peaks at >= 2 distinct chamber pressures"

@@ -30,14 +30,14 @@ from .chamber import (
     state_at_angle,
     wall_distance,
 )
-from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_config, read_json
-from .errors import ConfigError, GripperError, OutOfWorkspaceError
+from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_context, read_json
+from .errors import GripperError, OutOfWorkspaceError
 from .gripper import (
-    P_MAX_KPA,
     aperture_radius,
     aperture_vs_pressure,
     contraction_diameter_range,
     inverse_pressure,
+    iter_sweep,
     sweep,
     workspace,
     write_sweep_csv,
@@ -69,10 +69,7 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_config(ctx: ModelContext, args) -> int:
-    if args.print_default:
-        print(json.dumps(default_config(), indent=2))
-    else:
-        print(json.dumps(ctx.config, indent=2))
+    print(json.dumps(ctx.config, indent=2))
     return 0
 
 
@@ -114,17 +111,12 @@ def cmd_solve(ctx: ModelContext, args) -> int:
 
 
 def cmd_sweep(ctx: ModelContext, args) -> int:
-    rows = sweep(
-        ctx.assembly,
-        args.from_kpa,
-        args.to_kpa,
-        args.steps,
-        ctx.box,
-        ctx.quad_rel_tol,
-        ctx.theta_tol_rad,
-    )
+    # The range is checked before --out is opened; each row is written as it is solved.
+    to_kpa = ctx.p_max_kPa if args.to_kpa is None else args.to_kpa
+    rows = iter_sweep(ctx.assembly, args.from_kpa, to_kpa, args.steps, ctx.box,
+                      ctx.quad_rel_tol, ctx.theta_tol_rad)
     write_sweep_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {args.steps} rows to {args.out}")
     return 0
 
 
@@ -140,8 +132,7 @@ def cmd_invert(ctx: ModelContext, args) -> int:
 def cmd_workspace(ctx: ModelContext, args) -> int:
     p_max = args.p_max if args.p_max is not None else ctx.p_max_kPa
     ws = workspace(ctx.assembly, p_max, ctx.box, ctx.theta_tol_rad)
-    margin = float(ctx.config["grasp"]["stretch_margin_mm"])
-    d_lo, d_hi = contraction_diameter_range(ws, margin)
+    d_lo, d_hi = contraction_diameter_range(ws, ctx.config["grasp"]["stretch_margin_mm"])
     payload = ws.as_dict() | {
         "contraction_object_diameter_mm": [d_lo, d_hi],
     }
@@ -165,9 +156,9 @@ def cmd_plan(ctx: ModelContext, args) -> int:
         ws,
         ctx.capacity,
         suction_model=ctx.suction_model(),
-        stretch_margin_mm=float(grasp_cfg["stretch_margin_mm"]),
-        lift_volume_increase_mm3=float(ctx.config["suction"]["lift_volume_increase_mm3"]),
-        **{key: float(grasp_cfg[key]) for key in SCHEDULE_KPA},
+        stretch_margin_mm=grasp_cfg["stretch_margin_mm"],
+        lift_volume_increase_mm3=ctx.config["suction"]["lift_volume_increase_mm3"],
+        **{key: grasp_cfg[key] for key in SCHEDULE_KPA},
     )
     _print_json(plan.to_dict())
     return 0 if plan.feasible else 2
@@ -187,8 +178,8 @@ def cmd_fit_suction(ctx: ModelContext, args) -> int:
     report = fit_suction(
         series,
         ctx.assembly,
-        lift_volume_increase_mm3=float(ctx.config["suction"]["lift_volume_increase_mm3"]),
-        ambient_pressure_kPa=float(ctx.config["suction"]["ambient_kPa"]),
+        lift_volume_increase_mm3=ctx.config["suction"]["lift_volume_increase_mm3"],
+        ambient_pressure_kPa=ctx.config["suction"]["ambient_kPa"],
         box=ctx.box,
         tol=ctx.theta_tol_rad,
     )
@@ -393,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="pressure sweep exported as CSV")
     p.add_argument("--from", dest="from_kpa", type=float, default=0.0, metavar="KPA")
-    p.add_argument("--to", dest="to_kpa", type=float, default=P_MAX_KPA, metavar="KPA")
+    p.add_argument("--to", dest="to_kpa", type=float, default=None, metavar="KPA",
+                   help="end of the range (default: solver.p_max_kPa)")
     p.add_argument("--steps", type=int, default=41)
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_sweep)
@@ -440,9 +432,12 @@ def main(argv=None) -> int:
         if isinstance(value, float) and not math.isfinite(value):
             print(f"error: {name} must be a finite number, got {value}", file=sys.stderr)
             return 1
+    if getattr(args, "print_default", False):  # the defaults, whatever the active config
+        print(json.dumps(default_config(), indent=2))
+        return 0
     try:
-        ctx = ModelContext.from_config(load_config(args.config))
-    except (ConfigError, ValueError) as exc:
+        ctx = load_context(args.config)  # builds the suction model: a solve at 0 kPa
+    except (GripperError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -23,8 +23,9 @@ from collections import namedtuple
 from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox
 from .errors import ConfigError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA, SEAL_THRESHOLD_KPA
-from .grasp import CapacityCalibration, CapacityEntry, SuctionModel
-from .gripper import P_MAX_KPA, STRETCH_MARGIN_MM, GripperAssembly
+from .grasp import CapacityCalibration, CapacityEntry, GraspMode, SuctionModel
+from .grasp import check_lift_volume, pressure_schedule
+from .gripper import P_MAX_KPA, STRETCH_MARGIN_MM, GripperAssembly, check_stretch_margin
 from .material import HyperelasticMaterial
 
 ENV_CONFIG_VAR = "GRIPPER_CONFIG"
@@ -59,7 +60,10 @@ DEFAULT_CONFIG = {
     "capacity": {name: e._asdict() for name, e in CapacityCalibration.defaults().entries.items()},
 }
 
-_CAPACITY_KEYS = set(CapacityEntry._fields)
+# A capacity shape the defaults lack takes a CapacityEntry's fields; None marks a required one.
+_REQUIRED = len(CapacityEntry._fields) - len(CapacityEntry.__new__.__defaults__)
+_NEW_CAPACITY = dict(zip(CapacityEntry._fields,
+                         (None,) * _REQUIRED + CapacityEntry.__new__.__defaults__))
 _DEFAULT_BYTES = marshal.dumps(DEFAULT_CONFIG)
 
 
@@ -76,18 +80,10 @@ def read_json(path):
             raise ValueError(f"invalid JSON in {path}: {exc}") from None
 
 
-def _require_finite(value, where: str):
-    # json accepts NaN, Infinity and integers beyond the float range.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ConfigError(f"config key {where} must be a finite number, got {value!r}")
-    return value
-
-
 def _merge(default, value, where: str = ""):
     """``value`` laid over ``default`` in new dicts and lists, in one walk that gives it
-    the shape of ``default``: an object, a [lo, hi] pair of finite numbers, a finite
-    number or an integer."""
+    the shape of ``default``: an object, a [lo, hi] pair or a finite number, each number
+    in the type of its default (an int for an int, else a float)."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"config key {where} must be an object, got {value!r}")
@@ -96,19 +92,43 @@ def _merge(default, value, where: str = ""):
             at = f"{where}.{key}" if where else key
             if key in default:
                 out[key] = _merge(default[key], item, at)
-            elif where == "capacity":  # open-ended shapes: see _capacity_entries
-                out[key] = item
+            elif where == "capacity":
+                out[key] = _merge(_NEW_CAPACITY, item, at)
+                missing = [field for field, number in out[key].items() if number is None]
+                if missing:
+                    raise ConfigError(f"config key {at} missing {missing[0]!r}")
             else:
                 raise ConfigError(f"unknown config key {at!r}")
         return out
     if isinstance(default, list):
         if not (isinstance(value, (list, tuple)) and len(value) == 2):
             raise ConfigError(f"config key {where} must be a [lo, hi] number pair, got {value!r}")
-        return [_require_finite(item, where) for item in value]
-    _require_finite(value, where)
-    if isinstance(default, int) and int(value) != value:
-        raise ConfigError(f"{where} must be an integer, got {value}")
-    return value
+        return [_merge(lo_or_hi, item, where) for lo_or_hi, item in zip(default, value)]
+    # json accepts NaN, Infinity and integers beyond the float range.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"config key {where} must be a finite number, got {value!r}")
+    if isinstance(default, int):
+        if int(value) != value:
+            raise ConfigError(f"{where} must be an integer, got {value}")
+        return int(value)
+    return float(value)
+
+
+def _user_config(path: str | None) -> dict:
+    """The JSON object in ``path`` or $GRIPPER_CONFIG; {} when neither is set."""
+    path = path or os.environ.get(ENV_CONFIG_VAR)
+    if not path:
+        return {}
+    try:
+        user = read_json(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not isinstance(user, dict):
+        raise ConfigError(f"config root must be a JSON object, got {type(user).__name__}")
+    return user
 
 
 def load_config(path: str | None = None) -> dict:
@@ -117,103 +137,57 @@ def load_config(path: str | None = None) -> dict:
     The path comes from the argument or the GRIPPER_CONFIG environment
     variable; when neither is set the embedded defaults are used.
     """
-    path = path or os.environ.get(ENV_CONFIG_VAR)
-    cfg = default_config()
-    if path:
-        try:
-            user = read_json(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not isinstance(user, dict):
-            raise ConfigError(f"config root must be a JSON object, got {type(user).__name__}")
-        cfg = _merge(cfg, user)
-    return cfg
+    return _merge(default_config(), _user_config(path))
 
 
 class ModelContext(namedtuple("ModelContext", "config geometry material assembly box capacity "
-                                              "theta_tol_rad quad_rel_tol p_max_kPa")):
+                                              "theta_tol_rad quad_rel_tol p_max_kPa suction")):
     """Validated domain objects and knobs built from one config dict."""
 
     __slots__ = ()
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ModelContext":
-        """A context from ``cfg``; a key it leaves out takes its default."""
+        """A context from ``cfg``; a key it leaves out takes its default.
+
+        The one place a config value is typed, checked and built into a record,
+        so a value out of range is a ConfigError whichever command reads it.
+        """
         cfg = _merge(default_config(), cfg)
-        geo, solver, box_cfg = cfg["geometry"], cfg["solver"], cfg["solver"]["box"]
+        geo, solver, suction, grasp = cfg["geometry"], cfg["solver"], cfg["suction"], cfg["grasp"]
+        box_cfg = solver["box"]
         try:
-            geometry = ChamberGeometry(
-                r_outer_0=float(geo["R0_mm"]),
-                r_inner_0=float(geo["R1_mm"]),
-                half_angle_0=math.radians(geo["Theta0_deg"]),
-            )
-            material = HyperelasticMaterial(c1=float(cfg["material"]["c1_kPa"]))
-            assembly = GripperAssembly(
-                geometry=geometry,
-                material=material,
-                n_chambers=int(cfg["assembly"]["n_chambers"]),
-                folded_aperture_mm=float(cfg["assembly"]["folded_aperture_mm"]),
-            )
-            box = SolverBox(
-                r_outer_range=tuple(map(float, box_cfg["r0_mm"])),
-                r_inner_range=tuple(map(float, box_cfg["r1_mm"])),
-                half_angle_range=tuple(map(math.radians, box_cfg["theta0_deg"])),
-            )
+            geometry = ChamberGeometry(geo["R0_mm"], geo["R1_mm"], math.radians(geo["Theta0_deg"]))
+            material = HyperelasticMaterial(cfg["material"]["c1_kPa"])
+            assembly = GripperAssembly(geometry, material, cfg["assembly"]["n_chambers"],
+                                       cfg["assembly"]["folded_aperture_mm"])
+            box = SolverBox(tuple(box_cfg["r0_mm"]), tuple(box_cfg["r1_mm"]),
+                            tuple(map(math.radians, box_cfg["theta0_deg"])))
             capacity = CapacityCalibration(
-                entries={
-                    name: CapacityEntry(**{
-                        key: float(_require_finite(v, f"capacity.{name}.{key}"))
-                        for key, v in entry.items()
-                    })
-                    for name, entry in _capacity_entries(cfg).items()
-                }
-            )
+                {name: CapacityEntry(**entry) for name, entry in cfg["capacity"].items()})
+            lo, hi = box.half_angle_range
+            if not lo <= geometry.half_angle_0 < hi:
+                raise ValueError(
+                    f"solver.box.theta0_deg {box_cfg['theta0_deg']} must start at or below the "
+                    f"rest angle Theta0 = {geo['Theta0_deg']} deg and end above it"
+                )
+            model = SuctionModel.from_assembly(
+                assembly, suction["A_eff_mm2"], suction["h_eff_mm"], suction["ambient_kPa"], box,
+                solver["theta_tol_rad"], suction["seal_threshold_kPa"])
+            check_lift_volume(suction["lift_volume_increase_mm3"])
+            check_stretch_margin(grasp["stretch_margin_mm"])
+            for mode in GraspMode:
+                pressure_schedule(mode, **{key: grasp[key] for key in SCHEDULE_KPA})
         except ValueError as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
-        if box.half_angle_range[1] <= geometry.half_angle_0:
-            raise ConfigError(
-                f"solver.box.theta0_deg ends at {box_cfg['theta0_deg'][1]} deg, at or below the "
-                f"rest angle Theta0 = {geo['Theta0_deg']} deg: no pressure > 0 is reachable"
-            )
-        return cls(
-            config=cfg,
-            geometry=geometry,
-            material=material,
-            assembly=assembly,
-            box=box,
-            capacity=capacity,
-            theta_tol_rad=float(solver["theta_tol_rad"]),
-            quad_rel_tol=float(solver["quad_rel_tol"]),
-            p_max_kPa=float(solver["p_max_kPa"]),
-        )
+        return cls(cfg, geometry, material, assembly, box, capacity, solver["theta_tol_rad"],
+                   solver["quad_rel_tol"], solver["p_max_kPa"], model)
 
     def suction_model(self) -> SuctionModel:
-        suction = self.config["suction"]
-        return SuctionModel.from_assembly(
-            self.assembly,
-            effective_seal_area_mm2=float(suction["A_eff_mm2"]),
-            h_eff_mm=float(suction["h_eff_mm"]),
-            ambient_pressure_kPa=float(suction["ambient_kPa"]),
-            box=self.box,
-            tol=self.theta_tol_rad,
-            seal_threshold_kPa=float(suction["seal_threshold_kPa"]),
-        )
-
-
-def _capacity_entries(cfg: dict) -> dict:
-    for name, entry in cfg["capacity"].items():
-        if not isinstance(entry, dict):
-            raise ConfigError(f"capacity.{name} must be an object")
-        unknown = set(entry) - _CAPACITY_KEYS
-        if unknown:
-            raise ConfigError(f"unknown keys in capacity.{name}: {sorted(unknown)}")
-        for key in ("slope_N_per_kPa", "plateau_N"):
-            if key not in entry:
-                raise ConfigError(f"capacity.{name} missing {key!r}")
-    return cfg["capacity"]
+        """The configured suction model, built once with the context."""
+        return self.suction
 
 
 def load_context(path: str | None = None) -> ModelContext:
-    return ModelContext.from_config(load_config(path))
+    """The context of ``path`` or $GRIPPER_CONFIG, merged onto the defaults in one walk."""
+    return ModelContext.from_config(_user_config(path))

@@ -273,8 +273,7 @@ def suction_force(
             f"chamber pressure {p_chamber} kPa below seal threshold "
             f"{model.seal_threshold_kPa} kPa; no seal is formed"
         )
-    if lift_volume_increase_mm3 < 0:
-        raise ValueError("lift volume increase must be >= 0")
+    check_lift_volume(lift_volume_increase_mm3)
     volume = model.volume(p_chamber) + lift_volume_increase_mm3
     return suction_law(
         model.ambient_pressure_kPa,
@@ -282,6 +281,12 @@ def suction_force(
         model.rest_volume_mm3,
         volume,
     )
+
+
+def check_lift_volume(lift_volume_increase_mm3: float) -> None:
+    """Reject a negative growth (mm^3) of the sealed volume while lifting."""
+    if lift_volume_increase_mm3 < 0:
+        raise ValueError("lift volume increase must be >= 0")
 
 
 # ---------------------------------------------------------------------------

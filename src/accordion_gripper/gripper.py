@@ -169,12 +169,44 @@ def contraction_diameter_range(
     aperture plus a stretch margin for objects the gripper can stretch
     around after contact.
     """
-    if stretch_margin_mm < 0:
-        raise ValueError(f"stretch margin must be >= 0 mm, got {stretch_margin_mm}")
+    check_stretch_margin(stretch_margin_mm)
     return (
         2.0 * ws.min_aperture_mm,
         2.0 * ws.rest_aperture_mm + stretch_margin_mm,
     )
+
+
+def check_stretch_margin(stretch_margin_mm: float) -> None:
+    """Reject a negative stretch margin (mm)."""
+    if stretch_margin_mm < 0:
+        raise ValueError(f"stretch margin must be >= 0 mm, got {stretch_margin_mm}")
+
+
+def iter_sweep(
+    assembly: GripperAssembly,
+    p_from: float,
+    p_to: float,
+    steps: int,
+    box: SolverBox | None = None,
+    quad_rel_tol: float = QUAD_REL_TOL,
+    tol: float = THETA_TOL_RAD,
+):
+    """The rows of ``sweep``, each solved as it is read; the range is checked at the call."""
+    if not p_from < p_to:
+        raise ValueError(f"empty sweep range [{p_from}, {p_to}]")
+    if steps < 2:
+        raise ValueError(f"sweep needs at least 2 steps, got {steps}")
+    geom, mat = assembly.geometry, assembly.material
+
+    def row(p: float) -> SweepRow:
+        state = solve_deformation(geom, mat, p, box, tol)
+        d = wall_distance(state)
+        return SweepRow(p, state.r_outer, state.r_inner, state.half_angle, d,
+                        aperture_radius(d, assembly), pin_residual(geom, state),
+                        area_residual(geom, state),
+                        pressure_quadrature(geom, state, mat, quad_rel_tol))
+
+    return (row(p_from + (p_to - p_from) * i / (steps - 1)) for i in range(steps))
 
 
 def sweep(
@@ -191,39 +223,20 @@ def sweep(
     Each row carries the solved state, aperture, constraint residuals and
     an independent quadrature check of the pressure.  Deterministic.
     """
-    if not p_from < p_to:
-        raise ValueError(f"empty sweep range [{p_from}, {p_to}]")
-    if steps < 2:
-        raise ValueError(f"sweep needs at least 2 steps, got {steps}")
-    geom, mat = assembly.geometry, assembly.material
-    rows = []
-    for i in range(steps):
-        p = p_from + (p_to - p_from) * i / (steps - 1)
-        state = solve_deformation(geom, mat, p, box, tol)
-        d = wall_distance(state)
-        rows.append(
-            SweepRow(
-                pressure_kPa=p,
-                r0_mm=state.r_outer,
-                r1_mm=state.r_inner,
-                theta0_rad=state.half_angle,
-                D_mm=d,
-                Rg_mm=aperture_radius(d, assembly),
-                pin_residual=pin_residual(geom, state),
-                area_residual=area_residual(geom, state),
-                quadrature_check_kPa=pressure_quadrature(geom, state, mat, quad_rel_tol),
-            )
-        )
-    return rows
+    return list(iter_sweep(assembly, p_from, p_to, steps, box, quad_rel_tol, tol))
+
+
+def _csv_line(row: SweepRow) -> str:
+    return ",".join(f"{value:.9g}" for value in row) + "\n"
 
 
 def format_sweep_csv(rows: list[SweepRow]) -> str:
     """Render sweep rows as CSV text, 9 significant digits per value."""
-    lines = [SWEEP_CSV_HEADER]
-    lines += [",".join(f"{value:.9g}" for value in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return SWEEP_CSV_HEADER + "\n" + "".join(map(_csv_line, rows))
 
 
-def write_sweep_csv(rows: list[SweepRow], path) -> None:
+def write_sweep_csv(rows, path) -> None:
+    """Write sweep rows (any iterable) to ``path`` as CSV, one line as each row is read."""
     with open(path, "w", newline="") as fh:
-        fh.write(format_sweep_csv(rows))
+        fh.write(SWEEP_CSV_HEADER + "\n")
+        fh.writelines(map(_csv_line, rows))

@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 from accordion_gripper.cli import build_validation_report, main
+from accordion_gripper.config import default_config
 
 
 def run(capsys, *argv):
@@ -276,15 +277,38 @@ def test_unreadable_data_exit_1(capsys, tmp_path, monkeypatch, command, data):
          "lift volume increase must be >= 0"),
         ({"grasp": {"stretch_margin_mm": -100}}, ["workspace"], "stretch margin must be >= 0"),
         ({"solver": {"theta_tol_rad": 0}}, ["solve", "--pressure", "10"], "xtol too small"),
+        # Values only a flat-plate plan or no command at all used to read.
+        ({"suction": {"ambient_kPa": -101, "A_eff_mm2": -5}}, ["solve", "--pressure", "1"],
+         "ambient pressure must be positive"),
+        ({"grasp": {"stretch_margin_mm": -100}}, ["plan", "--object", "object.json"],
+         "stretch margin must be >= 0"),
+        ({"grasp": {"open_kPa": 50}}, ["plan", "--object", "object.json"],
+         "'open' pressure 50.0 kPa exceeds"),
     ],
-    ids=["negative-ambient", "negative-lift", "negative-margin", "zero-theta-tol"],
+    ids=["negative-ambient", "negative-lift", "negative-margin", "zero-theta-tol",
+         "negative-ambient-and-area", "negative-margin-plate", "open-pressure-above-limit"],
 )
 def test_bad_model_parameter_exit_1(capsys, tmp_path, monkeypatch, config, argv, message):
+    # The value is rejected when the config is loaded, so every command fails alike.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "suction.csv").write_text("pressure_kPa,force_N\n0,15\n20,30\n40,41\n")
-    code, out, err = run(capsys, "--config", write_config(tmp_path, config), *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and message in err
+    commands = all_commands(tmp_path)  # its object.json is a flat plate
+    cfg = write_config(tmp_path, config)
+    for command in [argv, *commands]:
+        code, out, err = run(capsys, "--config", cfg, *command)
+        assert (code, out, err.count("\n")) == (1, "", 1), command
+        assert err.startswith("config error: ") and message in err, command
+    code, out, _ = run(capsys, "--config", cfg, "config", "--print-default")
+    assert code == 0 and json.loads(out) == default_config()
+
+
+def test_print_default_reads_no_config(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("GRIPPER_CONFIG", write_config(tmp_path, {"material": {"c1_kPa": -1}}))
+    assert run(capsys, "config")[0] == 1
+    for prefix in ([], ["--config", str(tmp_path / "missing.json")]):
+        code, out, err = run(capsys, *prefix, "config", "--print-default")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == default_config()
 
 
 def test_bad_config_exit_1(capsys, tmp_path):
@@ -336,6 +360,49 @@ def test_box_below_rest_angle_exit_1(capsys, tmp_path, command):
     code, out, err = run(capsys, "--config", cfg, *command)
     assert (code, out) == (1, "")
     assert "below the rest angle" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["workspace"], ["invert", "--aperture", "21.5"], ["validate"]]
+)
+def test_box_above_rest_angle_exit_1(capsys, tmp_path, command):
+    # The box starts above Theta0 = 57.6 deg, so the 0 kPa rest state is outside it.
+    cfg = write_config(tmp_path, {"solver": {"box": {"theta0_deg": [60, 80]}}})
+    code, out, err = run(capsys, "--config", cfg, *command)
+    assert (code, out) == (1, "")
+    assert err.startswith("config error: ") and "rest angle" in err
+
+
+def test_sweep_unwritable_out_runs_no_solve(capsys, tmp_path, monkeypatch):
+    import accordion_gripper.gripper as gripper
+
+    solves, real = [], gripper.solve_deformation
+
+    def spy(*args, **kwargs):
+        solves.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gripper, "solve_deformation", spy)
+    assert run(capsys, "config")[0] == 0
+    at_load = len(solves)  # the suction model's rest volume
+    code, _, err = run(capsys, "sweep", "--out", str(tmp_path / "no-dir" / "sweep.csv"))
+    assert code == 1 and err.startswith("error: [Errno 2]")
+    assert len(solves) == 2 * at_load
+    # A bad range still fails before the file is created.
+    out = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", "--from", "10", "--to", "5", "--out", str(out))[0] == 1
+    assert not out.exists()
+
+
+def test_sweep_to_defaults_to_p_max(capsys, tmp_path):
+    # The box reaches only [0, 12.68] kPa; the sweep ends at the configured 5 kPa.
+    cfg = write_config(
+        tmp_path, {"solver": {"box": {"theta0_deg": [57.6, 62]}, "p_max_kPa": 5}}
+    )
+    out = tmp_path / "sweep.csv"
+    code, stdout, _ = run(capsys, "--config", cfg, "sweep", "--steps", "3", "--out", str(out))
+    assert (code, stdout) == (0, f"wrote 3 rows to {out}\n")
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "2.5", "5"]
 
 
 def test_plan_suction_below_seal_threshold_exit_1(capsys, tmp_path):

@@ -3,7 +3,9 @@
 ``golden_cli.json`` maps each command line to the stdout, stderr and exit
 code it gave (plus the CSV a ``sweep`` wrote) when the file was last
 written.  The ten commands, and the error paths of bad input files, run
-under the default config and two (c1, n_chambers) overrides.  A change that moves an output digit rewrites
+under the default config, two (c1, n_chambers) overrides, a config of
+integers with a new capacity shape, and one of out-of-range suction and
+grasp values.  A change that moves an output digit rewrites
 the file with ``PYTHONPATH=src python tests/test_cli_golden.py``, so its
 diff lists every moved digit.
 """
@@ -26,6 +28,14 @@ CONFIGS = {
     "default.json": {},
     "c1_85_n16.json": {"material": {"c1_kPa": 85.0}, "assembly": {"n_chambers": 16}},
     "c1_210_n28.json": {"material": {"c1_kPa": 210.0}, "assembly": {"n_chambers": 28}},
+    # Integers where the defaults are floats, and a capacity shape the defaults lack.
+    "integers.json": {"material": {"c1_kPa": 150}, "assembly": {"n_chambers": 20},
+                      "grasp": {"stretch_margin_mm": 8, "open_kPa": 30},
+                      "capacity": {"cylinder": {"plateau_N": 25},
+                                   "cone": {"slope_N_per_kPa": 1, "plateau_N": 12}}},
+    # Suction and grasp values out of range: rejected at load, whatever the command.
+    "out_of_range.json": {"suction": {"ambient_kPa": -101, "A_eff_mm2": -5},
+                          "grasp": {"stretch_margin_mm": -100, "open_kPa": 50}},
 }
 
 INPUTS = {
@@ -120,13 +130,15 @@ def test_cli_output_matches_golden(golden, argv, tmp_path, monkeypatch):
 def rewrite() -> None:
     os.environ.pop("GRIPPER_CONFIG", None)
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            write_inputs(Path(tmp))
-            golden = {" ".join(argv): record(argv) for argv in CASES}
-        finally:
-            os.chdir(cwd)
+    golden = {}
+    for argv in CASES:  # each in a fresh directory, as the test runs it
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                write_inputs(Path(tmp))
+                golden[" ".join(argv)] = record(argv)
+            finally:
+                os.chdir(cwd)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} cases to {GOLDEN}", file=sys.stderr)
 

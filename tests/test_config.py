@@ -7,6 +7,7 @@ import pytest
 
 from accordion_gripper import (
     CapacityCalibration,
+    CapacityEntry,
     ChamberGeometry,
     ConfigError,
     HyperelasticMaterial,
@@ -76,12 +77,63 @@ def test_load_config_rejects_unknown_key(tmp_path):
 def test_load_config_allows_new_capacity_shapes(tmp_path):
     path = write_config(
         tmp_path,
-        {"capacity": {"cone": {"slope_N_per_kPa": 0.4, "plateau_N": 8.0}}},
+        {"capacity": {"cone": {"slope_N_per_kPa": 0.4, "plateau_N": 8}}},
     )
     ctx = ModelContext.from_config(load_config(path))
-    assert ctx.capacity.entries["cone"].plateau_N == 8.0
+    # The fields left out take the record's defaults, in the config too.
+    assert ctx.capacity.entries["cone"] == CapacityEntry(0.4, 8.0)
+    assert ctx.config["capacity"]["cone"] == CapacityEntry(0.4, 8.0)._asdict()
+    assert type(ctx.config["capacity"]["cone"]["plateau_N"]) is float
     # Defaults survive the merge.
     assert ctx.capacity.entries["cylinder"].plateau_N == 20.0
+
+
+def test_config_numbers_take_their_default_type(tmp_path):
+    ints = {
+        "geometry": {"R0_mm": 5, "R1_mm": 3, "Theta0_deg": 58},
+        "material": {"c1_kPa": 150},
+        "assembly": {"n_chambers": 16.0, "folded_aperture_mm": 4},
+        "solver": {"box": {"r0_mm": [4, 6], "theta0_deg": [58, 80]}, "p_max_kPa": 30},
+        "suction": {"A_eff_mm2": 2000, "seal_threshold_kPa": 0},
+        "grasp": {"open_kPa": 30, "stretch_margin_mm": 8},
+        "capacity": {"cone": {"slope_N_per_kPa": 1, "plateau_N": 8}},
+    }
+    ctx = load_context(write_config(tmp_path, ints))
+
+    def numbers(value):
+        if isinstance(value, dict):
+            return [n for item in value.values() for n in numbers(item)]
+        return [n for item in value for n in numbers(item)] if isinstance(value, list) else [value]
+
+    n_chambers = ctx.config["assembly"].pop("n_chambers")
+    assert type(n_chambers) is int and n_chambers == ctx.assembly.n_chambers == 16
+    assert {type(n) for n in numbers(ctx.config)} == {float}
+    built = (ctx.material.c1, ctx.p_max_kPa, *ctx.box.r_outer_range, *ctx.capacity.entries["cone"])
+    assert {type(n) for n in built} == {float}
+
+
+def test_load_context_walks_the_config_once(tmp_path, monkeypatch):
+    import accordion_gripper.config as config
+
+    walks = []
+    real = config._merge
+
+    def spy(default, value, where=""):
+        walks.append(where)
+        return real(default, value, where)
+
+    monkeypatch.setattr(config, "_merge", spy)
+    path = write_config(tmp_path, {"material": {"c1_kPa": 80.0}})
+    assert load_context(path).config == real(default_config(), {"material": {"c1_kPa": 80.0}})
+    assert walks.count("") == 1
+
+
+def test_context_suction_model_runs_no_solve(monkeypatch):
+    import accordion_gripper.gripper as gripper
+
+    ctx = load_context(None)
+    monkeypatch.setattr(gripper, "solve_deformation", None)  # any solve would fail
+    assert ctx.suction_model() is ctx.suction_model() is ctx.suction
 
 
 def test_load_config_io_errors(tmp_path):
@@ -124,6 +176,7 @@ def test_context_rejects_bad_values(tmp_path):
         {"solver": {"box": 5}},
         {"solver": {"box": {"theta0_deg": [40.0, 50.0]}}},
         {"solver": {"box": {"theta0_deg": [40.0, 57.6]}}},  # ends at the rest angle
+        {"solver": {"box": {"theta0_deg": [57.7, 80.0]}}},  # starts above it
         {"capacity": {"cone": {"plateau_N": 8.0}}},
         {"capacity": {"cone": {"slope_N_per_kPa": 0.4, "plateau_N": 8.0, "hue": 1}}},
     ]
@@ -144,6 +197,14 @@ def test_context_rejects_bad_values(tmp_path):
         ({"capacity": {"cone": 5}}, "capacity.cone must be an object"),
         ({"capacity": {"cylinder": {"plateau_N": None}}},
          "config key capacity.cylinder.plateau_N must be a finite number"),
+        ({"capacity": {"cone": {"plateau_N": 8.0}}},
+         "config key capacity.cone missing 'slope_N_per_kPa'"),
+        ({"capacity": {"cone": {"slope_N_per_kPa": 0.4}}},
+         "config key capacity.cone missing 'plateau_N'"),
+        ({"capacity": {"cone": {"slope_N_per_kPa": 0.4, "plateau_N": 8.0, "hue": 1}}},
+         "unknown config key 'capacity.cone.hue'"),
+        ({"solver": {"box": {"theta0_deg": [60.0, 80.0]}}},
+         "solver.box.theta0_deg [60.0, 80.0] must start at or below the rest angle"),
     ],
 )
 def test_config_shape_errors_name_the_key(tmp_path, payload, message):
