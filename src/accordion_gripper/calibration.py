@@ -26,9 +26,9 @@ from operator import sub
 
 from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
-from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, check_lift_volume, sealed_volume
-from .grasp import suction_law
-from .gripper import GripperAssembly, aperture_vs_pressure
+from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, check_ambient_pressure
+from .grasp import check_lift_volume, sealed_volume, suction_law
+from .gripper import GripperAssembly, _range_end, aperture_vs_pressure
 from .material import HyperelasticMaterial
 
 
@@ -362,15 +362,14 @@ def fit_suction(
     xs, ys = series.xs(), series.ys()
     if any(x < 0 for x in xs):
         raise CalibrationError("chamber pressures must be >= 0 kPa")
-    if ambient_pressure_kPa <= 0:
-        raise ValueError("ambient pressure must be positive")
+    check_ambient_pressure(ambient_pressure_kPa)
     check_lift_volume(lift_volume_increase_mm3)
     if len(set(xs)) < 2:
         raise CalibrationError(
             "underdetermined fit: need peaks at >= 2 distinct chamber pressures"
         )
 
-    rg0 = aperture_vs_pressure(assembly, 0.0, box, tol)
+    rg0 = _range_end(assembly, 0.0, box, tol)[1]
     rgs = [aperture_vs_pressure(assembly, p, box, tol) for p in xs]
 
     def predict(a_eff: float, h_eff: float) -> list[float]:

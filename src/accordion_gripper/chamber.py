@@ -102,11 +102,13 @@ class SolverBox(namedtuple("SolverBox", "r_outer_range r_inner_range half_angle_
     def __new__(cls, r_outer_range: tuple[float, float] = _DEFAULT_BOX[0],
                 r_inner_range: tuple[float, float] = _DEFAULT_BOX[1],
                 half_angle_range: tuple[float, float] = _DEFAULT_BOX[2]):
-        self = tuple.__new__(cls, (r_outer_range, r_inner_range, half_angle_range))
+        # Tuples, so that a box is hashable like every other record.
+        self = tuple.__new__(cls, (tuple(r_outer_range), tuple(r_inner_range),
+                                   tuple(half_angle_range)))
         for name, (lo, hi) in zip(self._fields, self):
             if not lo <= hi:
                 raise ValueError(f"{name} is empty: [{lo}, {hi}]")
-        lo, hi = half_angle_range
+        lo, hi = self.half_angle_range
         if not 0.0 < lo <= hi < math.pi / 2:
             raise ValueError(f"half_angle_range must lie in (0, pi/2), got [{lo}, {hi}]")
         return self

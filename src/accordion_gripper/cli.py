@@ -33,6 +33,7 @@ from .chamber import (
 from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_context, read_json
 from .errors import GripperError, OutOfWorkspaceError
 from .gripper import (
+    _range_end,
     aperture_radius,
     aperture_vs_pressure,
     contraction_diameter_range,
@@ -218,7 +219,7 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "pass": bool(passed), "detail": detail})
 
-    state0 = solve_deformation(geom, mat, 0.0, box, ctx.theta_tol_rad)
+    state0 = state_at_angle(geom, _range_end(assembly, 0.0, box, ctx.theta_tol_rad)[0])
     fixed_err = max(
         abs(state0.r_outer - geom.r_outer_0),
         abs(state0.r_inner - geom.r_inner_0),

@@ -171,6 +171,11 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
                     f"solver.box.theta0_deg {box_cfg['theta0_deg']} must start at or below the "
                     f"rest angle Theta0 = {geo['Theta0_deg']} deg and end above it"
                 )
+            if solver["p_max_kPa"] < 0:
+                raise ValueError(f"solver.p_max_kPa must be >= 0, got {solver['p_max_kPa']}")
+            if solver["quad_rel_tol"] <= 0:
+                raise ValueError(
+                    f"solver.quad_rel_tol must be positive, got {solver['quad_rel_tol']}")
             model = SuctionModel.from_assembly(
                 assembly, suction["A_eff_mm2"], suction["h_eff_mm"], suction["ambient_kPa"], box,
                 solver["theta_tol_rad"], suction["seal_threshold_kPa"])

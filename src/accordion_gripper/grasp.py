@@ -25,6 +25,7 @@ from .gripper import (
     STRETCH_MARGIN_MM,
     GripperAssembly,
     Workspace,
+    _range_end,
     aperture_vs_pressure,
     contraction_diameter_range,
 )
@@ -224,7 +225,8 @@ class SuctionModel(namedtuple("SuctionModel", (
         "seal_threshold_kPa", "rest_volume_mm3"))):
     """Isothermal gas closure of the sealed space V(P_C) = pi*R_g(P_C)^2*h_eff.
 
-    ``rest_volume_mm3``, V(0), is solved once at construction, not passed.
+    ``rest_volume_mm3``, V(0), is computed at construction, not passed, from
+    the rest end the workspace and inverse queries share.
     """
 
     __slots__ = ()
@@ -232,13 +234,12 @@ class SuctionModel(namedtuple("SuctionModel", (
     def __new__(cls, assembly: GripperAssembly, effective_seal_area_mm2: float, h_eff_mm: float,
                 ambient_pressure_kPa: float = AMBIENT_KPA, box: SolverBox | None = None,
                 tol: float = THETA_TOL_RAD, seal_threshold_kPa: float = SEAL_THRESHOLD_KPA):
-        if ambient_pressure_kPa <= 0:
-            raise ValueError("ambient pressure must be positive")
+        check_ambient_pressure(ambient_pressure_kPa)
         if effective_seal_area_mm2 <= 0:
             raise ValueError("effective seal area must be positive")
         if h_eff_mm <= 0:
             raise ValueError(f"effective height must be positive, got {h_eff_mm}")
-        rest_volume = sealed_volume(aperture_vs_pressure(assembly, 0.0, box, tol), h_eff_mm)
+        rest_volume = sealed_volume(_range_end(assembly, 0.0, box, tol)[1], h_eff_mm)
         return tuple.__new__(cls, (assembly, effective_seal_area_mm2, h_eff_mm,
                                    ambient_pressure_kPa, box, tol, seal_threshold_kPa,
                                    rest_volume))
@@ -287,6 +288,12 @@ def check_lift_volume(lift_volume_increase_mm3: float) -> None:
     """Reject a negative growth (mm^3) of the sealed volume while lifting."""
     if lift_volume_increase_mm3 < 0:
         raise ValueError("lift volume increase must be >= 0")
+
+
+def check_ambient_pressure(ambient_pressure_kPa: float) -> None:
+    """Reject an ambient pressure (kPa) that is not positive."""
+    if ambient_pressure_kPa <= 0:
+        raise ValueError("ambient pressure must be positive")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ R_g = D/alpha.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -35,6 +36,9 @@ P_MAX_KPA = 40.0
 
 #: Default stretch margin (mm) of the contraction-feasible diameters.
 STRETCH_MARGIN_MM = 8.65
+
+#: Range ends ``_range_end`` keeps, the least recently used dropped first.
+_RANGE_END_CACHE_SIZE = 128
 
 
 class GripperAssembly(namedtuple("GripperAssembly",
@@ -100,6 +104,19 @@ def aperture_vs_pressure(
     return aperture_radius(wall_distance(state), assembly)
 
 
+@functools.lru_cache(maxsize=_RANGE_END_CACHE_SIZE)
+def _range_end(assembly: GripperAssembly, p: float, box: SolverBox | None,
+               tol: float) -> tuple[float, float]:
+    """(theta0 rad, R_g mm) at pressure p (kPa), solved once per argument tuple.
+
+    The records in the key are immutable, so a stored end never goes stale;
+    an exception is raised afresh on every call, never stored.  R_g takes
+    the float operations of ``aperture_vs_pressure``, so both are bit-identical.
+    """
+    state = solve_deformation(assembly.geometry, assembly.material, p, box, tol)
+    return state.half_angle, aperture_radius(wall_distance(state), assembly)
+
+
 def inverse_pressure(
     assembly: GripperAssembly,
     target_rg: float,
@@ -110,17 +127,16 @@ def inverse_pressure(
     """Pressure (kPa) at which the aperture radius equals target_rg (mm).
 
     R_g is explicit in theta0, so one bracketed solve on theta0 (tolerance
-    ``tol``, rad) between the angles at 0 kPa and at p_max finds the angle
-    of the target aperture; its pressure follows in closed form.
+    ``tol``, rad) between the angles at 0 kPa and at p_max (``_range_end``)
+    finds the angle of the target aperture; its pressure follows in closed form.
     """
-    geom, mat = assembly.geometry, assembly.material
-    lo = solve_deformation(geom, mat, 0.0, box, tol).half_angle
-    hi = solve_deformation(geom, mat, p_max, box, tol).half_angle
+    geom = assembly.geometry
+    lo, rg_lo = _range_end(assembly, 0.0, box, tol)
+    hi, rg_hi = _range_end(assembly, p_max, box, tol)
 
     def rg(theta: float) -> float:
         return aperture_radius(_wall_distance(*_radii(geom, theta), theta), assembly)
 
-    rg_lo, rg_hi = rg(lo), rg(hi)
     if not rg_lo <= target_rg <= rg_hi:
         raise OutOfWorkspaceError(
             f"target aperture {target_rg} mm outside the achievable range "
@@ -134,7 +150,7 @@ def inverse_pressure(
     ends = {lo: rg_lo, hi: rg_hi}  # brentq starts at the range ends: evaluate them once
     theta = brentq(lambda t: (ends[t] if t in ends else rg(t)) - target_rg, lo, hi, xtol=tol)
     # Near the rest angle the closed form can round a few ulps below zero.
-    return max(pressure_at_angle(geom, mat, theta), 0.0)
+    return max(pressure_at_angle(geom, assembly.material, theta), 0.0)
 
 
 def workspace(
@@ -150,12 +166,10 @@ def workspace(
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
-    rest = aperture_vs_pressure(assembly, 0.0, box, tol)
-    largest = aperture_vs_pressure(assembly, p_max, box, tol)
     return Workspace(
         min_aperture_mm=assembly.folded_aperture_mm,
-        rest_aperture_mm=rest,
-        max_aperture_mm=largest,
+        rest_aperture_mm=_range_end(assembly, 0.0, box, tol)[1],
+        max_aperture_mm=_range_end(assembly, p_max, box, tol)[1],
         p_max_kPa=p_max,
     )
 

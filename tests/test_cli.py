@@ -284,9 +284,14 @@ def test_unreadable_data_exit_1(capsys, tmp_path, monkeypatch, command, data):
          "stretch margin must be >= 0"),
         ({"grasp": {"open_kPa": 50}}, ["plan", "--object", "object.json"],
          "'open' pressure 50.0 kPa exceeds"),
+        ({"solver": {"p_max_kPa": -5}}, ["solve", "--pressure", "10"],
+         "solver.p_max_kPa must be >= 0"),
+        ({"solver": {"quad_rel_tol": 0}}, ["sweep", "--out", "sweep.csv"],
+         "solver.quad_rel_tol must be positive"),
     ],
     ids=["negative-ambient", "negative-lift", "negative-margin", "zero-theta-tol",
-         "negative-ambient-and-area", "negative-margin-plate", "open-pressure-above-limit"],
+         "negative-ambient-and-area", "negative-margin-plate", "open-pressure-above-limit",
+         "negative-p-max", "zero-quad-tol"],
 )
 def test_bad_model_parameter_exit_1(capsys, tmp_path, monkeypatch, config, argv, message):
     # The value is rejected when the config is loaded, so every command fails alike.
@@ -298,6 +303,7 @@ def test_bad_model_parameter_exit_1(capsys, tmp_path, monkeypatch, config, argv,
         code, out, err = run(capsys, "--config", cfg, *command)
         assert (code, out, err.count("\n")) == (1, "", 1), command
         assert err.startswith("config error: ") and message in err, command
+    assert not (tmp_path / "sweep.csv").exists()  # no command ran
     code, out, _ = run(capsys, "--config", cfg, "config", "--print-default")
     assert code == 0 and json.loads(out) == default_config()
 
@@ -476,6 +482,7 @@ def test_theta_tol_reaches_every_solve(capsys, tmp_path, monkeypatch, command):
         "fit-suction": write_fit_data(tmp_path, command),
     }[command]
     cfg = write_config(tmp_path, {"solver": {"theta_tol_rad": 1e-3}})
+    gripper._range_end.cache_clear()  # else an earlier case's range ends make no solve here
     run(capsys, "--config", cfg, command, *argv)
     assert xtols
     assert set(xtols) == {1e-3}

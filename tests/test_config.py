@@ -205,6 +205,9 @@ def test_context_rejects_bad_values(tmp_path):
          "unknown config key 'capacity.cone.hue'"),
         ({"solver": {"box": {"theta0_deg": [60.0, 80.0]}}},
          "solver.box.theta0_deg [60.0, 80.0] must start at or below the rest angle"),
+        ({"solver": {"p_max_kPa": -5}}, "invalid config: solver.p_max_kPa must be >= 0, got -5.0"),
+        ({"solver": {"quad_rel_tol": 0}},
+         "invalid config: solver.quad_rel_tol must be positive, got 0.0"),
     ],
 )
 def test_config_shape_errors_name_the_key(tmp_path, payload, message):

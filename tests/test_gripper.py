@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from accordion_gripper import (
+    ChamberGeometry,
     GripperAssembly,
     HyperelasticMaterial,
     OutOfWorkspaceError,
+    SolverBox,
     aperture_radius,
     aperture_vs_pressure,
     inverse_pressure,
@@ -15,6 +17,7 @@ from accordion_gripper import (
 )
 from accordion_gripper.gripper import (
     SWEEP_CSV_HEADER,
+    _range_end,
     contraction_diameter_range,
     format_sweep_csv,
     write_sweep_csv,
@@ -154,3 +157,93 @@ def test_sweep_deterministic(assembly, tmp_path):
     write_sweep_csv(sweep(assembly, 0.0, 40.0, 11), path1)
     write_sweep_csv(sweep(assembly, 0.0, 40.0, 11), path2)
     assert path1.read_bytes() == path2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Range ends, solved once per (assembly, p, box, tol)
+
+
+def direct_ends(assembly, p_max, box=None, tol=1e-12):
+    return (aperture_vs_pressure(assembly, 0.0, box, tol),
+            aperture_vs_pressure(assembly, p_max, box, tol))
+
+
+def test_range_ends_cold_equal_warm_equal_direct(assembly, box):
+    _range_end.cache_clear()
+    cold_ws = workspace(assembly, 40.0, box)
+    cold_p = inverse_pressure(assembly, 21.5, 40.0, box=box)
+    assert _range_end.cache_info().misses == 2
+    assert workspace(assembly, 40.0, box) == cold_ws
+    assert inverse_pressure(assembly, 21.5, 40.0, box=box) == cold_p
+    assert _range_end.cache_info().misses == 2
+    rest, largest = direct_ends(assembly, 40.0, box)
+    assert (cold_ws.rest_aperture_mm, cold_ws.max_aperture_mm) == (rest, largest)
+    # The inverse returns an end's pressure only on an exact match of its aperture.
+    assert inverse_pressure(assembly, rest, 40.0, box=box) == 0.0
+    assert inverse_pressure(assembly, largest, 40.0, box=box) == 40.0
+    with pytest.raises(OutOfWorkspaceError) as exc:
+        inverse_pressure(assembly, 30.0, 40.0, box=box)
+    assert exc.value.reachable == (rest, largest)
+
+
+def test_range_ends_each_key_part_gets_its_own_value(geom, mat, box):
+    _range_end.cache_clear()
+    base = GripperAssembly(geom, mat)
+    workspace(base, 40.0, box)
+    variants = {
+        "c1": (GripperAssembly(geom, HyperelasticMaterial(150.0)), 40.0, box, 1e-12),
+        "n_chambers": (GripperAssembly(geom, mat, 28), 40.0, box, 1e-12),
+        "Theta0": (GripperAssembly(ChamberGeometry(half_angle_0=math.radians(60.0)), mat),
+                   40.0, box, 1e-12),
+        "box angles": (base, 40.0, SolverBox(half_angle_range=(math.radians(57.6),
+                                                                math.radians(75.0))), 1e-12),
+        "tol": (base, 40.0, box, 1e-3),
+        "p_max": (base, 30.0, box, 1e-12),
+    }
+    for part, (assembly, p_max, variant_box, tol) in variants.items():
+        misses = _range_end.cache_info().misses
+        ws = workspace(assembly, p_max, variant_box, tol)
+        assert _range_end.cache_info().misses > misses, part
+        assert (ws.rest_aperture_mm, ws.max_aperture_mm) == direct_ends(
+            assembly, p_max, variant_box, tol), part
+        with pytest.raises(OutOfWorkspaceError) as exc:
+            inverse_pressure(assembly, 30.0, p_max, tol, variant_box)
+        assert exc.value.reachable == direct_ends(assembly, p_max, variant_box, tol), part
+
+
+def test_unreachable_p_max_raises_on_every_call(assembly):
+    narrow = SolverBox(half_angle_range=(math.radians(57.6), math.radians(62.0)))  # <= 12.7 kPa
+    for _ in range(2):
+        with pytest.raises(OutOfWorkspaceError, match="reachable inside the solver box"):
+            workspace(assembly, 40.0, narrow)
+        with pytest.raises(OutOfWorkspaceError, match="reachable inside the solver box"):
+            inverse_pressure(assembly, 21.0, 40.0, box=narrow)
+
+
+def test_box_from_lists_equals_box_from_tuples(assembly, box):
+    listed = SolverBox(*map(list, box))
+    assert listed == box and hash(listed) == hash(box)
+    assert all(type(r) is tuple for r in listed)
+    assert workspace(assembly, 40.0, listed) == workspace(assembly, 40.0, box)
+    assert (inverse_pressure(assembly, 21.5, box=listed)
+            == inverse_pressure(assembly, 21.5, box=box))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    c1=st.floats(min_value=80.0, max_value=300.0),  # the box reaches 40 kPa
+    k=st.floats(min_value=0.2, max_value=5.0),
+    n_chambers=st.sampled_from([16, 22, 28]),
+    f=st.floats(min_value=0.01, max_value=0.99),
+)
+def test_range_ends_scale_with_c1(geom, c1, k, n_chambers, f):
+    # P is linear in c1: scaling c1 and p_max by k keeps every angle and aperture.
+    assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
+    scaled = GripperAssembly(geom, HyperelasticMaterial(k * c1), n_chambers)
+    ws, ws_k = workspace(assembly, 40.0), workspace(scaled, k * 40.0)
+    assert ws_k.rest_aperture_mm == pytest.approx(ws.rest_aperture_mm, rel=1e-9)
+    assert ws_k.max_aperture_mm == pytest.approx(ws.max_aperture_mm, rel=1e-9)
+    target = ws.rest_aperture_mm + f * (ws.max_aperture_mm - ws.rest_aperture_mm)
+    assert inverse_pressure(scaled, target, k * 40.0) == pytest.approx(
+        k * inverse_pressure(assembly, target, 40.0), rel=1e-9
+    )
