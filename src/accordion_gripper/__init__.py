@@ -10,7 +10,6 @@ from .chamber import (
     hoop_stretch,
     pressure_closed_form,
     pressure_quadrature,
-    radial_stretch,
     solve_deformation,
     wall_distance,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "pressure_closed_form",
     "pressure_quadrature",
     "pressure_schedule",
-    "radial_stretch",
     "select_mode",
     "solve_deformation",
     "strain_energy_density",

@@ -28,7 +28,7 @@ from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, check_ambient_pressure
 from .grasp import check_lift_volume, sealed_volume, suction_law
-from .gripper import GripperAssembly, _range_end, aperture_vs_pressure
+from .gripper import GripperAssembly, aperture_vs_pressure
 from .material import HyperelasticMaterial
 
 
@@ -369,8 +369,7 @@ def fit_suction(
             "underdetermined fit: need peaks at >= 2 distinct chamber pressures"
         )
 
-    rg0 = _range_end(assembly, 0.0, box, tol)[1]
-    rgs = [aperture_vs_pressure(assembly, p, box, tol) for p in xs]
+    rg0, *rgs = [aperture_vs_pressure(assembly, p, box, tol) for p in (0.0, *xs)]
 
     def predict(a_eff: float, h_eff: float) -> list[float]:
         v0 = sealed_volume(rg0, h_eff)

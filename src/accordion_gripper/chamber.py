@@ -136,7 +136,9 @@ def hoop_stretch(geom: ChamberGeometry, state: DeformedState, r: float) -> float
     The material map sends the undeformed circle at radius R to
     r(R) with ``(R^2 - R1^2)*Theta0 = (r^2 - r1^2)*theta0``; inverting gives
     the undeformed radius ``R(r)^2 = R1^2 + (r^2 - r1^2)*theta0/Theta0`` and
-    the stretch ``lam_theta = r*theta0 / (R*Theta0)``.
+    the stretch ``lam_theta = r*theta0 / (R*Theta0)``; the radial stretch is
+    its reciprocal.  Public, though only tests call it: it is the one checked
+    form of the map the quadrature oracle integrates, pinned there at 1e-14.
     """
     if not state.r_inner - 1e-12 <= r <= state.r_outer + 1e-12:
         raise ValueError(
@@ -153,11 +155,6 @@ def _stretch_map(geom: ChamberGeometry, state: DeformedState):
     k = state.half_angle / geom.half_angle_0
     big_r1_sq, r1_sq = geom.r_inner_0**2, state.r_inner**2
     return lambda r: r * k / math.sqrt(big_r1_sq + (r * r - r1_sq) * k)
-
-
-def radial_stretch(geom: ChamberGeometry, state: DeformedState, r: float) -> float:
-    """Radial stretch; the reciprocal of hoop_stretch (incompressibility)."""
-    return 1.0 / hoop_stretch(geom, state, r)
 
 
 def wall_distance(state: DeformedState) -> float:
@@ -398,21 +395,26 @@ def solve_deformation(
     The pin and area constraints eliminate r1 and r0, reducing the system
     to a single monotone equation P(theta0) = p bracketed over the box's
     angle range (Brent).  The constraints hold exactly by construction;
-    the pressure residual is bounded by the bracketing tolerance.
+    the pressure residual is bounded by the bracketing tolerance.  At 0 kPa
+    the state is the rest geometry, P(Theta0) = 0, when the box holds Theta0.
     """
     if p < 0:
         raise OutOfWorkspaceError(
             f"inflation branch only: pressure must be >= 0 kPa, got {p}",
             reachable=(0.0, None),
         )
+    if tol <= 0:
+        raise ValueError(f"theta tolerance must be positive, got {tol}")
     box = box or SolverBox()
     lo, hi = box.half_angle_range
+    if p == 0 and lo <= geom.half_angle_0 <= hi:
+        return state_at_angle(geom, geom.half_angle_0)
     try:
         # brentq evaluates both box ends once and rejects a same-sign bracket.
         theta = brentq(lambda t: pressure_at_angle(geom, mat, t) - p, lo, hi, xtol=tol)
     except ValueError:
         p_lo, p_hi = reachable_pressure_range(geom, mat, box)
-        if not (p < p_lo or p > p_hi):  # a NaN pressure or a bad tol, not the bracket
+        if not (p < p_lo or p > p_hi):  # a NaN pressure, not the bracket
             raise
         raise OutOfWorkspaceError(
             f"pressure {p} kPa outside the range [{p_lo:.6g}, {p_hi:.6g}] kPa "

@@ -33,7 +33,6 @@ from .chamber import (
 from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_context, read_json
 from .errors import GripperError, OutOfWorkspaceError
 from .gripper import (
-    _range_end,
     aperture_radius,
     aperture_vs_pressure,
     contraction_diameter_range,
@@ -219,7 +218,7 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "pass": bool(passed), "detail": detail})
 
-    state0 = state_at_angle(geom, _range_end(assembly, 0.0, box, ctx.theta_tol_rad)[0])
+    state0 = solve_deformation(geom, mat, 0.0, box, ctx.theta_tol_rad)
     fixed_err = max(
         abs(state0.r_outer - geom.r_outer_0),
         abs(state0.r_inner - geom.r_inner_0),
@@ -437,7 +436,7 @@ def main(argv=None) -> int:
         print(json.dumps(default_config(), indent=2))
         return 0
     try:
-        ctx = load_context(args.config)  # builds the suction model: a solve at 0 kPa
+        ctx = load_context(args.config)
     except (GripperError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -176,6 +176,9 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
             if solver["quad_rel_tol"] <= 0:
                 raise ValueError(
                     f"solver.quad_rel_tol must be positive, got {solver['quad_rel_tol']}")
+            if solver["theta_tol_rad"] <= 0:
+                raise ValueError(
+                    f"solver.theta_tol_rad must be positive, got {solver['theta_tol_rad']}")
             model = SuctionModel.from_assembly(
                 assembly, suction["A_eff_mm2"], suction["h_eff_mm"], suction["ambient_kPa"], box,
                 solver["theta_tol_rad"], suction["seal_threshold_kPa"])

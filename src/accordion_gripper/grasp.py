@@ -25,7 +25,6 @@ from .gripper import (
     STRETCH_MARGIN_MM,
     GripperAssembly,
     Workspace,
-    _range_end,
     aperture_vs_pressure,
     contraction_diameter_range,
 )
@@ -226,7 +225,7 @@ class SuctionModel(namedtuple("SuctionModel", (
     """Isothermal gas closure of the sealed space V(P_C) = pi*R_g(P_C)^2*h_eff.
 
     ``rest_volume_mm3``, V(0), is computed at construction, not passed, from
-    the rest end the workspace and inverse queries share.
+    the rest geometry, which at 0 kPa needs no solve.
     """
 
     __slots__ = ()
@@ -239,7 +238,7 @@ class SuctionModel(namedtuple("SuctionModel", (
             raise ValueError("effective seal area must be positive")
         if h_eff_mm <= 0:
             raise ValueError(f"effective height must be positive, got {h_eff_mm}")
-        rest_volume = sealed_volume(_range_end(assembly, 0.0, box, tol)[1], h_eff_mm)
+        rest_volume = sealed_volume(aperture_vs_pressure(assembly, 0.0, box, tol), h_eff_mm)
         return tuple.__new__(cls, (assembly, effective_seal_area_mm2, h_eff_mm,
                                    ambient_pressure_kPa, box, tol, seal_threshold_kPa,
                                    rest_volume))

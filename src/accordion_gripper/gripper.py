@@ -107,7 +107,7 @@ def aperture_vs_pressure(
 @functools.lru_cache(maxsize=_RANGE_END_CACHE_SIZE)
 def _range_end(assembly: GripperAssembly, p: float, box: SolverBox | None,
                tol: float) -> tuple[float, float]:
-    """(theta0 rad, R_g mm) at pressure p (kPa), solved once per argument tuple.
+    """(theta0 rad, R_g mm) at pressure p (kPa), computed once per argument tuple.
 
     The records in the key are immutable, so a stored end never goes stale;
     an exception is raised afresh on every call, never stored.  R_g takes
@@ -242,11 +242,6 @@ def sweep(
 
 def _csv_line(row: SweepRow) -> str:
     return ",".join(f"{value:.9g}" for value in row) + "\n"
-
-
-def format_sweep_csv(rows: list[SweepRow]) -> str:
-    """Render sweep rows as CSV text, 9 significant digits per value."""
-    return SWEEP_CSV_HEADER + "\n" + "".join(map(_csv_line, rows))
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -276,7 +276,8 @@ def test_unreadable_data_exit_1(capsys, tmp_path, monkeypatch, command, data):
         ({"suction": {"lift_volume_increase_mm3": -1e6}}, ["fit-suction", "--data", "suction.csv"],
          "lift volume increase must be >= 0"),
         ({"grasp": {"stretch_margin_mm": -100}}, ["workspace"], "stretch margin must be >= 0"),
-        ({"solver": {"theta_tol_rad": 0}}, ["solve", "--pressure", "10"], "xtol too small"),
+        ({"solver": {"theta_tol_rad": 0}}, ["solve", "--pressure", "10"],
+         "solver.theta_tol_rad must be positive, got 0.0"),
         # Values only a flat-plate plan or no command at all used to read.
         ({"suction": {"ambient_kPa": -101, "A_eff_mm2": -5}}, ["solve", "--pressure", "1"],
          "ambient pressure must be positive"),
@@ -377,6 +378,23 @@ def test_box_above_rest_angle_exit_1(capsys, tmp_path, command):
     code, out, err = run(capsys, "--config", cfg, *command)
     assert (code, out) == (1, "")
     assert err.startswith("config error: ") and "rest angle" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--pressure", "0"], ["sweep", "--out", "sweep.csv"], ["validate"],
+    ["invert", "--aperture", "21"], ["workspace"], ["plan", "--object", "object.json"],
+    ["fit-suction", "--data", "suction.csv"],
+], ids=lambda argv: argv[0])
+def test_box_at_rest_angle_with_rest_noise_above_zero(capsys, tmp_path, monkeypatch, command):
+    # P(Theta0) rounds to +5.7e-14 kPa here, so a solve at 0 kPa in a box that
+    # starts at Theta0 had no bracket and every command failed at config load.
+    monkeypatch.chdir(tmp_path)
+    write_object(tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0})
+    (tmp_path / "suction.csv").write_text("pressure_kPa,force_N\n0,15\n20,30\n")
+    cfg = write_config(tmp_path, {"geometry": {"R0_mm": 4.5, "R1_mm": 2.8, "Theta0_deg": 55},
+                                  "solver": {"box": {"theta0_deg": [55, 80]}}})
+    code, _, err = run(capsys, "--config", cfg, *command)
+    assert (code, err) == (0, "")
 
 
 def test_sweep_unwritable_out_runs_no_solve(capsys, tmp_path, monkeypatch):

@@ -136,6 +136,18 @@ def test_context_suction_model_runs_no_solve(monkeypatch):
     assert ctx.suction_model() is ctx.suction_model() is ctx.suction
 
 
+def test_load_context_runs_no_solver(monkeypatch):
+    # The rest state, which the suction model's rest volume reads, is the geometry.
+    import accordion_gripper.chamber as chamber
+    import accordion_gripper.gripper as gripper
+
+    calls = []
+    for module in (chamber, gripper):
+        monkeypatch.setattr(module, "brentq", lambda *args, **kwargs: calls.append(args))
+    load_context(None)
+    assert calls == []
+
+
 def test_load_config_io_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
@@ -208,6 +220,8 @@ def test_context_rejects_bad_values(tmp_path):
         ({"solver": {"p_max_kPa": -5}}, "invalid config: solver.p_max_kPa must be >= 0, got -5.0"),
         ({"solver": {"quad_rel_tol": 0}},
          "invalid config: solver.quad_rel_tol must be positive, got 0.0"),
+        ({"solver": {"theta_tol_rad": 0}},
+         "invalid config: solver.theta_tol_rad must be positive, got 0.0"),
     ],
 )
 def test_config_shape_errors_name_the_key(tmp_path, payload, message):

@@ -12,14 +12,18 @@ from accordion_gripper import (
     aperture_radius,
     aperture_vs_pressure,
     inverse_pressure,
+    solve_deformation,
     sweep,
+    wall_distance,
     workspace,
 )
+from accordion_gripper.chamber import pressure_at_angle
+from accordion_gripper.cli import build_validation_report
+from accordion_gripper.config import ModelContext
 from accordion_gripper.gripper import (
     SWEEP_CSV_HEADER,
     _range_end,
     contraction_diameter_range,
-    format_sweep_csv,
     write_sweep_csv,
 )
 
@@ -136,9 +140,10 @@ def test_sweep_grid_and_residuals(assembly):
     assert all(b > a for a, b in zip(rgs, rgs[1:]))
 
 
-def test_sweep_csv_format(assembly):
-    rows = sweep(assembly, 0.0, 40.0, 3)
-    text = format_sweep_csv(rows)
+def test_sweep_csv_format(assembly, tmp_path):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(sweep(assembly, 0.0, 40.0, 3), path)
+    text = path.read_text()
     lines = text.splitlines()
     assert lines[0] == SWEEP_CSV_HEADER
     assert len(lines) == 4
@@ -149,9 +154,6 @@ def test_sweep_csv_format(assembly):
 
 
 def test_sweep_deterministic(assembly, tmp_path):
-    a = format_sweep_csv(sweep(assembly, 0.0, 40.0, 11))
-    b = format_sweep_csv(sweep(assembly, 0.0, 40.0, 11))
-    assert a == b
     path1 = tmp_path / "one.csv"
     path2 = tmp_path / "two.csv"
     write_sweep_csv(sweep(assembly, 0.0, 40.0, 11), path1)
@@ -247,3 +249,54 @@ def test_range_ends_scale_with_c1(geom, c1, k, n_chambers, f):
     assert inverse_pressure(scaled, target, k * 40.0) == pytest.approx(
         k * inverse_pressure(assembly, target, 40.0), rel=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# Scaling laws: P/c1 and R_g/R0 depend only on theta0, R1/R0, Theta0 and N
+
+scale_factors = st.floats(min_value=math.log(1e-2), max_value=math.log(1e3)).map(math.exp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=scale_factors,
+    c1=st.floats(min_value=80.0, max_value=300.0),  # the box reaches 40 kPa
+    n_chambers=st.sampled_from([16, 22, 28]),
+    t=st.floats(min_value=0.05, max_value=1.0),
+    f=st.floats(min_value=0.01, max_value=0.99),
+)
+def test_scaling_the_radii_scales_the_apertures(geom, c1, k, n_chambers, t, f):
+    # (R0, R1) -> k*(R0, R1) at fixed Theta0, c1 and N: every angle and pressure
+    # stays, every length grows by k.
+    mat = HyperelasticMaterial(c1)
+    scaled_geom = ChamberGeometry(k * geom.r_outer_0, k * geom.r_inner_0, geom.half_angle_0)
+    assembly = GripperAssembly(geom, mat, n_chambers)
+    scaled = GripperAssembly(scaled_geom, mat, n_chambers)
+    lo, hi = SolverBox().half_angle_range
+    theta = lo + t * (hi - lo)
+    assert pressure_at_angle(scaled_geom, mat, theta) == pytest.approx(
+        pressure_at_angle(geom, mat, theta), rel=1e-12)
+    ws, ws_k = workspace(assembly, 40.0), workspace(scaled, 40.0)
+    assert ws_k.rest_aperture_mm == pytest.approx(k * ws.rest_aperture_mm, rel=1e-12)
+    assert ws_k.max_aperture_mm == pytest.approx(k * ws.max_aperture_mm, rel=1e-12)
+    target = ws.rest_aperture_mm + f * (ws.max_aperture_mm - ws.rest_aperture_mm)
+    assert inverse_pressure(scaled, k * target, 40.0) == pytest.approx(
+        inverse_pressure(assembly, target, 40.0), rel=1e-9
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=scale_factors)
+def test_validation_passes_at_every_scale(k):
+    ctx = ModelContext.from_config({"geometry": {"R0_mm": k * 4.56, "R1_mm": k * 3.0}})
+    report = build_validation_report(ctx)
+    assert report["pass"], [check for check in report["checks"] if not check["pass"]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_chambers=st.integers(min_value=3, max_value=200), p=st.floats(min_value=0.0, max_value=40.0))
+def test_wall_distance_is_independent_of_chamber_count(geom, mat, n_chambers, p):
+    # D = R_g*2*pi/N is one chamber's: the count only divides the ring.
+    assembly = GripperAssembly(geom, mat, n_chambers)
+    d = aperture_vs_pressure(assembly, p) * assembly.sector_angle
+    assert d == pytest.approx(wall_distance(solve_deformation(geom, mat, p)), rel=1e-14)
