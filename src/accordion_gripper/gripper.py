@@ -17,6 +17,7 @@ from .chamber import (
     QUAD_REL_TOL,
     THETA_TOL_RAD,
     ChamberGeometry,
+    DeformedState,
     SolverBox,
     _radii,
     _wall_distance,
@@ -100,21 +101,21 @@ def aperture_vs_pressure(
     tol: float = THETA_TOL_RAD,
 ) -> float:
     """Forward map: aperture radius (mm) at inflation pressure p (kPa)."""
+    return _forward(assembly, p, box, tol)[2]
+
+
+def _forward(assembly: GripperAssembly, p: float, box: SolverBox | None,
+             tol: float) -> tuple[DeformedState, float, float]:
+    """(state, D mm, R_g mm) at pressure p (kPa): the one body of every forward output."""
     state = solve_deformation(assembly.geometry, assembly.material, p, box, tol)
-    return aperture_radius(wall_distance(state), assembly)
+    d = wall_distance(state)
+    return state, d, aperture_radius(d, assembly)
 
 
-@functools.lru_cache(maxsize=_RANGE_END_CACHE_SIZE)
-def _range_end(assembly: GripperAssembly, p: float, box: SolverBox | None,
-               tol: float) -> tuple[float, float]:
-    """(theta0 rad, R_g mm) at pressure p (kPa), computed once per argument tuple.
-
-    The records in the key are immutable, so a stored end never goes stale;
-    an exception is raised afresh on every call, never stored.  R_g takes
-    the float operations of ``aperture_vs_pressure``, so both are bit-identical.
-    """
-    state = solve_deformation(assembly.geometry, assembly.material, p, box, tol)
-    return state.half_angle, aperture_radius(wall_distance(state), assembly)
+#: The forward body at the range ends, computed once per argument tuple.  The
+#: records in the key are immutable, so a stored end never goes stale; an
+#: exception is raised afresh on every call, never stored.
+_range_end = functools.lru_cache(maxsize=_RANGE_END_CACHE_SIZE)(_forward)
 
 
 def inverse_pressure(
@@ -131,8 +132,9 @@ def inverse_pressure(
     finds the angle of the target aperture; its pressure follows in closed form.
     """
     geom = assembly.geometry
-    lo, rg_lo = _range_end(assembly, 0.0, box, tol)
-    hi, rg_hi = _range_end(assembly, p_max, box, tol)
+    state_lo, _, rg_lo = _range_end(assembly, 0.0, box, tol)
+    state_hi, _, rg_hi = _range_end(assembly, p_max, box, tol)
+    lo, hi = state_lo.half_angle, state_hi.half_angle
 
     def rg(theta: float) -> float:
         return aperture_radius(_wall_distance(*_radii(geom, theta), theta), assembly)
@@ -168,8 +170,8 @@ def workspace(
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     return Workspace(
         min_aperture_mm=assembly.folded_aperture_mm,
-        rest_aperture_mm=_range_end(assembly, 0.0, box, tol)[1],
-        max_aperture_mm=_range_end(assembly, p_max, box, tol)[1],
+        rest_aperture_mm=_range_end(assembly, 0.0, box, tol)[2],
+        max_aperture_mm=_range_end(assembly, p_max, box, tol)[2],
         p_max_kPa=p_max,
     )
 
@@ -210,15 +212,13 @@ def iter_sweep(
         raise ValueError(f"empty sweep range [{p_from}, {p_to}]")
     if steps < 2:
         raise ValueError(f"sweep needs at least 2 steps, got {steps}")
-    geom, mat = assembly.geometry, assembly.material
+    geom = assembly.geometry
 
     def row(p: float) -> SweepRow:
-        state = solve_deformation(geom, mat, p, box, tol)
-        d = wall_distance(state)
-        return SweepRow(p, state.r_outer, state.r_inner, state.half_angle, d,
-                        aperture_radius(d, assembly), pin_residual(geom, state),
-                        area_residual(geom, state),
-                        pressure_quadrature(geom, state, mat, quad_rel_tol))
+        state, d, rg = _forward(assembly, p, box, tol)
+        return SweepRow(p, state.r_outer, state.r_inner, state.half_angle, d, rg,
+                        pin_residual(geom, state), area_residual(geom, state),
+                        pressure_quadrature(geom, state, assembly.material, quad_rel_tol))
 
     return (row(p_from + (p_to - p_from) * i / (steps - 1)) for i in range(steps))
 

@@ -3,12 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from accordion_gripper import (
     CalibrationError,
     GripperAssembly,
     HyperelasticMaterial,
+    SolverBox,
     SuctionModel,
     aperture_vs_pressure,
     suction_force,
@@ -151,6 +153,32 @@ def test_fit_c1_rejects_flat_series(geom):
         fit_c1(flat, geom)
 
 
+def test_fit_c1_fails_when_no_constant_reaches_the_series(geom):
+    # Even the stiffest c1 the fit searches cannot open the chamber past 57.7 deg
+    # at these pressures, so its optimum reproduces nothing.
+    narrow = SolverBox(half_angle_range=(math.radians(57.6), math.radians(57.7)))
+    with pytest.raises(CalibrationError,
+                       match="fit_c1 failed: optimum c1=1000 kPa cannot reproduce"):
+        fit_c1(make_aperture_series(geom), geom, box=narrow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c1=st.floats(min_value=80.0, max_value=200.0),
+    k=st.floats(min_value=0.2, max_value=4.0),  # k*c1 stays inside C1_BOUNDS_KPA
+)
+def test_fit_c1_scales_with_the_pressures(geom, c1, k):
+    # P is linear in c1: the apertures seen at pressures k*p are those of k*c1.
+    # The box reaches 85 deg, so the scaled pressures stay reachable.
+    box = SolverBox(half_angle_range=(geom.half_angle_0, math.radians(85.0)))
+    series = make_aperture_series(geom, c1=c1)
+    scaled = MeasurementSeries.from_pairs(
+        SeriesKind.PRESSURE_APERTURE, [(k * p, y) for p, y in series.rows])
+    c1_hat = fit_c1(series, geom, box=box).params["c1_kPa"]
+    # Each fit stops within about 2*sqrt(eps)*c1 of its optimum.
+    assert fit_c1(scaled, geom, box=box).params["c1_kPa"] == pytest.approx(k * c1_hat, rel=1e-7)
+
+
 def test_fit_c1_report_serializes(geom):
     report = fit_c1(make_aperture_series(geom), geom)
     d = report.to_dict()
@@ -258,6 +286,31 @@ def test_fit_suction_predicts_with_the_suction_model(geom):
         model = SuctionModel(assembly, report.params["A_eff_mm2"], report.params["h_eff_mm"])
         for point in report.per_point:
             assert point["predicted"] == suction_force(model, point["x"], 5000.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c1=st.floats(min_value=80.0, max_value=220.0),
+    n_chambers=st.sampled_from([16, 22, 28]),
+    a_eff=st.floats(min_value=500.0, max_value=5000.0),
+    h_eff=st.floats(min_value=10.0, max_value=200.0),
+    p_first=st.floats(min_value=0.0, max_value=10.0),
+    steps=st.lists(st.floats(min_value=2.0, max_value=6.0), min_size=2, max_size=5),
+    k=st.floats(min_value=0.2, max_value=4.0),
+)
+def test_fit_suction_scales_with_the_forces(geom, c1, n_chambers, a_eff, h_eff, p_first, steps,
+                                            k):
+    # The predicted peak is A_eff times a function of h_eff: forces x k give
+    # A_eff x k and the same h_eff.  Pressures at least 2 kPa apart keep the
+    # fit well posed.
+    assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
+    pressures = [p_first + sum(steps[:i]) for i in range(len(steps) + 1)]
+    series = synthetic_suction_series(assembly, a_eff, h_eff, pressures=pressures)
+    scaled = MeasurementSeries.from_pairs(
+        SeriesKind.SUCTION_FORCE, [(p, k * f) for p, f in series.rows])
+    fit, fit_k = fit_suction(series, assembly).params, fit_suction(scaled, assembly).params
+    assert fit_k["A_eff_mm2"] == pytest.approx(k * fit["A_eff_mm2"], rel=1e-12)
+    assert fit_k["h_eff_mm"] == pytest.approx(fit["h_eff_mm"], rel=1e-12)
 
 
 def test_fit_suction_reproduces_anchor_forces(assembly):

@@ -346,6 +346,22 @@ def test_solve_round_trip_pressure(p):
     assert abs(area_residual(geom, state)) < 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    c1=st.floats(min_value=80.0, max_value=300.0),
+    k=st.floats(min_value=math.log(1e-2), max_value=math.log(1e3)).map(math.exp),
+    f=st.floats(min_value=0.0, max_value=0.99),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+)
+def test_solve_angle_is_invariant_under_c1_scaling(c1, k, f, tol):
+    # P is linear in c1, so (k*c1, k*p) and (c1, p) share one root theta0.
+    geom, mat = ChamberGeometry(), HyperelasticMaterial(c1)
+    p = f * reachable_pressure_range(geom, mat)[1]
+    theta = solve_deformation(geom, mat, p, tol=tol).half_angle
+    theta_k = solve_deformation(geom, HyperelasticMaterial(k * c1), k * p, tol=tol).half_angle
+    assert abs(theta_k - theta) <= tol
+
+
 def test_negative_pressure_rejected():
     with pytest.raises(OutOfWorkspaceError, match="inflation branch only") as exc:
         solve_deformation(ChamberGeometry(), HyperelasticMaterial(), -5.0)
@@ -358,6 +374,18 @@ def test_unreachable_pressure_reports_range():
     lo, hi = exc.value.reachable
     assert lo == pytest.approx(0.0, abs=1e-9)
     assert hi == pytest.approx(68.644240011938394, rel=1e-9)
+
+
+def test_nan_pressure_is_not_out_of_workspace():
+    # NaN lies on neither side of the reachable range: the root finder's error passes through.
+    with pytest.raises(ValueError, match="NaN"):
+        solve_deformation(ChamberGeometry(), HyperelasticMaterial(), math.nan)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, 2.0, -0.1])
+def test_state_at_angle_rejects_angle_outside_quarter_turn(theta):
+    with pytest.raises(ValueError, match=r"outside \(0, pi/2\)"):
+        state_at_angle(ChamberGeometry(), theta)
 
 
 @pytest.mark.parametrize("p", [0.0, 20.0, 100.0])
@@ -458,6 +486,12 @@ def test_brentq_same_sign_bracket_rejected():
 def test_brentq_nan_rejected():
     with pytest.raises(ValueError, match="NaN"):
         brentq(lambda x: math.nan if x > 0.1 else x - 0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("xtol", [0.0, -1e-12])
+def test_brentq_rejects_non_positive_xtol(xtol):
+    with pytest.raises(ValueError, match="xtol too small"):
+        brentq(lambda x: x - 0.5, 0.0, 1.0, xtol=xtol)
 
 
 def test_brentq_maxiter_exhausted():

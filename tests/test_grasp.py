@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,9 @@ def test_descriptor_validation():
         obj(has_aperture=True)
     with pytest.raises(ValueError, match="aperture"):
         obj(aperture_diameter_mm=30.0)
+    for bad in (math.nan, math.inf, 0.0, -5.0):
+        with pytest.raises(ValueError, match="aperture diameter must be finite and > 0"):
+            obj(has_aperture=True, aperture_diameter_mm=bad)
 
 
 def test_descriptor_from_dict_round_trip():
@@ -244,6 +249,8 @@ def test_pressure_schedules():
     assert pressure_schedule(GraspMode.SUCTION) == [("seal+inflate", 20.0)]
     with pytest.raises(ValueError, match="exceeds"):
         pressure_schedule(GraspMode.CONTRACTION, open_kPa=50.0)
+    with pytest.raises(ValueError, match="unknown grasp mode None"):
+        pressure_schedule(None)
 
 
 def test_plan_validation():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from accordion_gripper import (
     ChamberGeometry,
@@ -287,10 +287,37 @@ def test_scaling_the_radii_scales_the_apertures(geom, c1, k, n_chambers, t, f):
 
 @settings(max_examples=10, deadline=None)
 @given(k=scale_factors)
+@example(k=1e-3)
+@example(k=1500.0)  # area residual 1.5e-8 mm^2*rad: rounding of a 2.7e7 mm^2*rad area
+@example(k=1e4)
 def test_validation_passes_at_every_scale(k):
     ctx = ModelContext.from_config({"geometry": {"R0_mm": k * 4.56, "R1_mm": k * 3.0}})
     report = build_validation_report(ctx)
     assert report["pass"], [check for check in report["checks"] if not check["pass"]]
+
+
+@pytest.mark.parametrize("k", [1e-3, 1.0, 1500.0, 1e4])
+@pytest.mark.parametrize("check, violate", [
+    ("fixed_point", lambda row, geom: row._replace(r0_mm=geom.r_outer_0 * (1.0 + 1e-8))),
+    ("constraint_residuals",
+     lambda row, geom: row._replace(pin_residual=1e-6 * geom.pin_half_distance)),
+    ("constraint_residuals",
+     lambda row, geom: row._replace(area_residual=1e-6 * geom.sector_area_scale)),
+], ids=["rest-radius", "pin", "area"])
+def test_validation_fails_on_a_real_violation_at_every_scale(monkeypatch, k, check, violate):
+    # The residual checks are relative: a violation of 1e-6 of its own scale
+    # (1e-8 for the rest state) fails at every size of the geometry.
+    ctx = ModelContext.from_config({"geometry": {"R0_mm": k * 4.56, "R1_mm": k * 3.0}})
+
+    def violated_sweep(*args):
+        rows = sweep(*args)
+        rows[0] = violate(rows[0], ctx.geometry)
+        return rows
+
+    monkeypatch.setattr("accordion_gripper.cli.sweep", violated_sweep)
+    report = build_validation_report(ctx)
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert not report["pass"] and failed == {check}
 
 
 @settings(max_examples=25, deadline=None)
