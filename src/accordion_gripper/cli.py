@@ -32,7 +32,6 @@ from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_context, 
 from .errors import GripperError, OutOfWorkspaceError
 from .gripper import (
     _forward,
-    aperture_vs_pressure,
     contraction_diameter_range,
     inverse_pressure,
     iter_sweep,
@@ -287,11 +286,11 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
         f"max relative deviation {worst:.3e} at 100 random states",
     )
 
+    # Rows 4, 8, ..., 40 of the sweep: p_max*k/10 for k < 10 (exact: 4k/40 = k/10), then p_max.
     worst_rt = 0.0
-    for i in range(10):
-        p = ctx.p_max_kPa * (i + 1) / 10.0
-        rg = aperture_vs_pressure(assembly, p, box, ctx.theta_tol_rad)
-        p_back = inverse_pressure(assembly, rg, ctx.p_max_kPa, ctx.theta_tol_rad, box)
+    for row in rows[4::4]:
+        p = row.pressure_kPa
+        p_back = inverse_pressure(assembly, row.Rg_mm, ctx.p_max_kPa, ctx.theta_tol_rad, box)
         worst_rt = max(worst_rt, abs(p_back - p) / max(1.0, abs(p)))
     add(
         "inverse_round_trip",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import stat
 from collections import namedtuple
 
 from .chamber import (
@@ -151,8 +153,8 @@ def inverse_pressure(
         return p_max
     ends = {lo: rg_lo, hi: rg_hi}  # brentq starts at the range ends: evaluate them once
     theta = brentq(lambda t: (ends[t] if t in ends else rg(t)) - target_rg, lo, hi, xtol=tol)
-    # Near the rest angle the closed form can round a few ulps below zero.
-    return max(pressure_at_angle(geom, assembly.material, theta), 0.0)
+    # Past [0, p_max] by rounding near rest, or near p_max because that end is solved to tol.
+    return min(max(pressure_at_angle(geom, assembly.material, theta), 0.0), p_max)
 
 
 def workspace(
@@ -220,7 +222,8 @@ def iter_sweep(
                         pin_residual(geom, state), area_residual(geom, state),
                         pressure_quadrature(geom, state, assembly.material, quad_rel_tol))
 
-    return (row(p_from + (p_to - p_from) * i / (steps - 1)) for i in range(steps))
+    last = steps - 1
+    return (row(p_from + (p_to - p_from) * i / last if i < last else p_to) for i in range(steps))
 
 
 def sweep(
@@ -232,7 +235,7 @@ def sweep(
     quad_rel_tol: float = QUAD_REL_TOL,
     tol: float = THETA_TOL_RAD,
 ) -> list[SweepRow]:
-    """Evaluate the forward model on a uniform pressure grid.
+    """Evaluate the forward model on a uniform pressure grid ending on p_to itself.
 
     Each row carries the solved state, aperture, constraint residuals and
     an independent quadrature check of the pressure.  Deterministic.
@@ -245,7 +248,17 @@ def _csv_line(row: SweepRow) -> str:
 
 
 def write_sweep_csv(rows, path) -> None:
-    """Write sweep rows (any iterable) to ``path`` as CSV, one line as each row is read."""
+    """Write sweep rows (any iterable) to ``path`` as CSV, one line as each row is read.
+
+    If reading a row raises, the partial file is removed (a regular file only,
+    never a device or a link) and the error re-raised.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        fh.writelines(map(_csv_line, rows))
+        try:
+            fh.write(SWEEP_CSV_HEADER + "\n")
+            fh.writelines(map(_csv_line, rows))
+        except BaseException:
+            fh.close()
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+            raise

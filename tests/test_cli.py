@@ -418,6 +418,18 @@ def test_sweep_unwritable_out_runs_no_solve(capsys, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (["--to", "100"], "pressure 70.0 kPa outside the range [0, 68.6442] kPa"),
+    (["--from", "-5"], "inflation branch only"),
+], ids=["past-the-box", "negative"])
+def test_failed_sweep_leaves_no_file(capsys, tmp_path, bounds, message):
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run(capsys, "sweep", *bounds, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert message in err
+    assert not out.exists()
+
+
 def test_sweep_to_defaults_to_p_max(capsys, tmp_path):
     # The box reaches only [0, 12.68] kPa; the sweep ends at the configured 5 kPa.
     cfg = write_config(
@@ -458,6 +470,39 @@ def test_validate_other_chamber_counts(capsys, tmp_path, n_chambers):
     assert "rest_aperture_pin" not in out
     assert "PASS  fixed_point" in out
     assert "overall: PASS" in out
+
+
+@pytest.mark.parametrize("config", [
+    {"solver": {"p_max_kPa": 28.77975602804722}},
+    {"geometry": {"R0_mm": 4.058026863274308, "R1_mm": 2.535132809527206,
+                  "Theta0_deg": 59.69654777875791},
+     "material": {"c1_kPa": 96.2176012907255}, "assembly": {"n_chambers": 28},
+     "solver": {"box": {"theta0_deg": [59.69654777875791, 75.07716438821367]},
+                "p_max_kPa": 25.832450340642087, "theta_tol_rad": 1e-10}},
+], ids=["default-geometry", "n28"])
+def test_validate_round_trip_ends_on_p_max(capsys, tmp_path, config):
+    # p_max*10/10 rounds an ulp above p_max here, so a round trip at that
+    # pressure asks the inverse for an aperture just outside the workspace.
+    cfg = write_config(tmp_path, config)
+    code, out, err = run(capsys, "--config", cfg, "validate")
+    assert (code, err) == (0, "")
+    assert "PASS  inverse_round_trip" in out
+
+
+def test_validate_solves_only_its_sweep(ctx, monkeypatch):
+    import accordion_gripper.gripper as gripper
+
+    build_validation_report(ctx)  # the range ends are now cached
+    grid = [row.pressure_kPa for row in gripper.sweep(ctx.assembly, 0.0, ctx.p_max_kPa, 41)]
+    solves, real = [], gripper.solve_deformation
+
+    def spy(*args, **kwargs):
+        solves.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gripper, "solve_deformation", spy)
+    assert build_validation_report(ctx)["pass"]
+    assert solves == grid  # 41 solves: the round trip reads rows 4, 8, ..., 40
 
 
 def write_fit_data(tmp_path, command):

@@ -1,7 +1,8 @@
 import math
+import os
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from accordion_gripper import (
     ChamberGeometry,
@@ -159,6 +160,56 @@ def test_sweep_deterministic(assembly, tmp_path):
     write_sweep_csv(sweep(assembly, 0.0, 40.0, 11), path1)
     write_sweep_csv(sweep(assembly, 0.0, 40.0, 11), path2)
     assert path1.read_bytes() == path2.read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(p_from=st.floats(min_value=0.0, max_value=68.6),
+       p_to=st.floats(min_value=0.0, max_value=68.6),  # the default box reaches 68.64 kPa
+       steps=st.integers(min_value=2, max_value=60))
+@example(p_from=0.0932358916629128, p_to=56.65809179313147, steps=41)  # ended 1 ulp past p_to
+def test_sweep_ends_on_p_to(assembly, p_from, p_to, steps):
+    assume(p_from < p_to)
+    pressures = [row.pressure_kPa for row in sweep(assembly, p_from, p_to, steps)]
+    assert pressures[-1] == p_to
+    assert pressures[:-1] == [p_from + (p_to - p_from) * i / (steps - 1)
+                              for i in range(steps - 1)]
+
+
+def failing_rows(rows, fail_at):
+    for i, row in enumerate(rows):
+        if i == fail_at:
+            raise OutOfWorkspaceError("past the box")
+        yield row
+
+
+@pytest.mark.parametrize("fail_at", [0, 2])
+def test_failed_sweep_csv_is_removed(assembly, tmp_path, fail_at):
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(OutOfWorkspaceError, match="past the box"):
+        write_sweep_csv(failing_rows(sweep(assembly, 0.0, 40.0, 3), fail_at), path)
+    assert not path.exists()
+
+
+def test_failed_sweep_csv_keeps_a_link(assembly, tmp_path):
+    # Only a regular file is removed: a link (such as /dev/stdout) stays.
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("")
+    os.symlink(target, link)
+    with pytest.raises(OutOfWorkspaceError):
+        write_sweep_csv(failing_rows(sweep(assembly, 0.0, 40.0, 3), 1), link)
+    assert link.is_symlink() and target.read_text().startswith(SWEEP_CSV_HEADER)
+
+
+@settings(max_examples=50, deadline=None)
+@given(p_max=st.floats(min_value=1.0, max_value=68.6),
+       tol=st.sampled_from([1e-12, 1e-10, 1e-8]),
+       target=st.floats(min_value=20.6, max_value=24.1))
+@example(p_max=12.5, tol=1e-12, target=21.234399220858606)  # gave 12.500000000014154 kPa
+@example(p_max=57.34305331173955, tol=1e-8, target=23.452238531249876)  # 9.5e-10 relative over
+def test_inverse_stays_within_zero_and_p_max(assembly, p_max, tol, target):
+    ws = workspace(assembly, p_max, tol=tol)
+    target = min(max(target, ws.rest_aperture_mm), ws.max_aperture_mm)
+    assert 0.0 <= inverse_pressure(assembly, target, p_max, tol) <= p_max
 
 
 # ---------------------------------------------------------------------------
