@@ -44,19 +44,13 @@ class SeriesKind(str, Enum):
     SUCTION_FORCE = "suction_force"
 
 
-#: Required CSV header (x column, y column) per series kind.
-SERIES_HEADERS = {
-    SeriesKind.PRESSURE_APERTURE: ("pressure_kPa", "aperture_mm"),
-    SeriesKind.FORCE_DISPLACEMENT: ("displacement_mm", "force_N"),
-    SeriesKind.SUCTION_FORCE: ("pressure_kPa", "force_N"),
-}
-
-# Suction series may carry as few as two points (two anchor pressures
-# suffice for the 2-parameter model); the others need three.
-_MIN_ROWS = {
-    SeriesKind.PRESSURE_APERTURE: 3,
-    SeriesKind.FORCE_DISPLACEMENT: 3,
-    SeriesKind.SUCTION_FORCE: 2,
+#: Per series kind: the required CSV header (x column, y column) and the
+#: fewest rows.  Two anchor pressures suffice for the 2-parameter suction
+#: model; the other kinds need three.
+_KINDS = {
+    SeriesKind.PRESSURE_APERTURE: (("pressure_kPa", "aperture_mm"), 3),
+    SeriesKind.FORCE_DISPLACEMENT: (("displacement_mm", "force_N"), 3),
+    SeriesKind.SUCTION_FORCE: (("pressure_kPa", "force_N"), 2),
 }
 
 
@@ -66,9 +60,10 @@ class MeasurementSeries(namedtuple("MeasurementSeries", "kind rows")):
     __slots__ = ()
 
     def __new__(cls, kind: SeriesKind, rows: tuple):
-        if len(rows) < _MIN_ROWS[kind]:
+        min_rows = _KINDS[kind][1]
+        if len(rows) < min_rows:
             raise CalibrationError(
-                f"{kind.value} series needs at least {_MIN_ROWS[kind]} rows, got {len(rows)}"
+                f"{kind.value} series needs at least {min_rows} rows, got {len(rows)}"
             )
         for i, (x, y) in enumerate(rows, start=1):
             if not (math.isfinite(x) and math.isfinite(y)):
@@ -94,9 +89,10 @@ class MeasurementSeries(namedtuple("MeasurementSeries", "kind rows")):
 
 def load_series_csv(path, kind: SeriesKind) -> MeasurementSeries:
     """Read a measurement CSV, failing loudly on any malformed content."""
-    expected = SERIES_HEADERS[kind]
+    expected = _KINDS[kind][0]
     pairs = []
-    with open(path, newline="") as fh:
+    # utf-8-sig: spreadsheet "CSV UTF-8" exports start with a byte-order mark.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -140,28 +136,36 @@ class FitReport(namedtuple("FitReport", "params residual_norm per_point at_bound
         }
 
 
-def _near_bound(x: float, bounds: tuple[float, float]) -> bool:
-    """x lies within 0.1% of the search span from either bound."""
-    return min(x - bounds[0], bounds[1] - x) < 1e-3 * (bounds[1] - bounds[0])
-
-
-def _per_point(xs, ys, preds):
-    return tuple(
-        {"x": x, "measured": y, "predicted": p, "error": p - y}
-        for x, y, p in zip(xs, ys, preds)
-    )
-
-
 def _sum_sq(preds, ys) -> float:
     """Sum of squared residuals."""
     return math.fsum((p - y) * (p - y) for p, y in zip(preds, ys))
 
 
-def _with_cap_note(notes: str, status: int) -> str:
-    """``notes``, plus a remark when the minimiser stopped at its evaluation cap."""
-    if status != 1:
-        return notes
-    return "; ".join(filter(None, (notes, "optimizer stopped at its evaluation cap")))
+def _require_kind(series: MeasurementSeries, kind: SeriesKind, caller: str) -> None:
+    if series.kind is not kind:
+        raise CalibrationError(f"{caller} needs a {kind.value} series, got {series.kind.value}")
+
+
+def _report(series: MeasurementSeries, preds, params: dict, bounds, nfev: int, status: int,
+            notes: str = "") -> FitReport:
+    """The fit's report.  ``bounds`` are the search intervals of ``params``, in
+    order; ``notes`` defaults to a remark when a parameter ends near one (within
+    0.1% of its span), and gains one when the minimiser stopped at its
+    evaluation cap (``status`` 1)."""
+    at_bound = any(min(x - lo, hi - x) < 1e-3 * (hi - lo)
+                   for x, (lo, hi) in zip(params.values(), bounds))
+    notes = notes or ("optimizer at bound" if at_bound else "")
+    if status == 1:
+        notes = "; ".join(filter(None, (notes, "optimizer stopped at its evaluation cap")))
+    return FitReport(
+        params=params,
+        residual_norm=math.sqrt(_sum_sq(preds, series.ys())),
+        per_point=tuple({"x": x, "measured": y, "predicted": p, "error": p - y}
+                        for (x, y), p in zip(series.rows, preds)),
+        at_bound=at_bound,
+        notes=notes,
+        n_evals=nfev,
+    )
 
 
 def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
@@ -259,8 +263,7 @@ def fit_c1(
 
     ``tol`` is the theta0 tolerance (rad) of every forward solve.
     """
-    if series.kind is not SeriesKind.PRESSURE_APERTURE:
-        raise CalibrationError(f"fit_c1 needs a pressure_aperture series, got {series.kind.value}")
+    _require_kind(series, SeriesKind.PRESSURE_APERTURE, "fit_c1")
     xs, ys = series.xs(), series.ys()
     if any(x <= 0 for x in xs):
         raise CalibrationError("fit_c1 needs pressures strictly above 0 kPa")
@@ -296,15 +299,7 @@ def fit_c1(
             f"fit_c1 failed: optimum c1={c1_hat:.4g} kPa cannot reproduce the "
             "series inside the solver box"
         ) from None
-    at_bound = _near_bound(c1_hat, C1_BOUNDS_KPA)
-    return FitReport(
-        params={"c1_kPa": c1_hat},
-        residual_norm=math.sqrt(_sum_sq(preds, ys)),
-        per_point=_per_point(xs, ys, preds),
-        at_bound=at_bound,
-        notes=_with_cap_note("optimizer at bound" if at_bound else "", status),
-        n_evals=nfev,
-    )
+    return _report(series, preds, {"c1_kPa": c1_hat}, (C1_BOUNDS_KPA,), nfev, status)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +312,7 @@ def extract_peak_force(series: MeasurementSeries, smoothing_window: int = 1) -> 
     ``smoothing_window`` > 1 applies a centred moving average before taking
     the maximum (window 1 means no smoothing).
     """
-    if series.kind is not SeriesKind.FORCE_DISPLACEMENT:
-        raise CalibrationError(
-            f"extract_peak_force needs a force_displacement series, got {series.kind.value}"
-        )
+    _require_kind(series, SeriesKind.FORCE_DISPLACEMENT, "extract_peak_force")
     ys = series.ys()
     w = smoothing_window
     if w < 1:
@@ -355,10 +347,7 @@ def fit_suction(
     Pereyra 1973); a bounded scalar search over log h_eff minimizes what
     remains.
     """
-    if series.kind is not SeriesKind.SUCTION_FORCE:
-        raise CalibrationError(
-            f"fit_suction needs a suction_force series, got {series.kind.value}"
-        )
+    _require_kind(series, SeriesKind.SUCTION_FORCE, "fit_suction")
     xs, ys = series.xs(), series.ys()
     if any(x < 0 for x in xs):
         raise CalibrationError("chamber pressures must be >= 0 kPa")
@@ -390,17 +379,7 @@ def fit_suction(
     log_h, _, nfev, status = _minimize_bounded(sse, tuple(map(math.log, H_EFF_BOUNDS_MM)))
     h_hat = math.exp(log_h)
     a_hat = best_area(h_hat)
-    preds = predict(a_hat, h_hat)
-    at_bound = _near_bound(a_hat, A_EFF_BOUNDS_MM2) or _near_bound(h_hat, H_EFF_BOUNDS_MM)
-    if a_hat - A_EFF_BOUNDS_MM2[0] < 1e-3 * (A_EFF_BOUNDS_MM2[1] - A_EFF_BOUNDS_MM2[0]):
-        notes = "degenerate: effective seal area at lower bound"
-    else:
-        notes = "optimizer at bound" if at_bound else ""
-    return FitReport(
-        params={"A_eff_mm2": a_hat, "h_eff_mm": h_hat},
-        residual_norm=math.sqrt(_sum_sq(preds, ys)),
-        per_point=_per_point(xs, ys, preds),
-        at_bound=at_bound,
-        notes=_with_cap_note(notes, status),
-        n_evals=nfev,
-    )
+    degenerate = a_hat - A_EFF_BOUNDS_MM2[0] < 1e-3 * (A_EFF_BOUNDS_MM2[1] - A_EFF_BOUNDS_MM2[0])
+    return _report(series, predict(a_hat, h_hat), {"A_eff_mm2": a_hat, "h_eff_mm": h_hat},
+                   (A_EFF_BOUNDS_MM2, H_EFF_BOUNDS_MM), nfev, status,
+                   "degenerate: effective seal area at lower bound" if degenerate else "")

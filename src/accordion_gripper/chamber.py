@@ -63,9 +63,15 @@ class ChamberGeometry(namedtuple("ChamberGeometry", "r_outer_0 r_inner_0 half_an
             raise ValueError(f"require 0 < R1 < R0, got R1={r_inner_0}, R0={r_outer_0}")
         if not 0.0 < half_angle_0 < math.pi / 2:
             raise ValueError(f"require 0 < Theta0 < pi/2 rad, got {half_angle_0}")
+        try:
+            area_scale = (r_outer_0**2 - r_inner_0**2) * half_angle_0
+        except OverflowError:  # float ** raises where * returns inf
+            area_scale = math.inf
+        if math.isinf(area_scale):
+            raise ValueError(f"(R0^2 - R1^2)*Theta0 overflows a float, got R0={r_outer_0}, "
+                             f"R1={r_inner_0}")
         return tuple.__new__(cls, (r_outer_0, r_inner_0, half_angle_0,
-                                   r_inner_0 * math.sin(half_angle_0),
-                                   (r_outer_0**2 - r_inner_0**2) * half_angle_0))
+                                   r_inner_0 * math.sin(half_angle_0), area_scale))
 
     def __getnewargs__(self) -> tuple:
         # copy and pickle call __new__, which takes only the three inputs.

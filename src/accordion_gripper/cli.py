@@ -439,7 +439,7 @@ def main(argv=None) -> int:
     except OutOfWorkspaceError as exc:
         print(f"out of workspace: {exc}", file=sys.stderr)
         return 2
-    except (GripperError, ValueError, OSError) as exc:
+    except (GripperError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -73,7 +73,7 @@ def default_config() -> dict:
 
 def read_json(path):
     """The JSON value in ``path``; a decode error becomes a ValueError that names the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         try:
             return json.load(fh)
         except ValueError as exc:
@@ -186,7 +186,7 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
             check_stretch_margin(grasp["stretch_margin_mm"])
             for mode in GraspMode:
                 pressure_schedule(mode, **{key: grasp[key] for key in SCHEDULE_KPA})
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:  # e.g. a float overflow or a 1/0
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(cfg, geometry, material, assembly, box, capacity, solver["theta_tol_rad"],
                    solver["quad_rel_tol"], solver["p_max_kPa"], model)

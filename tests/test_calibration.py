@@ -408,3 +408,32 @@ def test_capped_fit_says_so(monkeypatch, geom, assembly, fit):
 def test_uncapped_fit_notes_unchanged(geom):
     report = fit_c1(make_aperture_series(geom), geom)
     assert report.notes == ""
+
+
+@pytest.mark.parametrize(
+    "consumer, kind, message",
+    [
+        ("fit_c1", SeriesKind.FORCE_DISPLACEMENT,
+         "fit_c1 needs a pressure_aperture series, got force_displacement"),
+        ("fit_c1", SeriesKind.SUCTION_FORCE,
+         "fit_c1 needs a pressure_aperture series, got suction_force"),
+        ("extract_peak_force", SeriesKind.PRESSURE_APERTURE,
+         "extract_peak_force needs a force_displacement series, got pressure_aperture"),
+        ("extract_peak_force", SeriesKind.SUCTION_FORCE,
+         "extract_peak_force needs a force_displacement series, got suction_force"),
+        ("fit_suction", SeriesKind.PRESSURE_APERTURE,
+         "fit_suction needs a suction_force series, got pressure_aperture"),
+        ("fit_suction", SeriesKind.FORCE_DISPLACEMENT,
+         "fit_suction needs a suction_force series, got force_displacement"),
+    ],
+)
+def test_wrong_series_kind_message(geom, assembly, consumer, kind, message):
+    series = MeasurementSeries.from_pairs(kind, [(1, 2), (2, 3), (3, 4)])
+    call = {
+        "fit_c1": lambda: fit_c1(series, geom),
+        "extract_peak_force": lambda: extract_peak_force(series),
+        "fit_suction": lambda: fit_suction(series, assembly),
+    }[consumer]
+    with pytest.raises(CalibrationError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -497,3 +497,10 @@ def test_brentq_rejects_non_positive_xtol(xtol):
 def test_brentq_maxiter_exhausted():
     with pytest.raises(ConvergenceError, match="3 iterations"):
         brentq(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-15, maxiter=3)
+
+
+# R0**2 overflows (OverflowError), or R0**2 fits but times Theta0 is inf.
+@pytest.mark.parametrize("r_outer_0, half_angle_0", [(1e200, 1.0), (1e155, 1.0), (1.3e154, 1.5)])
+def test_geometry_overflow_names_the_radii(r_outer_0, half_angle_0):
+    with pytest.raises(ValueError, match=r"overflows.*R0=.*R1=3\.0"):
+        ChamberGeometry(r_outer_0, 3.0, half_angle_0)

@@ -667,3 +667,56 @@ def test_non_finite_input_exit_1(capsys, tmp_path, monkeypatch, config, descript
     code, _, err = run(capsys, *prefix, *argv)
     assert code == 1
     assert "finite" in err
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("fit-c1", "pressure_kPa,aperture_mm\n5,20.8\n10,20.97\n20,21.55\n30,22.05\n40,22.5\n"),
+        ("fit-suction", "pressure_kPa,force_N\n0,15\n20,30\n40,41\n"),
+        ("peak-force", "displacement_mm,force_N\n0,0.5\n1,1.8\n2,3.9\n3,4.6\n4,4.4\n"),
+    ],
+    ids=["fit-c1", "fit-suction", "peak-force"],
+)
+def test_byte_order_mark_series_reads_like_plain(capsys, tmp_path, command, text):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM, often with CRLF line ends.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes((BOM + text.replace("\n", "\r\n")).encode("utf-8"))
+    expected = run(capsys, command, "--data", str(plain))
+    assert expected[0] == 0
+    assert run(capsys, command, "--data", str(marked)) == expected
+
+
+def test_byte_order_mark_config_and_descriptor_load(capsys, tmp_path):
+    config = json.dumps({"material": {"c1_kPa": 150.0}})
+    descriptor = json.dumps({"shape_class": "cylinder", "characteristic_diameter_mm": 40.0})
+    for name, text in (("cfg", config), ("obj", descriptor)):
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+        (tmp_path / f"{name}-bom.json").write_text(BOM + text, encoding="utf-8")
+    expected = run(capsys, "--config", str(tmp_path / "cfg.json"),
+                   "plan", "--object", str(tmp_path / "obj.json"))
+    assert expected[0] == 0
+    assert run(capsys, "--config", str(tmp_path / "cfg-bom.json"),
+               "plan", "--object", str(tmp_path / "obj-bom.json")) == expected
+    code, out, _ = run(capsys, "--config", str(tmp_path / "cfg-bom.json"), "config")
+    assert code == 0 and json.loads(out)["material"]["c1_kPa"] == 150.0
+
+
+@pytest.mark.parametrize("argv", [["solve", "--pressure", "12.5"], ["workspace"]])
+@pytest.mark.parametrize(
+    "config, prefix",
+    [
+        ({"geometry": {"R0_mm": 1e200}}, "config error: "),
+        ({"geometry": {"R1_mm": 1e-300}}, "error: "),
+        ({"solver": {"box": {"theta0_deg": [1e-300, 80]}}}, "error: "),
+    ],
+    ids=["R0-overflows", "R1-underflows", "box-angle-underflows"],
+)
+def test_degenerate_number_exit_1(capsys, tmp_path, config, prefix, argv):
+    code, out, err = run(capsys, "--config", write_config(tmp_path, config), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
