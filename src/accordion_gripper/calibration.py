@@ -279,27 +279,26 @@ def fit_c1(
             f"(fitted trend {slope:.3g} mm/kPa)"
         )
 
-    def predict(c1: float) -> list[float]:
-        assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
-        return [aperture_vs_pressure(assembly, p, box, tol) for p in xs]
+    preds_at = {}  # c1 -> predictions, for each c1 that reproduces the series
 
     def sse(c1: float) -> float:
+        assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
         try:
-            return _sum_sq(predict(c1), ys)
+            preds = preds_at[c1] = [aperture_vs_pressure(assembly, p, box, tol) for p in xs]
         except OutOfWorkspaceError:
             # Softer material cannot reach the highest series pressure inside
             # the solver box; steer the search away.
             return 1e12 * (1.0 + abs(math.log(c1 / C1_BOUNDS_KPA[1])))
+        return _sum_sq(preds, ys)
 
+    # The minimiser returns a point it evaluated: its predictions are kept.
     c1_hat, _, nfev, status = _minimize_bounded(sse, C1_BOUNDS_KPA)
-    try:
-        preds = predict(c1_hat)
-    except OutOfWorkspaceError:
+    if c1_hat not in preds_at:
         raise CalibrationError(
             f"fit_c1 failed: optimum c1={c1_hat:.4g} kPa cannot reproduce the "
             "series inside the solver box"
-        ) from None
-    return _report(series, preds, {"c1_kPa": c1_hat}, (C1_BOUNDS_KPA,), nfev, status)
+        )
+    return _report(series, preds_at[c1_hat], {"c1_kPa": c1_hat}, (C1_BOUNDS_KPA,), nfev, status)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ agrees with the quadrature and vanishes at zero deformation) and
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -45,14 +46,16 @@ QUAD_REL_TOL = 1e-9
 
 
 class ChamberGeometry(namedtuple("ChamberGeometry", "r_outer_0 r_inner_0 half_angle_0 "
-                                                    "pin_half_distance sector_area_scale")):
+                                                    "pin_half_distance sector_area_scale "
+                                                    "log_radius_ratio inner_sector_area")):
     """Uninflated half-chamber cross section: R0 and R1 (mm), Theta0 (rad).
 
-    Two constants are derived at construction, never user-set, because every
+    Four constants are derived at construction, never user-set, because every
     pressure evaluation reads them: ``pin_half_distance`` a = R1*sin(Theta0),
-    mm, half the distance between the fixed inner-edge endpoints, and
+    mm, half the distance between the fixed inner-edge endpoints,
     ``sector_area_scale`` (R0^2 - R1^2)*Theta0, mm^2*rad, conserved under
-    deformation.
+    deformation, ``log_radius_ratio`` ln(R0/R1) and ``inner_sector_area``
+    R1^2*Theta0, mm^2*rad.
     """
 
     __slots__ = ()
@@ -71,11 +74,21 @@ class ChamberGeometry(namedtuple("ChamberGeometry", "r_outer_0 r_inner_0 half_an
             raise ValueError(f"(R0^2 - R1^2)*Theta0 overflows a float, got R0={r_outer_0}, "
                              f"R1={r_inner_0}")
         return tuple.__new__(cls, (r_outer_0, r_inner_0, half_angle_0,
-                                   r_inner_0 * math.sin(half_angle_0), area_scale))
+                                   r_inner_0 * math.sin(half_angle_0), area_scale,
+                                   math.log(r_outer_0 / r_inner_0), r_inner_0**2 * half_angle_0))
 
     def __getnewargs__(self) -> tuple:
         # copy and pickle call __new__, which takes only the three inputs.
-        return tuple(self)[:3]
+        return self[:3]
+
+    def _replace(self, **changes) -> "ChamberGeometry":
+        """A copy with some of R0, R1 and Theta0 changed, built by ``__new__`` so that
+        the derived constants follow; a derived field cannot be replaced."""
+        inputs = dict(zip(self._fields[:3], self))
+        unknown = changes.keys() - inputs.keys()
+        if unknown:
+            raise ValueError(f"Got unexpected field names: {sorted(unknown)!r}")
+        return type(self)(**{**inputs, **changes})
 
     def undeformed_state(self) -> "DeformedState":
         return DeformedState(self.r_outer_0, self.r_inner_0, self.half_angle_0)
@@ -274,10 +287,10 @@ def _pressure(geom, c1, r0, r1, theta, log_coeff=2.0):
     """The closed form on plain floats: every pressure query evaluates this."""
     big_theta = geom.half_angle_0
     return (
-        2.0 * c1 * (theta / big_theta) * math.log(geom.r_outer_0 / geom.r_inner_0)
+        2.0 * c1 * (theta / big_theta) * geom.log_radius_ratio
         + c1
         * (big_theta / theta**2)
-        * (geom.r_inner_0**2 * big_theta - r1**2 * theta)
+        * (geom.inner_sector_area - r1**2 * theta)
         * (1.0 / r0**2 - 1.0 / r1**2)
         - log_coeff * c1 * (big_theta / theta) * math.log(r0 / r1)
     )
@@ -380,13 +393,30 @@ def pressure_at_angle(
     return _pressure(geom, mat.c1, *_radii(geom, theta), theta)
 
 
+#: Box-end pressure pairs ``_box_end_pressures`` keeps, the least recently used dropped first.
+_BOX_END_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_BOX_END_CACHE_SIZE)
+def _box_end_pressures(geom: ChamberGeometry, mat: HyperelasticMaterial, lo: float,
+                       hi: float) -> tuple[float, float]:
+    """(P(lo), P(hi)), kPa: the pressures at the ends of a box's angle range.
+
+    They depend only on the geometry, c1 (the material's one field) and the two
+    angles, so each key is evaluated once; the records in the key are immutable,
+    so a stored pair never goes stale, and an exception is raised afresh on
+    every call, never stored.
+    """
+    return pressure_at_angle(geom, mat, lo), pressure_at_angle(geom, mat, hi)
+
+
 def reachable_pressure_range(
     geom: ChamberGeometry, mat: HyperelasticMaterial, box: SolverBox | None = None
 ) -> tuple[float, float]:
     """Pressures (kPa) reachable in the box's angle range; rest-angle noise below 0 floors to 0."""
     box = box or SolverBox()
-    lo, hi = box.half_angle_range
-    return max(pressure_at_angle(geom, mat, lo), 0.0), pressure_at_angle(geom, mat, hi)
+    p_lo, p_hi = _box_end_pressures(geom, mat, *box.half_angle_range)
+    return max(p_lo, 0.0), p_hi
 
 
 def solve_deformation(
@@ -416,8 +446,12 @@ def solve_deformation(
     if p == 0 and lo <= geom.half_angle_0 <= hi:
         return state_at_angle(geom, geom.half_angle_0)
     try:
-        # brentq evaluates both box ends once and rejects a same-sign bracket.
-        theta = brentq(lambda t: pressure_at_angle(geom, mat, t) - p, lo, hi, xtol=tol)
+        # brentq starts at the box ends, whose pressures are evaluated once per key;
+        # it rejects a same-sign bracket.
+        p_lo, p_hi = _box_end_pressures(geom, mat, lo, hi)
+        ends = {lo: p_lo, hi: p_hi}
+        theta = brentq(lambda t: (ends[t] if t in ends else pressure_at_angle(geom, mat, t)) - p,
+                       lo, hi, xtol=tol)
     except ValueError:
         p_lo, p_hi = reachable_pressure_range(geom, mat, box)
         if not (p < p_lo or p > p_hi):  # a NaN pressure, not the bracket

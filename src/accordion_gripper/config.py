@@ -20,7 +20,7 @@ import os
 import sys
 from collections import namedtuple
 
-from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox
+from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox, _box_end_pressures
 from .errors import ConfigError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA, SEAL_THRESHOLD_KPA
 from .grasp import CapacityCalibration, CapacityEntry, GraspMode, SuctionModel
@@ -140,6 +140,23 @@ def load_config(path: str | None = None) -> dict:
     return _merge(default_config(), _user_config(path))
 
 
+def _check_box_ends(geometry, material, box, geo, box_cfg) -> None:
+    """Reject a model whose pressure at a solver box end is not a finite number.
+
+    The pair is the one every solve reads, so the first solve finds it stored.
+    """
+    try:
+        ends = _box_end_pressures(geometry, material, *box.half_angle_range)
+        fault = "" if all(map(math.isfinite, ends)) else f"they are {ends[0]} and {ends[1]} kPa"
+    except (ValueError, ArithmeticError) as exc:  # e.g. r1**2 underflowing to 0 in a 1/r1**2
+        fault = exc
+    if fault:
+        raise ValueError(
+            f"geometry.R0_mm {geo['R0_mm']} and geometry.R1_mm {geo['R1_mm']} with "
+            f"solver.box.theta0_deg {box_cfg['theta0_deg']} give no finite pressure at the "
+            f"box ends ({fault})")
+
+
 class ModelContext(namedtuple("ModelContext", "config geometry material assembly box capacity "
                                               "theta_tol_rad quad_rel_tol p_max_kPa suction")):
     """Validated domain objects and knobs built from one config dict."""
@@ -171,6 +188,7 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
                     f"solver.box.theta0_deg {box_cfg['theta0_deg']} must start at or below the "
                     f"rest angle Theta0 = {geo['Theta0_deg']} deg and end above it"
                 )
+            _check_box_ends(geometry, material, box, geo, box_cfg)
             if solver["p_max_kPa"] < 0:
                 raise ValueError(f"solver.p_max_kPa must be >= 0, got {solver['p_max_kPa']}")
             if solver["quad_rel_tol"] <= 0:

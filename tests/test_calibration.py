@@ -13,6 +13,7 @@ from accordion_gripper import (
     SolverBox,
     SuctionModel,
     aperture_vs_pressure,
+    inverse_pressure,
     suction_force,
 )
 from accordion_gripper import calibration
@@ -24,6 +25,7 @@ from accordion_gripper.calibration import (
     fit_suction,
     load_series_csv,
 )
+from accordion_gripper.chamber import reachable_pressure_range
 
 PRESSURES = [4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0, 40.0]
 
@@ -177,6 +179,61 @@ def test_fit_c1_scales_with_the_pressures(geom, c1, k):
     c1_hat = fit_c1(series, geom, box=box).params["c1_kPa"]
     # Each fit stops within about 2*sqrt(eps)*c1 of its optimum.
     assert fit_c1(scaled, geom, box=box).params["c1_kPa"] == pytest.approx(k * c1_hat, rel=1e-7)
+
+
+def test_fit_c1_reports_the_predictions_it_evaluated(monkeypatch, geom):
+    # The report reads the optimum's predictions from its evaluation: no solve after the search.
+    import accordion_gripper.gripper as gripper
+
+    solves, real = [], gripper.solve_deformation
+
+    def spy(*args, **kwargs):
+        solves.append(args[2])
+        return real(*args, **kwargs)
+
+    series = make_aperture_series(geom)
+    monkeypatch.setattr(gripper, "solve_deformation", spy)
+    report = fit_c1(series, geom)
+    assert len(solves) == report.n_evals * len(PRESSURES)
+    fitted = GripperAssembly(geom, HyperelasticMaterial(report.params["c1_kPa"]))
+    assert [point["predicted"] for point in report.per_point] == [
+        aperture_vs_pressure(fitted, p) for p in PRESSURES]
+
+
+def noisy_series_with_first_point(geom, n_chambers, c1, pressures, first_aperture, seed):
+    """Apertures of the model plus 0.003 mm Gaussian noise; the first one replaced."""
+    assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
+    rng = random.Random(seed)
+    ys = [aperture_vs_pressure(assembly, p) + rng.gauss(0.0, 0.003) for p in pressures]
+    ys[0] = first_aperture(assembly)
+    return MeasurementSeries.from_pairs(SeriesKind.PRESSURE_APERTURE, zip(pressures, ys))
+
+
+def test_fit_c1_holds_with_a_first_point_below_rest(geom):
+    # A noisy point at or below the rest aperture has no angle inside the box.
+    pressures = [0.1 + (40.0 - 0.1) * i / 39 for i in range(40)]
+    series = noisy_series_with_first_point(
+        geom, 16, 178.46, pressures, lambda a: aperture_vs_pressure(a, 0.0) - 0.002, seed=1)
+    assembly = GripperAssembly(geom, HyperelasticMaterial(178.46), 16)
+    assert series.rows[0][1] < aperture_vs_pressure(assembly, 0.0)
+    report = fit_c1(series, geom, 16)
+    assert report.params["c1_kPa"] == pytest.approx(178.46, rel=0.05)
+    assert not report.at_bound
+
+
+def test_fit_c1_holds_when_a_point_alone_asks_for_an_unreachable_c1(geom):
+    # The first point's own c1 (the c1 whose curve passes through it) is too soft to
+    # reach the series' top pressure inside the box: a bracket from the points breaks.
+    pressures = [0.5 + (40.0 - 0.5) * i / 9 for i in range(10)]
+    series = noisy_series_with_first_point(
+        geom, 22, 80.27, pressures, lambda a: aperture_vs_pressure(a, 0.5) + 0.01, seed=2)
+    unit = GripperAssembly(geom, HyperelasticMaterial(1.0), 22)
+    unit_reach = reachable_pressure_range(geom, unit.material)[1]  # P(hi) at c1 = 1 kPa
+    first_c1 = pressures[0] / inverse_pressure(unit, series.rows[0][1], unit_reach)
+    assert first_c1 < pressures[-1] / unit_reach
+    report = fit_c1(series, geom, 22)
+    assert report.params["c1_kPa"] == pytest.approx(80.27, rel=0.05)
+    assert not report.at_bound
 
 
 def test_fit_c1_report_serializes(geom):

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import optimize
 from scipy.optimize import root
 
@@ -281,6 +281,7 @@ def test_pressure_at_angle_is_the_closed_form(c1, geom):
 
 
 def test_solve_evaluates_each_box_end_once(monkeypatch):
+    # Once per (geometry, c1, box angles), across solves at different pressures.
     import accordion_gripper.chamber as chamber
 
     angles = []
@@ -290,11 +291,101 @@ def test_solve_evaluates_each_box_end_once(monkeypatch):
         return pressure_at_angle(geom, mat, theta)
 
     monkeypatch.setattr(chamber, "pressure_at_angle", spy)
+    chamber._box_end_pressures.cache_clear()  # earlier tests store this key's pair
     lo, hi = SolverBox().half_angle_range
     for p, evaluations in ((0.0, 0), (12.5, 1), (40.0, 1)):  # 0 kPa is the rest state: no solve
-        angles.clear()
         solve_deformation(ChamberGeometry(), HyperelasticMaterial(), p)
         assert (angles.count(lo), angles.count(hi)) == (evaluations, evaluations)
+
+
+@st.composite
+def bracketed_models(draw):
+    """A random geometry, c1 and box, and a pressure inside the box's range."""
+    r_outer_0 = draw(st.floats(min_value=1.0, max_value=20.0))
+    geom = ChamberGeometry(r_outer_0, r_outer_0 * draw(st.floats(min_value=0.3, max_value=0.95)),
+                           math.radians(draw(st.floats(min_value=10.0, max_value=80.0))))
+    mat = HyperelasticMaterial(draw(st.floats(min_value=1.0, max_value=1e4)))
+    lo = geom.half_angle_0 * draw(st.floats(min_value=0.5, max_value=1.0))
+    hi = draw(st.floats(min_value=geom.half_angle_0, max_value=math.radians(89.0),
+                        exclude_min=True))
+    box = SolverBox(half_angle_range=(lo, hi))
+    p_lo, p_hi = (pressure_at_angle(geom, mat, t) for t in (lo, hi))
+    assume(max(p_lo, 0.0) < p_hi)
+    f = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    p = max(p_lo, 0.0) + f * (p_hi - max(p_lo, 0.0))
+    assume(p > 0.0)
+    return geom, mat, box, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=bracketed_models(), tol=st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_solve_is_brent_on_the_closed_form_bit_for_bit(model, tol):
+    # Stored box-end pressures change no iterate: the root is scipy's, to the bit.
+    geom, mat, box, p = model
+    lo, hi = box.half_angle_range
+    theta = optimize.brentq(
+        lambda t: pressure_closed_form(geom, state_at_angle(geom, t), mat) - p, lo, hi, xtol=tol)
+    assert solve_deformation(geom, mat, p, box, tol) == state_at_angle(geom, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r_outer_0=st.floats(min_value=1e-3, max_value=1e3),
+       ratio=st.floats(min_value=1e-3, max_value=0.999),
+       half_angle_0=st.floats(min_value=1e-3, max_value=1.57))
+def test_geometry_derives_its_pressure_constants(r_outer_0, ratio, half_angle_0):
+    geom = ChamberGeometry(r_outer_0, r_outer_0 * ratio, half_angle_0)
+    assert geom.log_radius_ratio == math.log(geom.r_outer_0 / geom.r_inner_0)
+    assert geom.inner_sector_area == geom.r_inner_0**2 * geom.half_angle_0
+
+
+def test_geometry_replace_rebuilds_the_derived_constants():
+    geom = ChamberGeometry()
+    assert geom._replace(r_inner_0=2.0) == ChamberGeometry(r_inner_0=2.0)
+    assert geom._replace(r_outer_0=5.0, half_angle_0=1.0) == ChamberGeometry(5.0, 3.0, 1.0)
+    assert geom._replace() == geom
+    with pytest.raises(ValueError, match="R1 < R0"):
+        geom._replace(r_inner_0=5.0)
+    for derived in geom._fields[3:]:
+        with pytest.raises(ValueError, match=derived):
+            geom._replace(**{derived: 1.0})
+
+
+def test_box_end_pressures_are_stored_per_key():
+    import accordion_gripper.chamber as chamber
+
+    store = chamber._box_end_pressures
+    geom, mat, box = ChamberGeometry(), HyperelasticMaterial(), SolverBox()
+    store.cache_clear()
+    cold = solve_deformation(geom, mat, 12.5, box)
+    assert store.cache_info().misses == 1
+    assert solve_deformation(geom, mat, 12.5, box) == cold
+    assert reachable_pressure_range(geom, mat, box) == reachable_pressure_range(geom, mat, box)
+    assert store.cache_info().misses == 1
+    lo, hi = box.half_angle_range
+    for changed in (dict(mat=HyperelasticMaterial(120.0)),
+                    dict(geom=ChamberGeometry(4.6)),
+                    dict(box=SolverBox(half_angle_range=(lo, hi - 1e-3))),
+                    dict(box=SolverBox(half_angle_range=(lo - 1e-3, hi)))):
+        args = {"geom": geom, "mat": mat, "box": box, **changed}
+        misses = store.cache_info().misses
+        solve_deformation(args["geom"], args["mat"], 12.5, args["box"])
+        assert store.cache_info().misses == misses + 1, changed
+        assert store(args["geom"], args["mat"], *args["box"].half_angle_range) == tuple(
+            pressure_at_angle(args["geom"], args["mat"], t) for t in args["box"].half_angle_range)
+
+
+def test_box_end_arithmetic_error_is_raised_on_every_call():
+    import accordion_gripper.chamber as chamber
+
+    geom = ChamberGeometry(r_inner_0=1e-300)  # r1**2 underflows to 0 in 1/r1**2
+    before = chamber._box_end_pressures.cache_info()
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            solve_deformation(geom, HyperelasticMaterial(), 12.5)
+        with pytest.raises(ZeroDivisionError):
+            reachable_pressure_range(geom, HyperelasticMaterial())
+    after = chamber._box_end_pressures.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 4)
 
 
 def test_reachable_pressure_range():

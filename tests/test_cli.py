@@ -706,13 +706,13 @@ def test_byte_order_mark_config_and_descriptor_load(capsys, tmp_path):
     assert code == 0 and json.loads(out)["material"]["c1_kPa"] == 150.0
 
 
-@pytest.mark.parametrize("argv", [["solve", "--pressure", "12.5"], ["workspace"]])
+@pytest.mark.parametrize("argv", [["solve", "--pressure", "12.5"], ["workspace"], ["config"]])
 @pytest.mark.parametrize(
     "config, prefix",
     [
         ({"geometry": {"R0_mm": 1e200}}, "config error: "),
-        ({"geometry": {"R1_mm": 1e-300}}, "error: "),
-        ({"solver": {"box": {"theta0_deg": [1e-300, 80]}}}, "error: "),
+        ({"geometry": {"R1_mm": 1e-300}}, "config error: "),
+        ({"solver": {"box": {"theta0_deg": [1e-300, 80]}}}, "config error: "),
     ],
     ids=["R0-overflows", "R1-underflows", "box-angle-underflows"],
 )

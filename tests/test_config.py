@@ -148,6 +148,35 @@ def test_load_context_runs_no_solver(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "payload, value",
+    [
+        ({"geometry": {"R1_mm": 1e-300}}, "geometry.R1_mm 1e-300"),
+        ({"solver": {"box": {"theta0_deg": [1e-300, 80]}}}, "solver.box.theta0_deg [1e-300, 80.0]"),
+    ],
+    ids=["R1-underflows", "box-angle-underflows"],
+)
+def test_config_without_finite_box_end_pressures_names_the_keys(tmp_path, payload, value):
+    # Both load as numbers, but 1/r1**2 divides by an r1**2 that underflows to 0.
+    with pytest.raises(ConfigError) as info:
+        load_context(write_config(tmp_path, payload))
+    message = str(info.value)
+    assert value in message
+    assert all(key in message
+               for key in ("geometry.R0_mm", "geometry.R1_mm", "solver.box.theta0_deg"))
+    assert "float division by zero" in message
+
+
+def test_load_context_stores_the_box_end_pressures_the_first_solve_reads():
+    import accordion_gripper.chamber as chamber
+
+    ctx = ModelContext.from_config({"material": {"c1_kPa": 131.0}})
+    before = chamber._box_end_pressures.cache_info()
+    solve_deformation(ctx.geometry, ctx.material, 12.5, ctx.box, ctx.theta_tol_rad)
+    after = chamber._box_end_pressures.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_load_config_io_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
