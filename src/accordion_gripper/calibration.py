@@ -279,7 +279,7 @@ def fit_c1(
             f"(fitted trend {slope:.3g} mm/kPa)"
         )
 
-    preds_at = {}  # c1 -> predictions, for each c1 that reproduces the series
+    preds_at = {}  # c1 -> predicted apertures, for each c1 that reaches every series pressure
 
     def sse(c1: float) -> float:
         assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
