@@ -3,7 +3,7 @@
 Three fitters are provided:
 
 * ``fit_c1``: recovers the wall material constant from an aperture-vs-
-  pressure series via 1-D bounded minimisation of the squared residuals.
+  pressure series, minimising the squared residuals over a data-given c1 bracket.
 * ``extract_peak_force``: peak of a force-displacement trace, with an
   optional moving-average smoother.
 * ``fit_suction``: recovers the suction model's effective seal area and
@@ -24,16 +24,15 @@ from enum import Enum
 from itertools import accumulate
 from operator import sub
 
-from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox
-from .errors import CalibrationError, OutOfWorkspaceError
+from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox, reachable_pressure_range
+from .errors import CalibrationError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, check_ambient_pressure
 from .grasp import check_lift_volume, sealed_volume, suction_law
-from .gripper import GripperAssembly, aperture_vs_pressure
+from .gripper import GripperAssembly, aperture_vs_pressure, inverse_pressure, workspace
 from .material import HyperelasticMaterial
 
 
-#: Search interval of each fitted parameter: c1 (kPa), A_eff (mm^2), h_eff (mm).
-C1_BOUNDS_KPA = (10.0, 1000.0)
+#: Search interval of each suction parameter: A_eff (mm^2), h_eff (mm).
 A_EFF_BOUNDS_MM2 = (1.0, 1e5)
 H_EFF_BOUNDS_MM = (1.0, 500.0)
 
@@ -146,14 +145,11 @@ def _require_kind(series: MeasurementSeries, kind: SeriesKind, caller: str) -> N
         raise CalibrationError(f"{caller} needs a {kind.value} series, got {series.kind.value}")
 
 
-def _report(series: MeasurementSeries, preds, params: dict, bounds, nfev: int, status: int,
-            notes: str = "") -> FitReport:
-    """The fit's report.  ``bounds`` are the search intervals of ``params``, in
-    order; ``notes`` defaults to a remark when a parameter ends near one (within
-    0.1% of its span), and gains one when the minimiser stopped at its
-    evaluation cap (``status`` 1)."""
-    at_bound = any(min(x - lo, hi - x) < 1e-3 * (hi - lo)
-                   for x, (lo, hi) in zip(params.values(), bounds))
+def _report(series: MeasurementSeries, preds, params: dict, at_bound: bool, nfev: int,
+            status: int, notes: str = "") -> FitReport:
+    """The fit's report.  ``notes`` defaults to a remark when a parameter ends
+    at a bound of its search (``at_bound``), and gains one when the minimiser
+    stopped at its evaluation cap (``status`` 1)."""
     notes = notes or ("optimizer at bound" if at_bound else "")
     if status == 1:
         notes = "; ".join(filter(None, (notes, "optimizer stopped at its evaluation cap")))
@@ -261,7 +257,10 @@ def fit_c1(
 ) -> FitReport:
     """Fit the material constant c1 (kPa) to an aperture-vs-pressure series.
 
-    ``tol`` is the theta0 tolerance (rad) of every forward solve.
+    P is linear in c1, so a point above rest has its own c1, p/q, with q its
+    pressure on the c1 = 1 kPa curve.  Residuals fall as c1 grows: log c1 is
+    searched between the own c1s, not below c1_reach, the softest c1 that reaches
+    the top pressure in the box.  ``tol`` is the theta0 tolerance (rad) of every solve.
     """
     _require_kind(series, SeriesKind.PRESSURE_APERTURE, "fit_c1")
     xs, ys = series.xs(), series.ys()
@@ -279,26 +278,35 @@ def fit_c1(
             f"(fitted trend {slope:.3g} mm/kPa)"
         )
 
-    preds_at = {}  # c1 -> predicted apertures, for each c1 that reaches every series pressure
+    unit = GripperAssembly(geom, HyperelasticMaterial(1.0), n_chambers)
+    q_top = reachable_pressure_range(geom, unit.material, box)[1]
+    _, rest, top, _ = workspace(unit, q_top, box, tol)
+    # A point past the box's reach is read at the top: its own c1 is at most c1_reach.  One
+    # at or below rest, or at unit-curve pressure 0, fits only a rigid wall: it is left out.
+    qs = [inverse_pressure(unit, min(y, top), q_top, tol, box) if y > rest else 0.0 for y in ys]
+    own = [p / q for p, q in zip(xs, qs) if q > 0]
+    if not own:
+        raise CalibrationError(f"fit_c1 failed: no aperture lies above the rest aperture "
+                               f"{rest:.6g} mm (row 1: {ys[0]:.6g} mm)")
+    c1_reach = xs[-1] / q_top
+    lo = max(min(own), c1_reach)
+    a, b = math.log(lo), math.log(max(max(own), lo))
+    preds_at = {}  # log c1 -> predicted apertures
 
-    def sse(c1: float) -> float:
-        assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
-        try:
-            preds = preds_at[c1] = [aperture_vs_pressure(assembly, p, box, tol) for p in xs]
-        except OutOfWorkspaceError:
-            # Softer material cannot reach the highest series pressure inside
-            # the solver box; steer the search away.
-            return 1e12 * (1.0 + abs(math.log(c1 / C1_BOUNDS_KPA[1])))
+    def sse(log_c1: float) -> float:
+        assembly = GripperAssembly(geom, HyperelasticMaterial(math.exp(log_c1)), n_chambers)
+        # A c1 >= c1_reach reaches the top pressure, but for rounding: read it at the top.
+        p_top = reachable_pressure_range(geom, assembly.material, box)[1]
+        preds = preds_at[log_c1] = [aperture_vs_pressure(assembly, min(p, p_top), box, tol)
+                                    for p in xs]
         return _sum_sq(preds, ys)
 
-    # The minimiser returns a point it evaluated: its predictions are kept.
-    c1_hat, _, nfev, status = _minimize_bounded(sse, C1_BOUNDS_KPA)
-    if c1_hat not in preds_at:
-        raise CalibrationError(
-            f"fit_c1 failed: optimum c1={c1_hat:.4g} kPa cannot reproduce the "
-            "series inside the solver box"
-        )
-    return _report(series, preds_at[c1_hat], {"c1_kPa": c1_hat}, (C1_BOUNDS_KPA,), nfev, status)
+    # The minimiser returns a point it evaluated: its predictions are kept.  Within 0.1%
+    # of the span, an end binds where no point gives it: at c1_reach, or past one left out.
+    x, _, nfev, status = _minimize_bounded(sse, (a, b))
+    at_bound = (lo == c1_reach and x - a <= 1e-3 * (b - a)
+                or len(own) < len(xs) and b - x <= 1e-3 * (b - a))
+    return _report(series, preds_at[x], {"c1_kPa": math.exp(x)}, at_bound, nfev, status)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +387,8 @@ def fit_suction(
     h_hat = math.exp(log_h)
     a_hat = best_area(h_hat)
     degenerate = a_hat - A_EFF_BOUNDS_MM2[0] < 1e-3 * (A_EFF_BOUNDS_MM2[1] - A_EFF_BOUNDS_MM2[0])
+    at_bound = any(min(x - lo, hi - x) < 1e-3 * (hi - lo) for x, (lo, hi) in
+                   ((a_hat, A_EFF_BOUNDS_MM2), (h_hat, H_EFF_BOUNDS_MM)))
     return _report(series, predict(a_hat, h_hat), {"A_eff_mm2": a_hat, "h_eff_mm": h_hat},
-                   (A_EFF_BOUNDS_MM2, H_EFF_BOUNDS_MM), nfev, status,
+                   at_bound, nfev, status,
                    "degenerate: effective seal area at lower bound" if degenerate else "")

@@ -10,6 +10,7 @@ from accordion_gripper import (
     CalibrationError,
     GripperAssembly,
     HyperelasticMaterial,
+    OutOfWorkspaceError,
     SolverBox,
     SuctionModel,
     aperture_vs_pressure,
@@ -156,18 +157,57 @@ def test_fit_c1_rejects_flat_series(geom):
 
 
 def test_fit_c1_fails_when_no_constant_reaches_the_series(geom):
-    # Even the stiffest c1 the fit searches cannot open the chamber past 57.7 deg
-    # at these pressures, so its optimum reproduces nothing.
+    # No c1 opens the chamber past 57.7 deg, so every aperture lies beyond the box's
+    # reach: the fit stops at c1_reach, the softest c1 that reaches 40 kPa, and says so.
     narrow = SolverBox(half_angle_range=(math.radians(57.6), math.radians(57.7)))
-    with pytest.raises(CalibrationError,
-                       match="fit_c1 failed: optimum c1=1000 kPa cannot reproduce"):
-        fit_c1(make_aperture_series(geom), geom, box=narrow)
+    report = fit_c1(make_aperture_series(geom), geom, box=narrow)
+    unit_reach = reachable_pressure_range(geom, HyperelasticMaterial(1.0), narrow)[1]
+    assert report.params["c1_kPa"] == pytest.approx(PRESSURES[-1] / unit_reach, rel=1e-12)
+    assert report.at_bound and report.notes == "optimizer at bound"
+
+
+# The c1 that reaches 41 kPa at the top of the box reaches it only to within rounding.
+@pytest.mark.parametrize("top", [40.0, 41.0])
+def test_fit_c1_stops_at_the_reach_when_every_aperture_lies_beyond_it(geom, top):
+    # 22-chamber apertures read as a 16-chamber ring: every one lies past the aperture
+    # at the top of the box, for every c1.
+    series = make_aperture_series(geom, pressures=PRESSURES[:-1] + [top])
+    unit = GripperAssembly(geom, HyperelasticMaterial(1.0), 16)
+    unit_reach = reachable_pressure_range(geom, unit.material)[1]
+    assert min(series.ys()) > aperture_vs_pressure(unit, unit_reach)
+    report = fit_c1(series, geom, 16)
+    assert report.params["c1_kPa"] == pytest.approx(top / unit_reach, rel=1e-12)
+    assert report.at_bound and report.notes == "optimizer at bound"
+    assert report.n_evals == 1
+
+
+def test_fit_c1_says_the_top_binds_when_points_lie_below_rest(geom):
+    # Only the last aperture lies above rest; the others ask for an infinitely stiff wall.
+    unit = GripperAssembly(geom, HyperelasticMaterial(1.0))
+    unit_reach = reachable_pressure_range(geom, unit.material)[1]
+    rest = aperture_vs_pressure(unit, 0.0)
+    series = MeasurementSeries.from_pairs(SeriesKind.PRESSURE_APERTURE,
+                                          [(10.0, rest - 0.01), (20.0, rest - 0.005),
+                                           (40.0, rest + 0.01)])
+    report = fit_c1(series, geom)
+    last_c1 = 40.0 / inverse_pressure(unit, rest + 0.01, unit_reach)
+    assert report.params["c1_kPa"] == pytest.approx(last_c1, rel=1e-12)
+    assert report.at_bound and report.notes == "optimizer at bound"
+
+
+@pytest.mark.parametrize("c1", [5.0, 2000.0, 20000.0])
+def test_fit_c1_recovers_constants_far_from_the_default(geom, c1):
+    pressures = [c1 * f for f in (0.05, 0.1, 0.15, 0.2, 0.25)]
+    series = make_aperture_series(geom, c1=c1, pressures=pressures)
+    report = fit_c1(series, geom)
+    assert report.params["c1_kPa"] == pytest.approx(c1, rel=1e-9)
+    assert not report.at_bound
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     c1=st.floats(min_value=80.0, max_value=200.0),
-    k=st.floats(min_value=0.2, max_value=4.0),  # k*c1 stays inside C1_BOUNDS_KPA
+    k=st.floats(min_value=0.02, max_value=100.0),
 )
 def test_fit_c1_scales_with_the_pressures(geom, c1, k):
     # P is linear in c1: the apertures seen at pressures k*p are those of k*c1.
@@ -188,7 +228,8 @@ def test_fit_c1_reports_the_predictions_it_evaluated(monkeypatch, geom):
     solves, real = [], gripper.solve_deformation
 
     def spy(*args, **kwargs):
-        solves.append(args[2])
+        if args[1].c1 != 1.0:  # the c1 = 1 kPa curve's range ends are cached across calls
+            solves.append(args[2])
         return real(*args, **kwargs)
 
     series = make_aperture_series(geom)
@@ -234,6 +275,37 @@ def test_fit_c1_holds_when_a_point_alone_asks_for_an_unreachable_c1(geom):
     report = fit_c1(series, geom, 22)
     assert report.params["c1_kPa"] == pytest.approx(80.27, rel=0.05)
     assert not report.at_bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_chambers=st.sampled_from([16, 22, 28]),
+    c1=st.floats(min_value=80.0, max_value=250.0),
+    p_first=st.floats(min_value=0.1, max_value=10.0),
+    k=st.integers(min_value=3, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_fit_c1_is_no_worse_than_a_wide_scipy_search(geom, n_chambers, c1, p_first, k, seed):
+    # Oracle: scipy's bounded search over log c1 in [1, 1e5] kPa, steered off any c1 too
+    # soft to reach the top pressure inside the box.  Near rest, noise can put a point below it.
+    pressures = [p_first + (40.0 - p_first) * i / (k - 1) for i in range(k)]
+    truth = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
+    rng = random.Random(seed)
+    ys = np.array([aperture_vs_pressure(truth, p) + rng.gauss(0.0, 0.003) for p in pressures])
+    series = MeasurementSeries.from_pairs(SeriesKind.PRESSURE_APERTURE, zip(pressures, ys))
+
+    def residual_norm(c1_try):
+        assembly = GripperAssembly(geom, HyperelasticMaterial(c1_try), n_chambers)
+        try:
+            preds = [aperture_vs_pressure(assembly, p) for p in pressures]
+        except OutOfWorkspaceError:
+            return 1e6 - c1_try
+        return float(np.sqrt(np.sum((np.array(preds) - ys) ** 2)))
+
+    ref = minimize_scalar(lambda x: residual_norm(math.exp(x)), bounds=(0.0, math.log(1e5)),
+                          method="bounded")
+    report = fit_c1(series, geom, n_chambers)
+    assert report.residual_norm <= residual_norm(math.exp(ref.x)) * (1.0 + 1e-9)
 
 
 def test_fit_c1_report_serializes(geom):
@@ -455,7 +527,7 @@ def test_capped_fit_says_so(monkeypatch, geom, assembly, fit):
         calibration, "_minimize_bounded", lambda f, bounds: real(f, bounds, maxiter=3)
     )
     if fit == "fit_c1":
-        report = fit_c1(make_aperture_series(geom), geom)
+        report = fit_c1(make_aperture_series(geom, noise=0.01, seed=7), geom)
     else:
         report = fit_suction(synthetic_suction_series(assembly, 2000.0, 46.0), assembly)
     assert "optimizer stopped at its evaluation cap" in report.notes

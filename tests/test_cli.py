@@ -241,6 +241,18 @@ def test_fit_c1_bad_header_exit_1(capsys, tmp_path):
     assert "expected header" in err
 
 
+def test_fit_c1_below_rest_exit_1(capsys, tmp_path):
+    # 28 chambers at c1 = 210 kPa rest at 26.31 mm: every aperture of the series lies below.
+    config = tmp_path / "c1_210_n28.json"
+    config.write_text(json.dumps({"material": {"c1_kPa": 210.0}, "assembly": {"n_chambers": 28}}))
+    path = tmp_path / "aperture.csv"
+    path.write_text("pressure_kPa,aperture_mm\n5,20.8\n10,20.97\n20,21.55\n30,22.05\n40,22.5\n")
+    code, out, err = run(capsys, "--config", str(config), "fit-c1", "--data", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: fit_c1 failed: ") and err.count("\n") == 1
+    assert "rest aperture 26.31" in err and "row 1: 20.8 mm" in err
+
+
 def test_fit_suction_from_csv(capsys, tmp_path):
     path = tmp_path / "suction.csv"
     path.write_text("pressure_kPa,force_N\n0,15\n20,30\n")
