@@ -45,9 +45,26 @@ THETA_TOL_RAD = 1e-12
 QUAD_REL_TOL = 1e-9
 
 
-class ChamberGeometry(namedtuple("ChamberGeometry", "r_outer_0 r_inner_0 half_angle_0 "
-                                                    "pin_half_distance sector_area_scale "
-                                                    "log_radius_ratio inner_sector_area")):
+class _DerivedFields:
+    """A namedtuple whose ``__new__`` derives its last fields from its first ``_inputs``:
+    copy, pickle and ``_replace`` rebuild through ``__new__``, so the derived fields
+    follow, and ``_replace`` of a derived field is a ValueError."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)[:self._inputs]
+
+    def _replace(self, **changes):
+        unknown = changes.keys() - self._fields[:self._inputs]
+        if unknown:
+            raise ValueError(f"Got unexpected field names: {sorted(unknown)!r}")
+        return type(self)(**dict(zip(self._fields, self.__getnewargs__()), **changes))
+
+
+class ChamberGeometry(_DerivedFields, namedtuple("ChamberGeometry", (
+        "r_outer_0 r_inner_0 half_angle_0 pin_half_distance sector_area_scale "
+        "log_radius_ratio inner_sector_area"))):
     """Uninflated half-chamber cross section: R0 and R1 (mm), Theta0 (rad).
 
     Four constants are derived at construction, never user-set, because every
@@ -59,6 +76,7 @@ class ChamberGeometry(namedtuple("ChamberGeometry", "r_outer_0 r_inner_0 half_an
     """
 
     __slots__ = ()
+    _inputs = 3
 
     def __new__(cls, r_outer_0: float = _DEFAULT_BOX[0][0], r_inner_0: float = _DEFAULT_BOX[1][0],
                 half_angle_0: float = _DEFAULT_BOX[2][0]):
@@ -76,19 +94,6 @@ class ChamberGeometry(namedtuple("ChamberGeometry", "r_outer_0 r_inner_0 half_an
         return tuple.__new__(cls, (r_outer_0, r_inner_0, half_angle_0,
                                    r_inner_0 * math.sin(half_angle_0), area_scale,
                                    math.log(r_outer_0 / r_inner_0), r_inner_0**2 * half_angle_0))
-
-    def __getnewargs__(self) -> tuple:
-        # copy and pickle call __new__, which takes only the three inputs.
-        return self[:3]
-
-    def _replace(self, **changes) -> "ChamberGeometry":
-        """A copy with some of R0, R1 and Theta0 changed, built by ``__new__`` so that
-        the derived constants follow; a derived field cannot be replaced."""
-        inputs = dict(zip(self._fields[:3], self))
-        unknown = changes.keys() - inputs.keys()
-        if unknown:
-            raise ValueError(f"Got unexpected field names: {sorted(unknown)!r}")
-        return type(self)(**{**inputs, **changes})
 
     def undeformed_state(self) -> "DeformedState":
         return DeformedState(self.r_outer_0, self.r_inner_0, self.half_angle_0)
@@ -445,20 +450,14 @@ def solve_deformation(
     lo, hi = box.half_angle_range
     if p == 0 and lo <= geom.half_angle_0 <= hi:
         return state_at_angle(geom, geom.half_angle_0)
-    try:
-        # brentq starts at the box ends, whose pressures are evaluated once per key;
-        # it rejects a same-sign bracket.
-        p_lo, p_hi = _box_end_pressures(geom, mat, lo, hi)
-        ends = {lo: p_lo, hi: p_hi}
-        theta = brentq(lambda t: (ends[t] if t in ends else pressure_at_angle(geom, mat, t)) - p,
-                       lo, hi, xtol=tol)
-    except ValueError:
-        p_lo, p_hi = reachable_pressure_range(geom, mat, box)
-        if not (p < p_lo or p > p_hi):  # a NaN pressure, not the bracket
-            raise
-        raise OutOfWorkspaceError(
-            f"pressure {p} kPa outside the range [{p_lo:.6g}, {p_hi:.6g}] kPa "
-            "reachable inside the solver box",
-            reachable=(p_lo, p_hi),
-        ) from None
+    # brentq starts at the box ends, whose pressures are evaluated once per key.
+    p_lo, p_hi = _box_end_pressures(geom, mat, lo, hi)
+    if p < p_lo or p > p_hi:  # a NaN compares false both ways and reaches brentq's ValueError
+        reachable = max(p_lo, 0.0), p_hi
+        raise OutOfWorkspaceError(f"pressure {p} kPa outside the range [{reachable[0]:.6g}, "
+                                  f"{p_hi:.6g}] kPa reachable inside the solver box",
+                                  reachable=reachable)
+    ends = {lo: p_lo, hi: p_hi}
+    theta = brentq(lambda t: (ends[t] if t in ends else pressure_at_angle(geom, mat, t)) - p,
+                   lo, hi, xtol=tol)
     return state_at_angle(geom, theta)

@@ -21,6 +21,7 @@ import sys
 from collections import namedtuple
 
 from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox, _box_end_pressures
+from .chamber import _radii, _wall_distance
 from .errors import ConfigError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA, SEAL_THRESHOLD_KPA
 from .grasp import CapacityCalibration, CapacityEntry, GraspMode, SuctionModel
@@ -140,10 +141,12 @@ def load_config(path: str | None = None) -> dict:
     return _merge(default_config(), _user_config(path))
 
 
-def _check_box_ends(geometry, material, box, geo, box_cfg) -> None:
-    """Reject a model whose pressure at a solver box end is not a finite number.
+def _check_box(geometry, material, box, geo, box_cfg) -> None:
+    """Reject a model whose pressure at a solver box end is not a finite number, or whose
+    wall distance D, and so its aperture, does not grow under inflation: dD/dtheta0 <= 0
+    at Theta0, or D(hi) <= D(Theta0), each in closed form.
 
-    The pair is the one every solve reads, so the first solve finds it stored.
+    The pressure pair is the one every solve reads, so the first solve finds it stored.
     """
     try:
         ends = _box_end_pressures(geometry, material, *box.half_angle_range)
@@ -155,6 +158,17 @@ def _check_box_ends(geometry, material, box, geo, box_cfg) -> None:
             f"geometry.R0_mm {geo['R0_mm']} and geometry.R1_mm {geo['R1_mm']} with "
             f"solver.box.theta0_deg {box_cfg['theta0_deg']} give no finite pressure at the "
             f"box ends ({fault})")
+    r0, r1, rest = geometry[:3]
+    slope = 2.0 * (r1 / math.sin(rest)
+                   - (r1 * r1 / math.tan(rest) + (r0 * r0 - r1 * r1) / (2.0 * rest)) / r0)
+    _, hi = box.half_angle_range
+    d_rest, d_hi = (_wall_distance(*_radii(geometry, t), t) for t in (rest, hi))
+    if not (slope > 0 and d_hi > d_rest):
+        raise ValueError(
+            f"geometry.R0_mm {geo['R0_mm']}, geometry.R1_mm {geo['R1_mm']} and geometry.Theta0_deg "
+            f"{geo['Theta0_deg']} with solver.box.theta0_deg {box_cfg['theta0_deg']} close the "
+            f"aperture under inflation (dD/dtheta0 {slope:.6g} mm/rad at rest; D {d_rest:.6g} mm "
+            f"at rest, {d_hi:.6g} mm at the box end)")
 
 
 class ModelContext(namedtuple("ModelContext", "config geometry material assembly box capacity "
@@ -188,7 +202,7 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
                     f"solver.box.theta0_deg {box_cfg['theta0_deg']} must start at or below the "
                     f"rest angle Theta0 = {geo['Theta0_deg']} deg and end above it"
                 )
-            _check_box_ends(geometry, material, box, geo, box_cfg)
+            _check_box(geometry, material, box, geo, box_cfg)
             if solver["p_max_kPa"] < 0:
                 raise ValueError(f"solver.p_max_kPa must be >= 0, got {solver['p_max_kPa']}")
             if solver["quad_rel_tol"] <= 0:

@@ -19,7 +19,7 @@ import sys
 from collections import namedtuple
 from enum import Enum
 
-from .chamber import THETA_TOL_RAD, SolverBox
+from .chamber import THETA_TOL_RAD, SolverBox, _DerivedFields
 from .errors import CalibrationError, OutOfWorkspaceError
 from .gripper import (
     STRETCH_MARGIN_MM,
@@ -219,16 +219,17 @@ def sealed_volume(aperture_radius_mm: float, h_eff_mm: float) -> float:
     return math.pi * aperture_radius_mm * aperture_radius_mm * h_eff_mm
 
 
-class SuctionModel(namedtuple("SuctionModel", (
+class SuctionModel(_DerivedFields, namedtuple("SuctionModel", (
         "assembly", "effective_seal_area_mm2", "h_eff_mm", "ambient_pressure_kPa", "box", "tol",
         "seal_threshold_kPa", "rest_volume_mm3"))):
     """Isothermal gas closure of the sealed space V(P_C) = pi*R_g(P_C)^2*h_eff.
 
     ``rest_volume_mm3``, V(0), is computed at construction, not passed, from
-    the rest geometry, which at 0 kPa needs no solve.
+    the rest geometry, which at 0 kPa needs no solve; ``_replace`` computes it again.
     """
 
     __slots__ = ()
+    _inputs = 7
 
     def __new__(cls, assembly: GripperAssembly, effective_seal_area_mm2: float, h_eff_mm: float,
                 ambient_pressure_kPa: float = AMBIENT_KPA, box: SolverBox | None = None,
@@ -242,10 +243,6 @@ class SuctionModel(namedtuple("SuctionModel", (
         return tuple.__new__(cls, (assembly, effective_seal_area_mm2, h_eff_mm,
                                    ambient_pressure_kPa, box, tol, seal_threshold_kPa,
                                    rest_volume))
-
-    def __getnewargs__(self) -> tuple:
-        # copy and pickle call __new__, which takes every field but the rest volume.
-        return tuple(self)[:-1]
 
     def volume(self, p_chamber: float) -> float:
         """Enclosed volume (mm^3) at chamber pressure p_chamber (kPa)."""

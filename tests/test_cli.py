@@ -625,6 +625,20 @@ def all_commands(tmp_path):
     ]
 
 
+def test_commands_run_on_the_standard_library_alone(capsys, tmp_path, monkeypatch):
+    """``python -S`` puts only PYTHONPATH and the standard library on sys.path: each of
+    the ten commands, run through ``__main__``, exits 0 and prints what ``main`` prints."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRIPPER_CONFIG", raising=False)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in all_commands(tmp_path):
+        proc = subprocess.run([sys.executable, "-S", "-m", "accordion_gripper", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert run(capsys, *argv) == (0, proc.stdout, ""), argv
+
+
 def test_no_command_imports_scipy(tmp_path):
     """All ten commands in one interpreter: each exits 0, and afterwards
     neither scipy nor numpy is loaded."""
@@ -732,3 +746,34 @@ def test_degenerate_number_exit_1(capsys, tmp_path, config, prefix, argv):
     code, out, err = run(capsys, "--config", write_config(tmp_path, config), *argv)
     assert (code, out) == (1, "")
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_fit_c1_recovers_a_stiff_wall_from_its_own_sweep(capsys, tmp_path):
+    # c1 = 2000 kPa, about 17 times the default: fit-c1 on columns 1 and 6 of a 40-400 kPa sweep.
+    cfg = write_config(tmp_path, {"material": {"c1_kPa": 2000}})
+    swept, series = tmp_path / "stiff.csv", tmp_path / "stiff-aperture.csv"
+    code, _, _ = run(capsys, "--config", cfg, "sweep", "--from", "40", "--to", "400",
+                     "--steps", "10", "--out", str(swept))
+    assert code == 0
+    rows = [line.split(",") for line in swept.read_text().splitlines()[1:]]
+    series.write_text("pressure_kPa,aperture_mm\n" + "".join(f"{r[0]},{r[5]}\n" for r in rows))
+    code, out, _ = run(capsys, "--config", cfg, "fit-c1", "--data", str(series))
+    report = json.loads(out)
+    assert code == 0 and report["at_bound"] is False
+    assert abs(report["params"]["c1_kPa"] / 2000 - 1) < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["config"], ["solve", "--pressure", "10"], ["workspace"], ["invert", "--aperture", "19.0"],
+    ["validate"],
+], ids=lambda argv: argv[0])
+def test_geometry_whose_aperture_closes_exit_1(capsys, tmp_path, argv):
+    # The wall distance falls from the rest angle: workspace printed a max aperture
+    # (18.49 mm) below the rest aperture (19.37 mm), and every invert exited 2.
+    cfg = write_config(tmp_path, {"geometry": {"R0_mm": 6.885, "R1_mm": 4.286, "Theta0_deg": 16.02},
+                                  "solver": {"box": {"theta0_deg": [16.02, 80]}}})
+    code, out, err = run(capsys, "--config", cfg, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("config error: ") and "close the aperture under inflation" in err
+    assert all(key in err for key in ("geometry.R0_mm", "geometry.R1_mm", "geometry.Theta0_deg",
+                                      "solver.box.theta0_deg"))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -196,6 +198,18 @@ def test_suction_zero_without_volume_growth(assembly):
     for h_eff_mm in (53.0, 250.0, 500.0):
         model = SuctionModel.from_assembly(assembly, 2264.0, h_eff_mm=h_eff_mm)
         assert suction_force(model, 0.0, lift_volume_increase_mm3=0.0) == 0.0, h_eff_mm
+
+
+def test_suction_model_replace_rebuilds_the_rest_volume(assembly):
+    model, fresh = SuctionModel(assembly, 2264.0, 53.0), SuctionModel(assembly, 2264.0, 100.0)
+    replaced = model._replace(h_eff_mm=100.0)
+    assert replaced == fresh  # the rest volume is V(0) at h_eff 100 mm, not 53 mm
+    assert suction_force(replaced, 20.0, 5000.0) == suction_force(fresh, 20.0, 5000.0)
+    with pytest.raises(ValueError, match="rest_volume_mm3"):
+        model._replace(rest_volume_mm3=1.0)
+    for copied in (copy.copy(replaced), copy.deepcopy(replaced),
+                   pickle.loads(pickle.dumps(replaced))):
+        assert copied == fresh
 
 
 def test_suction_seal_threshold(suction):

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from accordion_gripper import (
     ChamberGeometry,
+    ConfigError,
     GripperAssembly,
     HyperelasticMaterial,
     OutOfWorkspaceError,
@@ -18,7 +19,7 @@ from accordion_gripper import (
     wall_distance,
     workspace,
 )
-from accordion_gripper.chamber import pressure_at_angle
+from accordion_gripper.chamber import pressure_at_angle, state_at_angle
 from accordion_gripper.cli import build_validation_report
 from accordion_gripper.config import ModelContext
 from accordion_gripper.gripper import (
@@ -378,3 +379,28 @@ def test_wall_distance_is_independent_of_chamber_count(geom, mat, n_chambers, p)
     assembly = GripperAssembly(geom, mat, n_chambers)
     d = aperture_vs_pressure(assembly, p) * assembly.sector_angle
     assert d == pytest.approx(wall_distance(solve_deformation(geom, mat, p)), rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio=st.floats(min_value=0.05, max_value=0.98),
+       theta0_deg=st.floats(min_value=5.0, max_value=75.0),
+       top=st.floats(min_value=0.0, max_value=1.0))
+@example(ratio=3.0 / 4.56, theta0_deg=57.6, top=1.0)  # the default model, box to 80 deg
+@example(ratio=4.286 / 6.885, theta0_deg=16.02, top=1.0)  # closes: D falls from rest
+def test_every_config_that_loads_opens_under_inflation(ratio, theta0_deg, top):
+    # Over half of uniform draws from these ranges close under inflation: config errors.
+    hi_deg = theta0_deg + 0.5 + top * (79.5 - theta0_deg)
+    try:
+        ctx = ModelContext.from_config({
+            "geometry": {"R0_mm": 4.56, "R1_mm": 4.56 * ratio, "Theta0_deg": theta0_deg},
+            "solver": {"box": {"theta0_deg": [theta0_deg, hi_deg]}}})
+    except ConfigError as exc:
+        assert "close the aperture under inflation" in str(exc)
+        return
+    lo, hi = ctx.geometry.half_angle_0, ctx.box.half_angle_range[1]
+    thetas = [lo + (hi - lo) * i / 200 for i in range(201)]
+    ps = [pressure_at_angle(ctx.geometry, ctx.material, t) for t in thetas]
+    rgs = [aperture_radius(wall_distance(state_at_angle(ctx.geometry, t)), ctx.assembly)
+           for t in thetas]
+    assert all(b > a for a, b in zip(ps, ps[1:]))
+    assert all(b > a for a, b in zip(rgs, rgs[1:]))
