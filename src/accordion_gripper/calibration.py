@@ -30,6 +30,7 @@ from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, check_ambient_pressure
 from .grasp import check_lift_volume, sealed_volume, suction_law
 from .gripper import GripperAssembly, aperture_vs_pressure, inverse_pressure, workspace
 from .material import HyperelasticMaterial
+from .records import CheckedRecord
 
 
 #: Search interval of each suction parameter: A_eff (mm^2), h_eff (mm).
@@ -53,7 +54,7 @@ _KINDS = {
 }
 
 
-class MeasurementSeries(namedtuple("MeasurementSeries", "kind rows")):
+class MeasurementSeries(CheckedRecord, namedtuple("MeasurementSeries", "kind rows")):
     """A measured series: its kind and its ordered (x, y) pairs."""
 
     __slots__ = ()

@@ -31,7 +31,8 @@ import math
 from collections import namedtuple
 
 from .errors import ConvergenceError, OutOfWorkspaceError
-from .material import HyperelasticMaterial, stress_difference
+from .material import HyperelasticMaterial, _stress_difference
+from .records import CheckedRecord
 
 #: Default ranges the deformed unknowns were searched over in the original
 #: design study, r0 in [4.56, 5] mm, r1 in [3, 3.8] mm, theta0 in [57.6 deg,
@@ -45,24 +46,7 @@ THETA_TOL_RAD = 1e-12
 QUAD_REL_TOL = 1e-9
 
 
-class _DerivedFields:
-    """A namedtuple whose ``__new__`` derives its last fields from its first ``_inputs``:
-    copy, pickle and ``_replace`` rebuild through ``__new__``, so the derived fields
-    follow, and ``_replace`` of a derived field is a ValueError."""
-
-    __slots__ = ()
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)[:self._inputs]
-
-    def _replace(self, **changes):
-        unknown = changes.keys() - self._fields[:self._inputs]
-        if unknown:
-            raise ValueError(f"Got unexpected field names: {sorted(unknown)!r}")
-        return type(self)(**dict(zip(self._fields, self.__getnewargs__()), **changes))
-
-
-class ChamberGeometry(_DerivedFields, namedtuple("ChamberGeometry", (
+class ChamberGeometry(CheckedRecord, namedtuple("ChamberGeometry", (
         "r_outer_0 r_inner_0 half_angle_0 pin_half_distance sector_area_scale "
         "log_radius_ratio inner_sector_area"))):
     """Uninflated half-chamber cross section: R0 and R1 (mm), Theta0 (rad).
@@ -99,7 +83,7 @@ class ChamberGeometry(_DerivedFields, namedtuple("ChamberGeometry", (
         return DeformedState(self.r_outer_0, self.r_inner_0, self.half_angle_0)
 
 
-class DeformedState(namedtuple("DeformedState", "r_outer r_inner half_angle")):
+class DeformedState(CheckedRecord, namedtuple("DeformedState", "r_outer r_inner half_angle")):
     """Deformed half-chamber unknowns r0, r1 (mm) and theta0 (rad)."""
 
     __slots__ = ()
@@ -112,7 +96,8 @@ class DeformedState(namedtuple("DeformedState", "r_outer r_inner half_angle")):
         return tuple.__new__(cls, (r_outer, r_inner, half_angle))
 
 
-class SolverBox(namedtuple("SolverBox", "r_outer_range r_inner_range half_angle_range")):
+class SolverBox(CheckedRecord,
+                namedtuple("SolverBox", "r_outer_range r_inner_range half_angle_range")):
     """Search ranges (lo, hi) for the deformed unknowns.
 
     The scalar-reduction solver brackets only on ``half_angle_range``; the
@@ -177,8 +162,8 @@ def _stretch_map(geom: ChamberGeometry, state: DeformedState):
     The quadrature evaluates it at every node, so it reads no record field.
     """
     k = state.half_angle / geom.half_angle_0
-    big_r1_sq, r1_sq = geom.r_inner_0**2, state.r_inner**2
-    return lambda r: r * k / math.sqrt(big_r1_sq + (r * r - r1_sq) * k)
+    big_r1_sq, r1_sq, sqrt = geom.r_inner_0**2, state.r_inner**2, math.sqrt
+    return lambda r: r * k / sqrt(big_r1_sq + (r * r - r1_sq) * k)
 
 
 def wall_distance(state: DeformedState) -> float:
@@ -248,14 +233,16 @@ def pressure_quadrature(
     """Inflation pressure by direct integration of radial equilibrium, kPa.
 
     Integrates (sigma_tt - sigma_rr)/r over the deformed wall [r1, r0].
-    This is the ground-truth oracle for the closed forms.
+    This is the ground-truth oracle for the closed forms.  Each node calls the
+    material law's unchecked body: lam_theta = r*k/sqrt(R1^2 + (r^2 - r1^2)*k) with
+    k = theta0/Theta0 > 0 is positive on [r1, r0], and so is its reciprocal.
     """
 
-    stretch = _stretch_map(geom, state)
+    stretch, c1 = _stretch_map(geom, state), mat.c1
 
     def integrand(r: float) -> float:
         lam_t = stretch(r)
-        return stress_difference(mat, lam_t, 1.0 / lam_t) / r
+        return _stress_difference(c1, lam_t, 1.0 / lam_t) / r
 
     # The integrand carries absolute roundoff of order eps_mach*c1, so give
     # the error control a floor well below any physical pressure of

@@ -19,7 +19,7 @@ import sys
 from collections import namedtuple
 from enum import Enum
 
-from .chamber import THETA_TOL_RAD, SolverBox, _DerivedFields
+from .chamber import THETA_TOL_RAD, SolverBox
 from .errors import CalibrationError, OutOfWorkspaceError
 from .gripper import (
     STRETCH_MARGIN_MM,
@@ -28,6 +28,7 @@ from .gripper import (
     aperture_vs_pressure,
     contraction_diameter_range,
 )
+from .records import CheckedRecord
 
 PRESSURE_LIMIT_KPA = 40.0  # schedules never exceed +/- this
 
@@ -61,7 +62,7 @@ class GraspMode(str, Enum):
     SUCTION = "suction"
 
 
-class ObjectDescriptor(namedtuple("ObjectDescriptor", (
+class ObjectDescriptor(CheckedRecord, namedtuple("ObjectDescriptor", (
         "shape_class", "characteristic_diameter_mm", "mass_kg", "has_aperture",
         "aperture_diameter_mm", "has_flat_sealable_surface", "orientation_note"))):
     """Size/shape/pose summary of a candidate object."""
@@ -128,8 +129,8 @@ class ObjectDescriptor(namedtuple("ObjectDescriptor", (
 # Squeeze capacity (contraction mode)
 
 
-class CapacityEntry(namedtuple("CapacityEntry",
-                               "slope_N_per_kPa plateau_N threshold_kPa prestretch_N")):
+class CapacityEntry(CheckedRecord, namedtuple(
+        "CapacityEntry", "slope_N_per_kPa plateau_N threshold_kPa prestretch_N")):
     """Empirical capacity parameters for one shape class.
 
     ``threshold_kPa`` is the vacuum level beyond which the walls buckle;
@@ -147,7 +148,7 @@ class CapacityEntry(namedtuple("CapacityEntry",
         return tuple.__new__(cls, (slope_N_per_kPa, plateau_N, threshold_kPa, prestretch_N))
 
 
-class CapacityCalibration(namedtuple("CapacityCalibration", "entries")):
+class CapacityCalibration(CheckedRecord, namedtuple("CapacityCalibration", "entries")):
     """Per-shape-class capacity table; 'default' applies to unlisted shapes."""
 
     __slots__ = ()
@@ -219,7 +220,7 @@ def sealed_volume(aperture_radius_mm: float, h_eff_mm: float) -> float:
     return math.pi * aperture_radius_mm * aperture_radius_mm * h_eff_mm
 
 
-class SuctionModel(_DerivedFields, namedtuple("SuctionModel", (
+class SuctionModel(CheckedRecord, namedtuple("SuctionModel", (
         "assembly", "effective_seal_area_mm2", "h_eff_mm", "ambient_pressure_kPa", "box", "tol",
         "seal_threshold_kPa", "rest_volume_mm3"))):
     """Isothermal gas closure of the sealed space V(P_C) = pi*R_g(P_C)^2*h_eff.
@@ -299,8 +300,8 @@ def check_ambient_pressure(ambient_pressure_kPa: float) -> None:
 ModeSelection = namedtuple("ModeSelection", "mode feasible reason")
 
 
-class GraspPlan(namedtuple("GraspPlan",
-                           "mode schedule predicted_capacity_N feasible rationale")):
+class GraspPlan(CheckedRecord, namedtuple("GraspPlan",
+                                          "mode schedule predicted_capacity_N feasible rationale")):
     """``schedule`` is the ordered list of (phase label, target pressure kPa)."""
 
     __slots__ = ()

@@ -33,6 +33,7 @@ from .chamber import (
 )
 from .errors import OutOfWorkspaceError
 from .material import HyperelasticMaterial
+from .records import CheckedRecord
 
 #: Default upper end (kPa) of the inflation range: inverse and workspace.
 P_MAX_KPA = 40.0
@@ -44,8 +45,8 @@ STRETCH_MARGIN_MM = 8.65
 _RANGE_END_CACHE_SIZE = 128
 
 
-class GripperAssembly(namedtuple("GripperAssembly",
-                                 "geometry material n_chambers folded_aperture_mm")):
+class GripperAssembly(CheckedRecord, namedtuple("GripperAssembly",
+                                                "geometry material n_chambers folded_aperture_mm")):
     """Ring of identical chambers plus the shared wall material.
 
     ``folded_aperture_mm`` is the contraction-side bound, configured not modelled.

@@ -17,6 +17,7 @@ from accordion_gripper import (
     pressure_closed_form,
     pressure_quadrature,
     solve_deformation,
+    stress_difference,
     wall_distance,
 )
 from accordion_gripper.chamber import (
@@ -199,6 +200,28 @@ def test_quadrature_scan_matches_closed_form():
         closed = pressure_closed_form(geom, state, mat)
         quad = pressure_quadrature(geom, state, mat)
         assert abs(quad - closed) <= 1e-8 * max(1.0, abs(closed)), (c1, state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r_outer_0=st.floats(min_value=0.1, max_value=100.0),
+       ratio=st.floats(min_value=0.05, max_value=0.98),
+       half_angle_0=st.floats(min_value=0.05, max_value=1.5),
+       opening=st.floats(min_value=0.0, max_value=1.0),
+       c1=st.floats(min_value=1.0, max_value=1e5),
+       rel_tol=st.sampled_from((1e-6, 1e-9, 1e-12)))
+def test_quadrature_integrates_the_checked_material_law(r_outer_0, ratio, half_angle_0, opening,
+                                                        c1, rel_tol):
+    # The oracle's nodes skip the stretch check; every bit must match the checked route.
+    geom = ChamberGeometry(r_outer_0, r_outer_0 * ratio, half_angle_0)
+    mat = HyperelasticMaterial(c1)
+    state = state_at_angle(geom, half_angle_0 + opening * (1.56 - half_angle_0))
+
+    def checked(r):
+        lam_t = hoop_stretch(geom, state, r)
+        return stress_difference(mat, lam_t, 1.0 / lam_t) / r
+
+    expected = adaptive_simpson(checked, state.r_inner, state.r_outer, rel_tol, abs_tol=1e-12 * c1)
+    assert pressure_quadrature(geom, state, mat, rel_tol) == expected
 
 
 # ---------------------------------------------------------------------------

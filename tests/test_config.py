@@ -1,15 +1,21 @@
 import copy
 import json
 import math
+import pickle
 import sys
 
 import pytest
 
 from accordion_gripper import (
+    CalibrationError,
     CapacityCalibration,
     CapacityEntry,
     ChamberGeometry,
     ConfigError,
+    DeformedState,
+    GraspMode,
+    GraspPlan,
+    GripperAssembly,
     HyperelasticMaterial,
     ObjectDescriptor,
     ShapeClass,
@@ -33,6 +39,7 @@ from accordion_gripper.config import (
     load_context,
 )
 from accordion_gripper.grasp import SEAL_THRESHOLD_KPA, sealed_volume
+from accordion_gripper.records import CheckedRecord
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -306,13 +313,17 @@ RECORDS = (
 )
 
 
-def test_records_list_every_record():
+def package_records() -> dict:
+    """Every namedtuple class the package's modules define, by name."""
     package = [m for name, m in sys.modules.items() if name.startswith("accordion_gripper.")]
-    defined = {
-        name for m in package for name, v in vars(m).items()
+    return {
+        name: v for m in package for name, v in vars(m).items()
         if isinstance(v, type) and issubclass(v, tuple) and v.__module__ == m.__name__
     }
-    assert defined == set(RECORDS)
+
+
+def test_records_list_every_record():
+    assert set(package_records()) == set(RECORDS)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -323,6 +334,66 @@ def test_records_are_frozen(records, name):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1.0
+
+
+_ASM = GripperAssembly(ChamberGeometry(), HyperelasticMaterial())
+_PLAN = GraspPlan(GraspMode.SUCTION, [("seal", 10.0)], 5.0, True, "flat")
+_SERIES = MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, [(10.0, 1.0), (20.0, 2.0)])
+
+#: For each record whose constructor checks its fields: the record, a change the
+#: constructor rejects, the error it raises, a change it accepts, and the fresh record
+#: that change should give.
+REPLACE_CASES = {
+    "HyperelasticMaterial": (HyperelasticMaterial(), {"c1": -5.0}, (ValueError, "positive"),
+                             {"c1": 200.0}, HyperelasticMaterial(200.0)),
+    "ChamberGeometry": (ChamberGeometry(), {"r_inner_0": 5.0}, (ValueError, "R1 < R0"),
+                        {"half_angle_0": 1.0}, ChamberGeometry(half_angle_0=1.0)),
+    "DeformedState": (DeformedState(4.5, 3.0, 1.0), {"r_inner": -1.0}, (ValueError, "r1 < r0"),
+                      {"half_angle": 1.2}, DeformedState(4.5, 3.0, 1.2)),
+    "SolverBox": (SolverBox(), {"half_angle_range": (2.0, 1.0)}, (ValueError, "empty"),
+                  {"half_angle_range": [1.0, 1.2]}, SolverBox(half_angle_range=(1.0, 1.2))),
+    "GripperAssembly": (_ASM, {"n_chambers": 1}, (ValueError, "n_chambers"), {"n_chambers": 16},
+                        GripperAssembly(ChamberGeometry(), HyperelasticMaterial(), 16)),
+    "CapacityEntry": (CapacityEntry(0.1, 2.0), {"plateau_N": -1.0}, (ValueError, "plateau"),
+                      {"threshold_kPa": 20.0}, CapacityEntry(0.1, 2.0, 20.0)),
+    "ObjectDescriptor": (ObjectDescriptor(ShapeClass.CYLINDER, 40.0), {"mass_kg": -1.0},
+                         (ValueError, "mass"), {"mass_kg": 0.5},
+                         ObjectDescriptor(ShapeClass.CYLINDER, 40.0, 0.5)),
+    "SuctionModel": (SuctionModel(_ASM, 2264.0, 53.0), {"h_eff_mm": 0.0},
+                     (ValueError, "effective height"), {"h_eff_mm": 100.0},
+                     SuctionModel(_ASM, 2264.0, 100.0)),
+    "GraspPlan": (_PLAN, {"predicted_capacity_N": -1.0}, (ValueError, "capacity"),
+                  {"feasible": False},
+                  GraspPlan(GraspMode.SUCTION, [("seal", 10.0)], 5.0, False, "flat")),
+    "MeasurementSeries": (_SERIES, {"rows": ((10.0, 1.0),)}, (CalibrationError, "at least"),
+                          {"rows": ((5.0, 1.0), (20.0, 2.0))},
+                          MeasurementSeries(SeriesKind.SUCTION_FORCE, ((5.0, 1.0), (20.0, 2.0)))),
+}
+
+
+def test_every_record_with_its_own_constructor_rebuilds_through_it():
+    own = {name for name, cls in package_records().items()
+           if "__new__" in vars(cls) and tuple not in cls.__bases__}
+    assert own == {name for name, cls in package_records().items()
+                   if issubclass(cls, CheckedRecord)}
+    assert own == set(REPLACE_CASES) | {"CapacityCalibration"}
+    # CapacityCalibration checks nothing, but its constructor turns None into {}.
+    assert CapacityCalibration()._replace(entries=None) == CapacityCalibration()
+
+
+@pytest.mark.parametrize("name", REPLACE_CASES)
+def test_replace_runs_the_constructor_checks(name):
+    record, bad, (error, match), good, fresh = REPLACE_CASES[name]
+    with pytest.raises(error, match=match):
+        record._replace(**bad)
+    replaced = record._replace(**good)
+    assert replaced == fresh and type(replaced) is type(fresh)
+    assert record._replace() == record
+    with pytest.raises(ValueError, match="unexpected field names"):
+        record._replace(no_such_field=1.0)
+    for copied in (copy.copy(replaced), copy.deepcopy(replaced),
+                   pickle.loads(pickle.dumps(replaced))):
+        assert copied == fresh
 
 
 def test_suction_model_rest_volume(assembly):
