@@ -258,10 +258,11 @@ def fit_c1(
 ) -> FitReport:
     """Fit the material constant c1 (kPa) to an aperture-vs-pressure series.
 
-    P is linear in c1, so a point above rest has its own c1, p/q, with q its
-    pressure on the c1 = 1 kPa curve.  Residuals fall as c1 grows: log c1 is
-    searched between the own c1s, not below c1_reach, the softest c1 that reaches
-    the top pressure in the box.  ``tol`` is the theta0 tolerance (rad) of every solve.
+    P is linear in c1, so a point above rest has its own c1, p/q, with q its pressure
+    on the c1 = 1 kPa curve, and a trial c1 reads that curve at p/c1.  Residuals fall as
+    c1 grows: x = 1 + ln(c1/lo) is searched between the own c1s, not below c1_reach, the
+    softest c1 that reaches the top pressure in the box; with |x| >= 1 the minimiser's
+    stop is a relative step in c1 in any unit.  ``tol`` is the theta0 tolerance (rad).
     """
     _require_kind(series, SeriesKind.PRESSURE_APERTURE, "fit_c1")
     xs, ys = series.xs(), series.ys()
@@ -291,23 +292,22 @@ def fit_c1(
                                f"{rest:.6g} mm (row 1: {ys[0]:.6g} mm)")
     c1_reach = xs[-1] / q_top
     lo = max(min(own), c1_reach)
-    a, b = math.log(lo), math.log(max(max(own), lo))
-    preds_at = {}  # log c1 -> predicted apertures
+    a, b = 1.0, 1.0 + math.log(max(max(own), lo) / lo)
+    fits = {}  # x -> (c1, predicted apertures)
 
-    def sse(log_c1: float) -> float:
-        assembly = GripperAssembly(geom, HyperelasticMaterial(math.exp(log_c1)), n_chambers)
+    def sse(x: float) -> float:
         # A c1 >= c1_reach reaches the top pressure, but for rounding: read it at the top.
-        p_top = reachable_pressure_range(geom, assembly.material, box)[1]
-        preds = preds_at[log_c1] = [aperture_vs_pressure(assembly, min(p, p_top), box, tol)
-                                    for p in xs]
-        return _sum_sq(preds, ys)
+        c1 = lo * math.exp(x - 1.0)
+        fits[x] = c1, [aperture_vs_pressure(unit, min(p / c1, q_top), box, tol) for p in xs]
+        return _sum_sq(fits[x][1], ys)
 
     # The minimiser returns a point it evaluated: its predictions are kept.  Within 0.1%
     # of the span, an end binds where no point gives it: at c1_reach, or past one left out.
     x, _, nfev, status = _minimize_bounded(sse, (a, b))
     at_bound = (lo == c1_reach and x - a <= 1e-3 * (b - a)
                 or len(own) < len(xs) and b - x <= 1e-3 * (b - a))
-    return _report(series, preds_at[x], {"c1_kPa": math.exp(x)}, at_bound, nfev, status)
+    c1, preds = fits[x]
+    return _report(series, preds, {"c1_kPa": c1}, at_bound, nfev, status)
 
 
 # ---------------------------------------------------------------------------

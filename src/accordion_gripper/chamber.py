@@ -272,19 +272,17 @@ def pressure_closed_form(
     if variant not in ("rederived", "as_printed"):
         raise ValueError(f"unknown closed-form variant {variant!r}")
     log_coeff = 2.0 if variant == "rederived" else 1.0
-    return _pressure(geom, mat.c1, state.r_outer, state.r_inner, state.half_angle, log_coeff)
+    return mat.c1 * _pressure(geom, state.r_outer, state.r_inner, state.half_angle, log_coeff)
 
 
-def _pressure(geom, c1, r0, r1, theta, log_coeff=2.0):
-    """The closed form on plain floats: every pressure query evaluates this."""
+def _pressure(geom, r0, r1, theta, log_coeff=2.0):
+    """The closed form at c1 = 1 kPa on plain floats, q: every pressure is c1*q."""
     big_theta = geom.half_angle_0
     return (
-        2.0 * c1 * (theta / big_theta) * geom.log_radius_ratio
-        + c1
-        * (big_theta / theta**2)
-        * (geom.inner_sector_area - r1**2 * theta)
+        2.0 * (theta / big_theta) * geom.log_radius_ratio
+        + (big_theta / theta**2) * (geom.inner_sector_area - r1**2 * theta)
         * (1.0 / r0**2 - 1.0 / r1**2)
-        - log_coeff * c1 * (big_theta / theta) * math.log(r0 / r1)
+        - log_coeff * (big_theta / theta) * math.log(r0 / r1)
     )
 
 
@@ -382,7 +380,7 @@ def pressure_at_angle(
     geom: ChamberGeometry, mat: HyperelasticMaterial, theta: float
 ) -> float:
     """Rederived closed-form pressure on the constraint manifold, kPa; builds no state."""
-    return _pressure(geom, mat.c1, *_radii(geom, theta), theta)
+    return mat.c1 * _pressure(geom, *_radii(geom, theta), theta)
 
 
 #: Box-end pressure pairs ``_box_end_pressures`` keeps, the least recently used dropped first.
@@ -390,25 +388,22 @@ _BOX_END_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=_BOX_END_CACHE_SIZE)
-def _box_end_pressures(geom: ChamberGeometry, mat: HyperelasticMaterial, lo: float,
-                       hi: float) -> tuple[float, float]:
-    """(P(lo), P(hi)), kPa: the pressures at the ends of a box's angle range.
+def _box_end_pressures(geom: ChamberGeometry, lo: float, hi: float) -> tuple[float, float]:
+    """(q(lo), q(hi)): the c1 = 1 kPa pressures at the ends of a box's angle range.
 
-    They depend only on the geometry, c1 (the material's one field) and the two
-    angles, so each key is evaluated once; the records in the key are immutable,
-    so a stored pair never goes stale, and an exception is raised afresh on
-    every call, never stored.
+    They depend only on the geometry and the two angles, so each key is evaluated
+    once and every c1 scales the same pair; the geometry is immutable, so a stored
+    pair never goes stale, and an exception is raised afresh on every call, never stored.
     """
-    return pressure_at_angle(geom, mat, lo), pressure_at_angle(geom, mat, hi)
+    return _pressure(geom, *_radii(geom, lo), lo), _pressure(geom, *_radii(geom, hi), hi)
 
 
 def reachable_pressure_range(
     geom: ChamberGeometry, mat: HyperelasticMaterial, box: SolverBox | None = None
 ) -> tuple[float, float]:
     """Pressures (kPa) reachable in the box's angle range; rest-angle noise below 0 floors to 0."""
-    box = box or SolverBox()
-    p_lo, p_hi = _box_end_pressures(geom, mat, *box.half_angle_range)
-    return max(p_lo, 0.0), p_hi
+    q_lo, q_hi = _box_end_pressures(geom, *(box or SolverBox()).half_angle_range)
+    return max(mat.c1 * q_lo, 0.0), mat.c1 * q_hi
 
 
 def solve_deformation(
@@ -437,8 +432,9 @@ def solve_deformation(
     lo, hi = box.half_angle_range
     if p == 0 and lo <= geom.half_angle_0 <= hi:
         return state_at_angle(geom, geom.half_angle_0)
-    # brentq starts at the box ends, whose pressures are evaluated once per key.
-    p_lo, p_hi = _box_end_pressures(geom, mat, lo, hi)
+    # brentq starts at the box ends, whose c1 = 1 kPa pressures are evaluated once per key.
+    q_lo, q_hi = _box_end_pressures(geom, lo, hi)
+    p_lo, p_hi = mat.c1 * q_lo, mat.c1 * q_hi
     if p < p_lo or p > p_hi:  # a NaN compares false both ways and reaches brentq's ValueError
         reachable = max(p_lo, 0.0), p_hi
         raise OutOfWorkspaceError(f"pressure {p} kPa outside the range [{reachable[0]:.6g}, "

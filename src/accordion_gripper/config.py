@@ -141,15 +141,15 @@ def load_config(path: str | None = None) -> dict:
     return _merge(default_config(), _user_config(path))
 
 
-def _check_box(geometry, material, box, geo, box_cfg) -> None:
-    """Reject a model whose pressure at a solver box end is not a finite number, or whose
+def _check_box(geometry, box, geo, box_cfg) -> None:
+    """Reject a model whose c1 = 1 kPa pressure at a solver box end is not finite, or whose
     wall distance D, and so its aperture, does not grow under inflation: dD/dtheta0 <= 0
     at Theta0, or D(hi) <= D(Theta0), each in closed form.
 
-    The pressure pair is the one every solve reads, so the first solve finds it stored.
+    Every solve scales that unit pressure pair by c1, so the first solve finds it stored.
     """
     try:
-        ends = _box_end_pressures(geometry, material, *box.half_angle_range)
+        ends = _box_end_pressures(geometry, *box.half_angle_range)
         fault = "" if all(map(math.isfinite, ends)) else f"they are {ends[0]} and {ends[1]} kPa"
     except (ValueError, ArithmeticError) as exc:  # e.g. r1**2 underflowing to 0 in a 1/r1**2
         fault = exc
@@ -189,7 +189,10 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
         box_cfg = solver["box"]
         try:
             geometry = ChamberGeometry(geo["R0_mm"], geo["R1_mm"], math.radians(geo["Theta0_deg"]))
-            material = HyperelasticMaterial(cfg["material"]["c1_kPa"])
+            try:
+                material = HyperelasticMaterial(cfg["material"]["c1_kPa"])
+            except ValueError as exc:
+                raise ValueError(f"material.c1_kPa: {exc}") from None
             assembly = GripperAssembly(geometry, material, cfg["assembly"]["n_chambers"],
                                        cfg["assembly"]["folded_aperture_mm"])
             box = SolverBox(tuple(box_cfg["r0_mm"]), tuple(box_cfg["r1_mm"]),
@@ -202,7 +205,11 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
                     f"solver.box.theta0_deg {box_cfg['theta0_deg']} must start at or below the "
                     f"rest angle Theta0 = {geo['Theta0_deg']} deg and end above it"
                 )
-            _check_box(geometry, material, box, geo, box_cfg)
+            _check_box(geometry, box, geo, box_cfg)
+            ends = _box_end_pressures(geometry, *box.half_angle_range)
+            if not all(math.isfinite(material.c1 * q) for q in ends):
+                raise ValueError(f"material.c1_kPa {material.c1} with solver.box.theta0_deg "
+                                 f"{box_cfg['theta0_deg']} overflows the pressure at a box end")
             if solver["p_max_kPa"] < 0:
                 raise ValueError(f"solver.p_max_kPa must be >= 0, got {solver['p_max_kPa']}")
             if solver["quad_rel_tol"] <= 0:

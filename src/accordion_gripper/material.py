@@ -9,6 +9,7 @@ used in the prototype).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .records import CheckedRecord
@@ -20,8 +21,8 @@ class HyperelasticMaterial(CheckedRecord, namedtuple("HyperelasticMaterial", "c1
     __slots__ = ()
 
     def __new__(cls, c1: float = 119.0):  # kPa
-        if not c1 > 0:
-            raise ValueError(f"material constant c1 must be positive, got {c1}")
+        if not (c1 > 0 and math.isfinite(2.0 * c1)):  # the stress law scales by 2*c1
+            raise ValueError(f"material constant c1 must be positive with 2*c1 finite, got {c1}")
         return tuple.__new__(cls, (c1,))
 
 

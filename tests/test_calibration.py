@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from accordion_gripper import (
@@ -228,14 +228,15 @@ def test_fit_c1_reports_the_predictions_it_evaluated(monkeypatch, geom):
     solves, real = [], gripper.solve_deformation
 
     def spy(*args, **kwargs):
-        if args[1].c1 != 1.0:  # the c1 = 1 kPa curve's range ends are cached across calls
-            solves.append(args[2])
+        solves.append(args[2])
         return real(*args, **kwargs)
 
     series = make_aperture_series(geom)
     monkeypatch.setattr(gripper, "solve_deformation", spy)
     report = fit_c1(series, geom)
-    assert len(solves) == report.n_evals * len(PRESSURES)
+    # Every trial reads the c1 = 1 kPa curve; its range ends are cached across calls.
+    ends = (0.0, reachable_pressure_range(geom, HyperelasticMaterial(1.0))[1])
+    assert len([p for p in solves if p not in ends]) == report.n_evals * len(PRESSURES)
     fitted = GripperAssembly(geom, HyperelasticMaterial(report.params["c1_kPa"]))
     assert [point["predicted"] for point in report.per_point] == [
         aperture_vs_pressure(fitted, p) for p in PRESSURES]
@@ -285,6 +286,9 @@ def test_fit_c1_holds_when_a_point_alone_asks_for_an_unreachable_c1(geom):
     k=st.integers(min_value=3, max_value=20),
     seed=st.integers(min_value=0, max_value=2**31),
 )
+# Two draws where a search over ln c1 (c1 in kPa) stopped 2.1e-9 and 8.0e-9 above scipy.
+@example(n_chambers=28, c1=80.0, p_first=7.0, k=3, seed=1462268563)
+@example(n_chambers=28, c1=189.01023291945592, p_first=6.704067739107076, k=3, seed=384062955)
 def test_fit_c1_is_no_worse_than_a_wide_scipy_search(geom, n_chambers, c1, p_first, k, seed):
     # Oracle: scipy's bounded search over log c1 in [1, 1e5] kPa, steered off any c1 too
     # soft to reach the top pressure inside the box.  Near rest, noise can put a point below it.

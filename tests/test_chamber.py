@@ -304,20 +304,22 @@ def test_pressure_at_angle_is_the_closed_form(c1, geom):
 
 
 def test_solve_evaluates_each_box_end_once(monkeypatch):
-    # Once per (geometry, c1, box angles), across solves at different pressures.
+    # Once per (geometry, box angles), across solves at different pressures and c1.
     import accordion_gripper.chamber as chamber
 
-    angles = []
+    angles, unit = [], chamber._pressure
 
-    def spy(geom, mat, theta):
+    def spy(geom, r0, r1, theta, *args):
         angles.append(theta)
-        return pressure_at_angle(geom, mat, theta)
+        return unit(geom, r0, r1, theta, *args)
 
-    monkeypatch.setattr(chamber, "pressure_at_angle", spy)
+    monkeypatch.setattr(chamber, "_pressure", spy)
     chamber._box_end_pressures.cache_clear()  # earlier tests store this key's pair
     lo, hi = SolverBox().half_angle_range
-    for p, evaluations in ((0.0, 0), (12.5, 1), (40.0, 1)):  # 0 kPa is the rest state: no solve
-        solve_deformation(ChamberGeometry(), HyperelasticMaterial(), p)
+    # 0 kPa is the rest state: no solve.
+    for c1, p, evaluations in ((119.0, 0.0, 0), (119.0, 12.5, 1), (119.0, 40.0, 1),
+                               (85.0, 20.0, 1), (1e4, 1000.0, 1)):
+        solve_deformation(ChamberGeometry(), HyperelasticMaterial(c1), p)
         assert (angles.count(lo), angles.count(hi)) == (evaluations, evaluations)
 
 
@@ -374,6 +376,7 @@ def test_geometry_replace_rebuilds_the_derived_constants():
 
 
 def test_box_end_pressures_are_stored_per_key():
+    # The pair is the c1 = 1 kPa curve's, so only the geometry and the box angles key it.
     import accordion_gripper.chamber as chamber
 
     store = chamber._box_end_pressures
@@ -382,19 +385,24 @@ def test_box_end_pressures_are_stored_per_key():
     cold = solve_deformation(geom, mat, 12.5, box)
     assert store.cache_info().misses == 1
     assert solve_deformation(geom, mat, 12.5, box) == cold
-    assert reachable_pressure_range(geom, mat, box) == reachable_pressure_range(geom, mat, box)
+    q_lo, q_hi = store(geom, *box.half_angle_range)
+    for c1 in (1.0, 85.0, 120.0, 1e4):
+        other = HyperelasticMaterial(c1)
+        reach = reachable_pressure_range(geom, other, box)
+        assert reach == (max(c1 * q_lo, 0.0), c1 * q_hi)
+        solve_deformation(geom, other, 0.5 * reach[1], box)
     assert store.cache_info().misses == 1
     lo, hi = box.half_angle_range
-    for changed in (dict(mat=HyperelasticMaterial(120.0)),
-                    dict(geom=ChamberGeometry(4.6)),
+    for changed in (dict(geom=ChamberGeometry(4.6)),
                     dict(box=SolverBox(half_angle_range=(lo, hi - 1e-3))),
                     dict(box=SolverBox(half_angle_range=(lo - 1e-3, hi)))):
-        args = {"geom": geom, "mat": mat, "box": box, **changed}
+        args = {"geom": geom, "box": box, **changed}
         misses = store.cache_info().misses
-        solve_deformation(args["geom"], args["mat"], 12.5, args["box"])
+        solve_deformation(args["geom"], mat, 12.5, args["box"])
         assert store.cache_info().misses == misses + 1, changed
-        assert store(args["geom"], args["mat"], *args["box"].half_angle_range) == tuple(
-            pressure_at_angle(args["geom"], args["mat"], t) for t in args["box"].half_angle_range)
+        assert store(args["geom"], *args["box"].half_angle_range) == tuple(
+            pressure_at_angle(args["geom"], HyperelasticMaterial(1.0), t)
+            for t in args["box"].half_angle_range)
 
 
 def test_box_end_arithmetic_error_is_raised_on_every_call():

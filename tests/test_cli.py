@@ -6,9 +6,12 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_cli_golden import record, write_inputs
 
+from accordion_gripper.chamber import reachable_pressure_range
 from accordion_gripper.cli import build_validation_report, main
-from accordion_gripper.config import default_config
+from accordion_gripper.config import ConfigError, ModelContext, default_config
 
 
 def run(capsys, *argv):
@@ -748,6 +751,22 @@ def test_degenerate_number_exit_1(capsys, tmp_path, config, prefix, argv):
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["config"], ["solve", "--pressure", "12.5"], ["validate"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("config", [
+    # The pressure is c1 times a finite unit curve, but 2*c1 overflows the material law.
+    {"material": {"c1_kPa": 1.7e308}},
+    # 2*c1 is a float, but c1 times the box top's unit pressure, 2.34, is not.
+    {"material": {"c1_kPa": 8.9e307},
+     "geometry": {"R0_mm": 4.56, "R1_mm": 3.79, "Theta0_deg": 12.1},
+     "solver": {"box": {"theta0_deg": [12.1, 86.5]}}},
+], ids=["stress-law", "box-top-pressure"])
+def test_c1_whose_pressures_overflow_exit_1(capsys, tmp_path, config, argv):
+    code, out, err = run(capsys, "--config", write_config(tmp_path, config), *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("config error: ") and "material.c1_kPa" in err
+
+
 def test_fit_c1_recovers_a_stiff_wall_from_its_own_sweep(capsys, tmp_path):
     # c1 = 2000 kPa, about 17 times the default: fit-c1 on columns 1 and 6 of a 40-400 kPa sweep.
     cfg = write_config(tmp_path, {"material": {"c1_kPa": 2000}})
@@ -777,3 +796,127 @@ def test_geometry_whose_aperture_closes_exit_1(capsys, tmp_path, argv):
     assert err.startswith("config error: ") and "close the aperture under inflation" in err
     assert all(key in err for key in ("geometry.R0_mm", "geometry.R1_mm", "geometry.Theta0_deg",
                                       "solver.box.theta0_deg"))
+
+
+# ---------------------------------------------------------------------------
+# Boundary properties of the in-process ``main``
+
+#: Edge values of any number: signed zeros, the least subnormal, far magnitudes, the
+#: float top and the ends of the angle range.
+EDGES = (0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7e308, 90.0, -90.0)
+
+
+def _numbers(default):
+    """A number a config key or option may take: an edge, its default or a float neighbour."""
+    near = (math.nextafter(default, -math.inf), default, math.nextafter(default, math.inf))
+    ints = (2, 3, 10**6) if isinstance(default, int) else ()
+    return st.sampled_from(EDGES + near + ints)
+
+
+def _leaves(node, path=()):
+    """(path, strategy) for every number and [lo, hi] pair of a config."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        yield path, st.tuples(*map(_numbers, node)).map(list)
+    else:
+        yield path, _numbers(node)
+
+
+LEAVES = dict(_leaves(default_config()))
+
+
+@st.composite
+def edge_configs(draw):
+    """A config that sets up to three keys, each to an edge value."""
+    cfg = {}
+    for path in draw(st.lists(st.sampled_from(sorted(LEAVES)), max_size=3, unique=True)):
+        node = cfg
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = draw(LEAVES[path])
+    return cfg
+
+
+def _option(name, default):
+    return _numbers(default).map(lambda value: [f"--{name}={value!r}"])
+
+
+COMMANDS = st.one_of(
+    st.just(["config"]),
+    _option("pressure", 12.5).map(lambda opt: ["solve", *opt]),
+    st.just(["sweep", "--out", "sweep.csv"]),
+    _option("aperture", 21.5).map(lambda opt: ["invert", *opt]),
+    st.just(["workspace"]),
+    _option("p-max", 20.0).map(lambda opt: ["workspace", *opt]),
+    st.just(["validate"]),
+    st.sampled_from(["cylinder.json", "plate.json", "ring.json", "sphere.json"]).map(
+        lambda name: ["plan", "--object", name]),
+    st.just(["fit-c1", "--data", "aperture.csv"]),
+    st.just(["fit-suction", "--data", "suction.csv"]),
+    st.just(["peak-force", "--data", "trace.csv"]),
+)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory holding the golden test's input files."""
+    directory = tmp_path_factory.mktemp("inputs")
+    write_inputs(directory)
+    return directory
+
+
+def run_in(directory, config, argv) -> dict:
+    """``record`` of ``main`` on ``config`` with every file argument inside ``directory``."""
+    (directory / "edge.json").write_text(json.dumps(config))
+    files = [str(directory / arg) if arg.endswith((".json", ".csv")) else arg for arg in argv]
+    return record(["--config", str(directory / "edge.json"), *files])
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=edge_configs(), argv=COMMANDS)
+def test_every_command_keeps_the_exit_code_contract(inputs, config, argv):
+    # A traceback escapes as an exception; exit 2 is OutOfWorkspaceError's, and every
+    # nonzero exit prints one line, but an infeasible plan and a failed validate.
+    entry = run_in(inputs, config, argv)
+    code, out, err = entry["exit"], "".join(entry["stdout"]), entry["stderr"]
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == []
+    elif argv[0] == "plan" and code == 2 and not err:
+        assert json.loads(out)["feasible"] is False
+    elif argv[0] == "validate" and code == 1 and not err:
+        assert "FAIL" in out
+    else:
+        assert len(err) == 1 and err[0].endswith("\n") and "Traceback" not in err[0]
+        assert err[0].startswith("out of workspace: ") == (code == 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r_outer_0=st.floats(min_value=-1.0, max_value=3.0).map(lambda e: 10.0**e),
+       ratio=st.floats(min_value=0.05, max_value=0.98),
+       half_angle_0=st.floats(min_value=5.0, max_value=85.0),
+       c1=st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0**e),
+       n_chambers=st.integers(min_value=3, max_value=200))
+def test_plausible_models_validate_or_name_an_unreachable_p_max(
+        inputs, r_outer_0, ratio, half_angle_0, c1, n_chambers):
+    # The box's angles run from the rest angle to 89 deg, so more of the models load.
+    config = {"geometry": {"R0_mm": r_outer_0, "R1_mm": r_outer_0 * ratio,
+                           "Theta0_deg": half_angle_0},
+              "material": {"c1_kPa": c1}, "assembly": {"n_chambers": n_chambers},
+              "solver": {"box": {"theta0_deg": [half_angle_0, 89.0]}}}
+    try:
+        ctx = ModelContext.from_config(config)
+    except ConfigError:
+        return  # e.g. a geometry whose aperture closes under inflation
+    entry = run_in(inputs, config, ["validate"])
+    if entry["exit"] == 0:
+        assert entry["stdout"][-1] == "overall: PASS\n"
+        return
+    # Some pressure of validate's sweep to p_max lies past the box top's.
+    top = reachable_pressure_range(ctx.geometry, ctx.material, ctx.box)[1]
+    assert entry["exit"] == 2 and len(entry["stderr"]) == 1
+    message = entry["stderr"][0]
+    assert message.startswith("out of workspace: pressure ")
+    assert top < float(message.split()[4]) <= ctx.p_max_kPa

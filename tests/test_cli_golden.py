@@ -6,13 +6,14 @@ written.  The ten commands, and the error paths of bad input files, run
 under the default config, two (c1, n_chambers) overrides, a config of
 integers with a new capacity shape, and one of out-of-range suction and
 grasp values.  A change that moves an output digit rewrites
-the file with ``PYTHONPATH=src python tests/test_cli_golden.py``, so its
-diff lists every moved digit.
+the file with ``PYTHONPATH=src python tests/test_cli_golden.py``, which prints
+each rewritten entry's command, field and moved numbers as old -> new.
 """
 
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -127,7 +128,44 @@ def test_cli_output_matches_golden(golden, argv, tmp_path, monkeypatch):
     assert record(argv) == golden[" ".join(argv)]
 
 
+#: A number as the commands print it; the text between two numbers is split off it.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def moves(old: dict, new: dict):
+    """(command, field, moved) for each field that differs between two golden files.
+
+    ``moved`` lists every number that changed as old -> new, or the first line that
+    changed when more than numbers did.
+    """
+    for case in sorted(old.keys() | new.keys()):
+        before, after = old.get(case, {}), new.get(case, {})
+        for field in sorted(before.keys() | after.keys()):
+            a, b = (entry.get(field) for entry in (before, after))
+            if a == b:
+                continue
+            a, b = ("".join(x) if isinstance(x, list) else str(x) for x in (a, b))
+            if NUMBER.split(a) == NUMBER.split(b):
+                yield case, field, ", ".join(f"{x} -> {y}" for x, y in
+                                             zip(NUMBER.findall(a), NUMBER.findall(b)) if x != y)
+            else:
+                lines = [(x, y) for x, y in zip(a.splitlines(), b.splitlines()) if x != y]
+                x, y = lines[0] if lines else (a, b)
+                yield case, field, f"text {x!r} -> {y!r}"
+
+
+def test_moves_lists_every_moved_number():
+    old = {"solve": {"exit": 0, "stdout": ["r0 4.5 mm\n", "D 1e-15\n"]},
+           "plan": {"exit": 0, "stdout": ["feasible\n"]}}
+    new = {"solve": {"exit": 2, "stdout": ["r0 4.5 mm\n", "D -2e-15\n"]},
+           "plan": {"exit": 0, "stdout": ["infeasible\n"]}}
+    assert list(moves(old, new)) == [
+        ("plan", "stdout", "text 'feasible' -> 'infeasible'"),
+        ("solve", "exit", "0 -> 2"), ("solve", "stdout", "1e-15 -> -2e-15")]
+
+
 def rewrite() -> None:
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     os.environ.pop("GRIPPER_CONFIG", None)
     cwd = os.getcwd()
     golden = {}
@@ -140,7 +178,11 @@ def rewrite() -> None:
             finally:
                 os.chdir(cwd)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(golden)} cases to {GOLDEN}", file=sys.stderr)
+    moved = list(moves(old, golden))
+    for case, field, what in moved:
+        print(f"{case} | {field}: {what}")
+    print(f"wrote {len(golden)} cases to {GOLDEN}; {len({m[0] for m in moved})} moved",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,15 @@ def test_default_constant():
 def test_constant_must_be_positive(bad):
     with pytest.raises(ValueError, match="positive"):
         HyperelasticMaterial(c1=bad)
+
+
+def test_constant_whose_double_overflows_rejected():
+    # The stress law scales by 2*c1: half the float top is the stiffest constant.
+    half = sys.float_info.max / 2
+    assert HyperelasticMaterial(half).c1 == half
+    for bad in (math.nextafter(half, math.inf), 1.7e308, math.inf):
+        with pytest.raises(ValueError, match=r"2\*c1 finite"):
+            HyperelasticMaterial(bad)
 
 
 def test_material_is_frozen():
