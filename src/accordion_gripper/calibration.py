@@ -33,11 +33,6 @@ from .material import HyperelasticMaterial
 from .records import CheckedRecord
 
 
-#: Search interval of each suction parameter: A_eff (mm^2), h_eff (mm).
-A_EFF_BOUNDS_MM2 = (1.0, 1e5)
-H_EFF_BOUNDS_MM = (1.0, 500.0)
-
-
 class SeriesKind(str, Enum):
     PRESSURE_APERTURE = "pressure_aperture"
     FORCE_DISPLACEMENT = "force_displacement"
@@ -147,11 +142,11 @@ def _require_kind(series: MeasurementSeries, kind: SeriesKind, caller: str) -> N
 
 
 def _report(series: MeasurementSeries, preds, params: dict, at_bound: bool, nfev: int,
-            status: int, notes: str = "") -> FitReport:
-    """The fit's report.  ``notes`` defaults to a remark when a parameter ends
-    at a bound of its search (``at_bound``), and gains one when the minimiser
-    stopped at its evaluation cap (``status`` 1)."""
-    notes = notes or ("optimizer at bound" if at_bound else "")
+            status: int) -> FitReport:
+    """The fit's report.  Its notes remark when a parameter ends at a bound of
+    its search (``at_bound``) and when the minimiser stopped at its evaluation
+    cap (``status`` 1)."""
+    notes = "optimizer at bound" if at_bound else ""
     if status == 1:
         notes = "; ".join(filter(None, (notes, "optimizer stopped at its evaluation cap")))
     return FitReport(
@@ -352,8 +347,10 @@ def fit_suction(
     so they are solved once up front (theta0 tolerance ``tol``, rad).  The
     predicted peaks are A_eff times a function of h_eff, so for each h_eff
     the least-squares A_eff is a projection (variable projection, Golub &
-    Pereyra 1973); a bounded scalar search over log h_eff minimizes what
-    remains.
+    Pereyra 1973).  h_eff enters only through s = V0/(V0 + lift), V0 the rest
+    volume, and the model is finite on all of s in [0, 1]: a bounded search
+    over s minimizes what remains, in any unit.  ``at_bound`` means s ends
+    within 1e-3 of 0 or 1, the data asking for h_eff -> 0 or -> infinity.
     """
     _require_kind(series, SeriesKind.SUCTION_FORCE, "fit_suction")
     xs, ys = series.xs(), series.ys()
@@ -365,6 +362,9 @@ def fit_suction(
         raise CalibrationError(
             "underdetermined fit: need peaks at >= 2 distinct chamber pressures"
         )
+    if lift_volume_increase_mm3 == 0:
+        raise CalibrationError("underdetermined fit: with a lift volume increase of 0 mm^3 "
+                               "the peaks do not depend on h_eff")
 
     rg0, *rgs = [aperture_vs_pressure(assembly, p, box, tol) for p in (0.0, *xs)]
 
@@ -373,23 +373,22 @@ def fit_suction(
         volumes = [sealed_volume(rg, h_eff) + lift_volume_increase_mm3 for rg in rgs]
         return [suction_law(ambient_pressure_kPa, a_eff, v0, v) for v in volumes]
 
-    def best_area(h_eff: float) -> float:
-        unit = predict(1.0, h_eff)
+    def h_eff(s: float) -> float:
+        return lift_volume_increase_mm3 * s / ((1.0 - s) * sealed_volume(rg0, 1.0))
+
+    areas = {}  # s -> projected A_eff
+
+    def sse(s: float) -> float:
+        unit = predict(1.0, h_eff(s))
         norm_sq = math.fsum(u * u for u in unit)
-        # No force predicted at any pressure leaves A_eff free: its lower bound.
-        area = math.fsum(u * y for u, y in zip(unit, ys)) / norm_sq if norm_sq else 0.0
-        return min(max(area, A_EFF_BOUNDS_MM2[0]), A_EFF_BOUNDS_MM2[1])
+        # No force predicted at any pressure leaves A_eff free: 0, rejected below.
+        area = areas[s] = math.fsum(u * y for u, y in zip(unit, ys)) / norm_sq if norm_sq else 0.0
+        return _sum_sq([area * u for u in unit], ys)
 
-    def sse(log_h: float) -> float:
-        h_eff = math.exp(log_h)
-        return _sum_sq(predict(best_area(h_eff), h_eff), ys)
-
-    log_h, _, nfev, status = _minimize_bounded(sse, tuple(map(math.log, H_EFF_BOUNDS_MM)))
-    h_hat = math.exp(log_h)
-    a_hat = best_area(h_hat)
-    degenerate = a_hat - A_EFF_BOUNDS_MM2[0] < 1e-3 * (A_EFF_BOUNDS_MM2[1] - A_EFF_BOUNDS_MM2[0])
-    at_bound = any(min(x - lo, hi - x) < 1e-3 * (hi - lo) for x, (lo, hi) in
-                   ((a_hat, A_EFF_BOUNDS_MM2), (h_hat, H_EFF_BOUNDS_MM)))
+    # The minimiser returns a point it evaluated, strictly inside (0, 1).
+    s, _, nfev, status = _minimize_bounded(sse, (0.0, 1.0))
+    a_hat, h_hat = areas[s], h_eff(s)
+    if a_hat <= 0:
+        raise CalibrationError(f"fit_suction failed: projected seal area {a_hat:.6g} mm^2 <= 0")
     return _report(series, predict(a_hat, h_hat), {"A_eff_mm2": a_hat, "h_eff_mm": h_hat},
-                   at_bound, nfev, status,
-                   "degenerate: effective seal area at lower bound" if degenerate else "")
+                   min(s, 1.0 - s) <= 1e-3, nfev, status)

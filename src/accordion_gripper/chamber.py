@@ -406,6 +406,13 @@ def reachable_pressure_range(
     return max(mat.c1 * q_lo, 0.0), mat.c1 * q_hi
 
 
+def _outside_box(p: float, reachable: tuple[float, float]) -> OutOfWorkspaceError:
+    """The error for a pressure p (kPa) outside the ``reachable`` range of the box."""
+    return OutOfWorkspaceError(f"pressure {p} kPa outside the range [{reachable[0]:.6g}, "
+                               f"{reachable[1]:.6g}] kPa reachable inside the solver box",
+                               reachable=reachable)
+
+
 def solve_deformation(
     geom: ChamberGeometry,
     mat: HyperelasticMaterial,
@@ -436,10 +443,7 @@ def solve_deformation(
     q_lo, q_hi = _box_end_pressures(geom, lo, hi)
     p_lo, p_hi = mat.c1 * q_lo, mat.c1 * q_hi
     if p < p_lo or p > p_hi:  # a NaN compares false both ways and reaches brentq's ValueError
-        reachable = max(p_lo, 0.0), p_hi
-        raise OutOfWorkspaceError(f"pressure {p} kPa outside the range [{reachable[0]:.6g}, "
-                                  f"{p_hi:.6g}] kPa reachable inside the solver box",
-                                  reachable=reachable)
+        raise _outside_box(p, (max(p_lo, 0.0), p_hi))
     ends = {lo: p_lo, hi: p_hi}
     theta = brentq(lambda t: (ends[t] if t in ends else pressure_at_angle(geom, mat, t)) - p,
                    lo, hi, xtol=tol)

@@ -21,6 +21,7 @@ from .chamber import (
     ChamberGeometry,
     DeformedState,
     SolverBox,
+    _outside_box,
     _radii,
     _wall_distance,
     area_residual,
@@ -28,6 +29,7 @@ from .chamber import (
     pin_residual,
     pressure_at_angle,
     pressure_quadrature,
+    reachable_pressure_range,
     solve_deformation,
     wall_distance,
 )
@@ -216,6 +218,9 @@ def iter_sweep(
     if steps < 2:
         raise ValueError(f"sweep needs at least 2 steps, got {steps}")
     geom = assembly.geometry
+    reachable = reachable_pressure_range(geom, assembly.material, box)
+    if p_to > reachable[1]:
+        raise _outside_box(p_to, reachable)
 
     def row(p: float) -> SweepRow:
         state, d, rg = _forward(assembly, p, box, tol)

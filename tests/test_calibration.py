@@ -8,6 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from accordion_gripper import (
     CalibrationError,
+    ChamberGeometry,
     GripperAssembly,
     HyperelasticMaterial,
     OutOfWorkspaceError,
@@ -481,15 +482,62 @@ def test_fit_suction_input_validation(assembly):
         fit_suction(series, assembly, ambient_pressure_kPa=-101.0)
     with pytest.raises(ValueError, match="lift volume increase must be >= 0"):
         fit_suction(series, assembly, lift_volume_increase_mm3=-1e6)
-    # With no lift the predicted force is exactly 0 wherever the aperture
-    # has not moved, so nothing determines the seal area.
+    # With no lift the peaks do not depend on h_eff, so nothing determines it.
     unmoved = MeasurementSeries.from_pairs(
         SeriesKind.SUCTION_FORCE, [(0.0, 15.0), (1e-300, 30.0)]
     )
-    report = fit_suction(unmoved, assembly, lift_volume_increase_mm3=0.0)
-    assert report.at_bound
-    assert report.notes == "degenerate: effective seal area at lower bound"
-    assert math.isfinite(report.params["A_eff_mm2"]) and math.isfinite(report.residual_norm)
+    with pytest.raises(CalibrationError, match="do not depend on h_eff"):
+        fit_suction(unmoved, assembly, lift_volume_increase_mm3=0.0)
+    # No positive seal area fits peaks that are all zero or negative.
+    for peaks in ((0.0, 0.0), (-1.0, -3.0)):
+        flat = MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, zip((0.0, 20.0), peaks))
+        with pytest.raises(CalibrationError, match=r"projected seal area \S+ mm\^2 <= 0"):
+            fit_suction(flat, assembly)
+
+
+@pytest.mark.parametrize("scale, a_eff, h_eff", [
+    (1.0, 80.0, 53.0), (1.0, 2264.0, 600.0),
+    (0.01, 2264.0, 53.0), (0.05, 2264.0, 53.0), (10.0, 2264.0, 53.0), (20.0, 2264.0, 53.0),
+    (100.0, 2264.0, 53.0),
+], ids=["A_eff-80", "h_eff-600", "x0.01", "x0.05", "x10", "x20", "x100"])
+def test_fit_suction_recovers_any_size(geom, scale, a_eff, h_eff):
+    # Lengths x f, A_eff x f^2, the lift volume x f^3: noise-free peaks at 5-25 kPa are
+    # recovered inside the search, whatever the unit or the size.
+    assembly = GripperAssembly(
+        ChamberGeometry(geom.r_outer_0 * scale, geom.r_inner_0 * scale, geom.half_angle_0),
+        HyperelasticMaterial())
+    lift = 5000.0 * scale**3
+    a_eff, h_eff = a_eff * scale**2, h_eff * scale
+    series = synthetic_suction_series(assembly, a_eff, h_eff, lift,
+                                      pressures=(5.0, 10.0, 15.0, 20.0, 25.0))
+    report = fit_suction(series, assembly, lift_volume_increase_mm3=lift)
+    assert report.params["A_eff_mm2"] == pytest.approx(a_eff, rel=1e-6)
+    assert report.params["h_eff_mm"] == pytest.approx(h_eff, rel=1e-6)
+    assert not report.at_bound and report.notes == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    c1=st.floats(min_value=80.0, max_value=220.0),
+    n_chambers=st.sampled_from([16, 22, 28]),
+    a_eff=st.floats(min_value=500.0, max_value=5000.0),
+    h_eff=st.floats(min_value=10.0, max_value=200.0),
+    f=st.floats(min_value=0.01, max_value=100.0),
+)
+def test_fit_suction_is_scale_free(geom, c1, n_chambers, a_eff, h_eff, f):
+    # Lengths x f, A_eff x f^2 and the lift volume x f^3 leave every peak unchanged, so
+    # the fit scales the same way and no scale brings it to an end of its search.
+    lift = 5000.0
+    fits = []
+    for k in (1.0, f):
+        assembly = GripperAssembly(
+            ChamberGeometry(geom.r_outer_0 * k, geom.r_inner_0 * k, geom.half_angle_0),
+            HyperelasticMaterial(c1), n_chambers)
+        series = synthetic_suction_series(assembly, a_eff * k**2, h_eff * k, lift * k**3)
+        report = fit_suction(series, assembly, lift_volume_increase_mm3=lift * k**3)
+        assert not report.at_bound
+        fits.append((report.params["A_eff_mm2"] / k**2, report.params["h_eff_mm"] / k))
+    assert fits[1] == pytest.approx(fits[0], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

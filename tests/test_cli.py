@@ -434,7 +434,7 @@ def test_sweep_unwritable_out_runs_no_solve(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bounds, message", [
-    (["--to", "100"], "pressure 70.0 kPa outside the range [0, 68.6442] kPa"),
+    (["--to", "100"], "pressure 100.0 kPa outside the range [0, 68.6442] kPa"),
     (["--from", "-5"], "inflation branch only"),
 ], ids=["past-the-box", "negative"])
 def test_failed_sweep_leaves_no_file(capsys, tmp_path, bounds, message):
@@ -443,6 +443,18 @@ def test_failed_sweep_leaves_no_file(capsys, tmp_path, bounds, message):
     assert (code, stdout) == (2, "")
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["validate"], ["sweep", "--out", "sweep.csv"],
+                                     ["workspace"], ["invert", "--aperture", "21"]])
+def test_unreachable_p_max_is_named(capsys, tmp_path, monkeypatch, command):
+    # The box reaches only [0, 5.77] kPa at c1 = 10 kPa; each command names p_max itself.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"material": {"c1_kPa": 10}})
+    code, out, err = run(capsys, "--config", cfg, *command)
+    assert (code, out) == (2, "")
+    assert "pressure 40.0 kPa outside the range [0, 5.76842] kPa" in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_to_defaults_to_p_max(capsys, tmp_path):
