@@ -248,7 +248,7 @@ def fit_c1(
     series: MeasurementSeries,
     geom: ChamberGeometry,
     n_chambers: int = GripperAssembly(ChamberGeometry(), HyperelasticMaterial()).n_chambers,
-    box: SolverBox | None = None,
+    box: SolverBox = SolverBox(),
     tol: float = THETA_TOL_RAD,
 ) -> FitReport:
     """Fit the material constant c1 (kPa) to an aperture-vs-pressure series.
@@ -338,7 +338,7 @@ def fit_suction(
     assembly: GripperAssembly,
     lift_volume_increase_mm3: float = LIFT_VOLUME_INCREASE_MM3,
     ambient_pressure_kPa: float = AMBIENT_KPA,
-    box: SolverBox | None = None,
+    box: SolverBox = SolverBox(),
     tol: float = THETA_TOL_RAD,
 ) -> FitReport:
     """Fit (A_eff mm^2, h_eff mm) of the suction model to measured peaks.

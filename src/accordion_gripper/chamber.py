@@ -34,11 +34,10 @@ from .errors import ConvergenceError, OutOfWorkspaceError
 from .material import HyperelasticMaterial, _stress_difference
 from .records import CheckedRecord
 
-#: Default ranges the deformed unknowns were searched over in the original
-#: design study, r0 in [4.56, 5] mm, r1 in [3, 3.8] mm, theta0 in [57.6 deg,
-#: 80 deg]; the lower corner is the default undeformed geometry.  Only the
-#: angle range constrains the scalar solver (see SolverBox notes).
-_DEFAULT_BOX = ((4.56, 5.0), (3.0, 3.8), (math.radians(57.6), math.radians(80.0)))
+#: The published box, the original design study's search: (lo, hi) of r0 in [4.56, 5] mm, r1 in
+#: [3, 3.8] mm and theta0 in [57.6 deg, 80 deg] (rad here).  Its lower corner is the default
+#: geometry and its angle range the default ``SolverBox``; inflation leaves the radial ranges.
+PUBLISHED_BOX = ((4.56, 5.0), (3.0, 3.8), (math.radians(57.6), math.radians(80.0)))
 
 #: Default tolerances: on theta0 (rad) of every bracketed solve, and the
 #: relative tolerance of the pressure quadrature.
@@ -62,8 +61,8 @@ class ChamberGeometry(CheckedRecord, namedtuple("ChamberGeometry", (
     __slots__ = ()
     _inputs = 3
 
-    def __new__(cls, r_outer_0: float = _DEFAULT_BOX[0][0], r_inner_0: float = _DEFAULT_BOX[1][0],
-                half_angle_0: float = _DEFAULT_BOX[2][0]):
+    def __new__(cls, r_outer_0: float = PUBLISHED_BOX[0][0],
+                r_inner_0: float = PUBLISHED_BOX[1][0], half_angle_0: float = PUBLISHED_BOX[2][0]):
         if not 0.0 < r_inner_0 < r_outer_0:
             raise ValueError(f"require 0 < R1 < R0, got R1={r_inner_0}, R0={r_outer_0}")
         if not 0.0 < half_angle_0 < math.pi / 2:
@@ -96,31 +95,22 @@ class DeformedState(CheckedRecord, namedtuple("DeformedState", "r_outer r_inner 
         return tuple.__new__(cls, (r_outer, r_inner, half_angle))
 
 
-class SolverBox(CheckedRecord,
-                namedtuple("SolverBox", "r_outer_range r_inner_range half_angle_range")):
-    """Search ranges (lo, hi) for the deformed unknowns.
+class SolverBox(CheckedRecord, namedtuple("SolverBox", "half_angle_range")):
+    """The range (lo, hi), rad, of the deformed half angle theta0 the solver brackets on.
 
-    The scalar-reduction solver brackets only on ``half_angle_range``; the
-    pin and area constraints then determine r1 and r0 uniquely, so the
-    radial ranges are informational (they are reported by ``validate`` but
-    cannot be enforced without making the problem infeasible).
+    The pin and area constraints fix r1 and r0 once theta0 is known, so the angle range
+    is the whole search box.  It is stored as a tuple, so a box is hashable.
     """
 
     __slots__ = ()
 
-    def __new__(cls, r_outer_range: tuple[float, float] = _DEFAULT_BOX[0],
-                r_inner_range: tuple[float, float] = _DEFAULT_BOX[1],
-                half_angle_range: tuple[float, float] = _DEFAULT_BOX[2]):
-        # Tuples, so that a box is hashable like every other record.
-        self = tuple.__new__(cls, (tuple(r_outer_range), tuple(r_inner_range),
-                                   tuple(half_angle_range)))
-        for name, (lo, hi) in zip(self._fields, self):
-            if not lo <= hi:
-                raise ValueError(f"{name} is empty: [{lo}, {hi}]")
-        lo, hi = self.half_angle_range
+    def __new__(cls, half_angle_range: tuple[float, float] = PUBLISHED_BOX[2]):
+        lo, hi = half_angle_range
+        if not lo <= hi:
+            raise ValueError(f"half_angle_range is empty: [{lo}, {hi}]")
         if not 0.0 < lo <= hi < math.pi / 2:
             raise ValueError(f"half_angle_range must lie in (0, pi/2), got [{lo}, {hi}]")
-        return self
+        return tuple.__new__(cls, ((lo, hi),))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +389,10 @@ def _box_end_pressures(geom: ChamberGeometry, lo: float, hi: float) -> tuple[flo
 
 
 def reachable_pressure_range(
-    geom: ChamberGeometry, mat: HyperelasticMaterial, box: SolverBox | None = None
+    geom: ChamberGeometry, mat: HyperelasticMaterial, box: SolverBox = SolverBox()
 ) -> tuple[float, float]:
     """Pressures (kPa) reachable in the box's angle range; rest-angle noise below 0 floors to 0."""
-    q_lo, q_hi = _box_end_pressures(geom, *(box or SolverBox()).half_angle_range)
+    q_lo, q_hi = _box_end_pressures(geom, *box.half_angle_range)
     return max(mat.c1 * q_lo, 0.0), mat.c1 * q_hi
 
 
@@ -417,7 +407,7 @@ def solve_deformation(
     geom: ChamberGeometry,
     mat: HyperelasticMaterial,
     p: float,
-    box: SolverBox | None = None,
+    box: SolverBox = SolverBox(),
     tol: float = THETA_TOL_RAD,
 ) -> DeformedState:
     """Solve for the deformed state at inflation pressure p (kPa).
@@ -435,7 +425,6 @@ def solve_deformation(
         )
     if tol <= 0:
         raise ValueError(f"theta tolerance must be positive, got {tol}")
-    box = box or SolverBox()
     lo, hi = box.half_angle_range
     if p == 0 and lo <= geom.half_angle_0 <= hi:
         return state_at_angle(geom, geom.half_angle_0)

@@ -5,9 +5,9 @@ the keys it overrides.  Angles are degrees in the file and radians
 internally; lengths are mm, pressures kPa.
 
 Each default is read from the domain type that owns it.  The uninflated
-(R0, R1, Theta0) are the lower corner of the published solver search box
-(``SolverBox``), since the undeformed state must be reachable at zero
-pressure; the ``validate`` report pins the implied rest aperture so silent
+(R0, R1, Theta0) are the lower corner of the published search box
+(``chamber.PUBLISHED_BOX``), since the undeformed state must be reachable at
+zero pressure; the ``validate`` report pins the implied rest aperture so silent
 drift is caught.
 """
 
@@ -26,14 +26,14 @@ from .errors import ConfigError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA, SEAL_THRESHOLD_KPA
 from .grasp import CapacityCalibration, CapacityEntry, GraspMode, SuctionModel
 from .grasp import check_lift_volume, pressure_schedule
-from .gripper import P_MAX_KPA, STRETCH_MARGIN_MM, GripperAssembly, check_stretch_margin
+from .gripper import P_MAX_KPA, STRETCH_MARGIN_MM, GripperAssembly, aperture_vs_pressure
+from .gripper import check_stretch_margin
 from .material import HyperelasticMaterial
 
 ENV_CONFIG_VAR = "GRIPPER_CONFIG"
 
 # Default instances: each record's defaults live in its constructor.
 _ASM = GripperAssembly(ChamberGeometry(), HyperelasticMaterial())
-_BOX = SolverBox()
 
 DEFAULT_CONFIG = {
     "geometry": {"R0_mm": _ASM.geometry.r_outer_0, "R1_mm": _ASM.geometry.r_inner_0,
@@ -41,11 +41,7 @@ DEFAULT_CONFIG = {
     "material": {"c1_kPa": _ASM.material.c1},
     "assembly": {"n_chambers": _ASM.n_chambers, "folded_aperture_mm": _ASM.folded_aperture_mm},
     "solver": {
-        "box": {
-            "r0_mm": list(_BOX.r_outer_range),
-            "r1_mm": list(_BOX.r_inner_range),
-            "theta0_deg": [math.degrees(a) for a in _BOX.half_angle_range],
-        },
+        "box": {"theta0_deg": [math.degrees(a) for a in SolverBox().half_angle_range]},
         "theta_tol_rad": THETA_TOL_RAD,
         "quad_rel_tol": QUAD_REL_TOL,
         "p_max_kPa": P_MAX_KPA,
@@ -195,10 +191,14 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
                 raise ValueError(f"material.c1_kPa: {exc}") from None
             assembly = GripperAssembly(geometry, material, cfg["assembly"]["n_chambers"],
                                        cfg["assembly"]["folded_aperture_mm"])
-            box = SolverBox(tuple(box_cfg["r0_mm"]), tuple(box_cfg["r1_mm"]),
-                            tuple(map(math.radians, box_cfg["theta0_deg"])))
-            capacity = CapacityCalibration(
-                {name: CapacityEntry(**entry) for name, entry in cfg["capacity"].items()})
+            box = SolverBox(tuple(map(math.radians, box_cfg["theta0_deg"])))
+            entries = {}
+            for name, entry in cfg["capacity"].items():
+                try:
+                    entries[name] = CapacityEntry(**entry)
+                except ValueError as exc:  # its message starts with the field's name
+                    raise ValueError(f"capacity.{name}.{exc}") from None
+            capacity = CapacityCalibration(entries)
             lo, hi = box.half_angle_range
             if not lo <= geometry.half_angle_0 < hi:
                 raise ValueError(
@@ -218,6 +218,10 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
             if solver["theta_tol_rad"] <= 0:
                 raise ValueError(
                     f"solver.theta_tol_rad must be positive, got {solver['theta_tol_rad']}")
+            rest = aperture_vs_pressure(assembly, 0.0, box, solver["theta_tol_rad"])
+            if assembly.folded_aperture_mm > rest:
+                raise ValueError(f"assembly.folded_aperture_mm {assembly.folded_aperture_mm} must "
+                                 f"not exceed the rest aperture R_g(0) = {rest:.9g} mm")
             model = SuctionModel.from_assembly(
                 assembly, suction["A_eff_mm2"], suction["h_eff_mm"], suction["ambient_kPa"], box,
                 solver["theta_tol_rad"], suction["seal_threshold_kPa"])

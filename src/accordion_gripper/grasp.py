@@ -141,10 +141,12 @@ class CapacityEntry(CheckedRecord, namedtuple(
 
     def __new__(cls, slope_N_per_kPa: float, plateau_N: float, threshold_kPa: float = 30.0,
                 prestretch_N: float = 0.0):
-        if slope_N_per_kPa < 0 or plateau_N < 0:
-            raise ValueError("capacity slope and plateau must be >= 0")
+        for field, value in (("slope_N_per_kPa", slope_N_per_kPa), ("plateau_N", plateau_N),
+                             ("prestretch_N", prestretch_N)):
+            if value < 0:
+                raise ValueError(f"{field} must be >= 0, got {value}")
         if threshold_kPa <= 0:
-            raise ValueError("plateau threshold must be > 0 kPa")
+            raise ValueError(f"threshold_kPa must be > 0, got {threshold_kPa}")
         return tuple.__new__(cls, (slope_N_per_kPa, plateau_N, threshold_kPa, prestretch_N))
 
 
@@ -154,7 +156,13 @@ class CapacityCalibration(CheckedRecord, namedtuple("CapacityCalibration", "entr
     __slots__ = ()
 
     def __new__(cls, entries: dict | None = None):
-        return tuple.__new__(cls, ({} if entries is None else entries,))
+        entries = {} if entries is None else entries
+        names = [shape.value for shape in ShapeClass] + ["default"]  # the names lookup reads
+        for name in entries:
+            if name not in names:
+                raise ValueError(f"capacity.{name} names no shape class, so no lookup reads it; "
+                                 f"expected one of {names}")
+        return tuple.__new__(cls, (entries,))
 
     def lookup(self, shape: ShapeClass) -> CapacityEntry:
         key = shape.value if isinstance(shape, ShapeClass) else str(shape)
@@ -233,7 +241,7 @@ class SuctionModel(CheckedRecord, namedtuple("SuctionModel", (
     _inputs = 7
 
     def __new__(cls, assembly: GripperAssembly, effective_seal_area_mm2: float, h_eff_mm: float,
-                ambient_pressure_kPa: float = AMBIENT_KPA, box: SolverBox | None = None,
+                ambient_pressure_kPa: float = AMBIENT_KPA, box: SolverBox = SolverBox(),
                 tol: float = THETA_TOL_RAD, seal_threshold_kPa: float = SEAL_THRESHOLD_KPA):
         check_ambient_pressure(ambient_pressure_kPa)
         if effective_seal_area_mm2 <= 0:

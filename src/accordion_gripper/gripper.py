@@ -102,14 +102,14 @@ def aperture_radius(d: float, assembly: GripperAssembly) -> float:
 def aperture_vs_pressure(
     assembly: GripperAssembly,
     p: float,
-    box: SolverBox | None = None,
+    box: SolverBox = SolverBox(),
     tol: float = THETA_TOL_RAD,
 ) -> float:
     """Forward map: aperture radius (mm) at inflation pressure p (kPa)."""
     return _forward(assembly, p, box, tol)[2]
 
 
-def _forward(assembly: GripperAssembly, p: float, box: SolverBox | None,
+def _forward(assembly: GripperAssembly, p: float, box: SolverBox,
              tol: float) -> tuple[DeformedState, float, float]:
     """(state, D mm, R_g mm) at pressure p (kPa): the one body of every forward output."""
     state = solve_deformation(assembly.geometry, assembly.material, p, box, tol)
@@ -128,7 +128,7 @@ def inverse_pressure(
     target_rg: float,
     p_max: float = P_MAX_KPA,
     tol: float = THETA_TOL_RAD,
-    box: SolverBox | None = None,
+    box: SolverBox = SolverBox(),
 ) -> float:
     """Pressure (kPa) at which the aperture radius equals target_rg (mm).
 
@@ -163,7 +163,7 @@ def inverse_pressure(
 def workspace(
     assembly: GripperAssembly,
     p_max: float = P_MAX_KPA,
-    box: SolverBox | None = None,
+    box: SolverBox = SolverBox(),
     tol: float = THETA_TOL_RAD,
 ) -> Workspace:
     """Aperture range over the admissible pressure span.
@@ -208,7 +208,7 @@ def iter_sweep(
     p_from: float,
     p_to: float,
     steps: int,
-    box: SolverBox | None = None,
+    box: SolverBox = SolverBox(),
     quad_rel_tol: float = QUAD_REL_TOL,
     tol: float = THETA_TOL_RAD,
 ):
@@ -237,7 +237,7 @@ def sweep(
     p_from: float,
     p_to: float,
     steps: int,
-    box: SolverBox | None = None,
+    box: SolverBox = SolverBox(),
     quad_rel_tol: float = QUAD_REL_TOL,
     tol: float = THETA_TOL_RAD,
 ) -> list[SweepRow]:

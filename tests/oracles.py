@@ -12,10 +12,10 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from accordion_gripper import aperture_vs_pressure
+from accordion_gripper import SolverBox, aperture_vs_pressure
 
 
-def nested_inverse_pressure(assembly, target_rg, p_max=40.0, box=None):
+def nested_inverse_pressure(assembly, target_rg, p_max=40.0, box=SolverBox()):
     """Pressure (kPa) of aperture target_rg (mm): Brent over p of the forward map."""
     return brentq(
         lambda p: aperture_vs_pressure(assembly, p, box) - target_rg,

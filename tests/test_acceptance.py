@@ -32,7 +32,7 @@ from accordion_gripper.calibration import (
     fit_c1,
     fit_suction,
 )
-from accordion_gripper.chamber import pressure_closed_form, state_at_angle
+from accordion_gripper.chamber import PUBLISHED_BOX, pressure_closed_form, state_at_angle
 from accordion_gripper.cli import main
 from accordion_gripper.grasp import (
     CapacityCalibration,
@@ -133,9 +133,7 @@ def test_criterion_03_printed_equation_audit(ctx, capsys):
 
 def test_criterion_04_solver_box_compliance(ctx):
     rows = sweep(ctx.assembly, 0.0, 40.0, 41, ctx.box)
-    (r0_lo, r0_hi) = ctx.box.r_outer_range
-    (r1_lo, r1_hi) = ctx.box.r_inner_range
-    (th_lo, th_hi) = ctx.box.half_angle_range
+    (r0_lo, r0_hi), (r1_lo, r1_hi), (th_lo, th_hi) = PUBLISHED_BOX
     tol = 1e-12
     violations = [
         row.pressure_kPa

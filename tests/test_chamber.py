@@ -83,7 +83,7 @@ def test_invalid_state_rejected(args):
 
 def test_invalid_box_rejected():
     with pytest.raises(ValueError, match="empty"):
-        SolverBox(r_outer_range=(5.0, 4.0))
+        SolverBox(half_angle_range=(1.2, 1.0))
     with pytest.raises(ValueError, match="half_angle_range"):
         SolverBox(half_angle_range=(1.0, math.pi))
 

@@ -304,10 +304,25 @@ def test_unreadable_data_exit_1(capsys, tmp_path, monkeypatch, command, data):
          "solver.p_max_kPa must be >= 0"),
         ({"solver": {"quad_rel_tol": 0}}, ["sweep", "--out", "sweep.csv"],
          "solver.quad_rel_tol must be positive"),
+        # Values that loaded: a plan then failed naming no key, quoted the built-in 20 N
+        # for a 45 mm cylinder, or printed a min aperture above the rest aperture.
+        ({"capacity": {"cylinder": {"prestretch_N": -50}}}, ["config"],
+         "capacity.cylinder.prestretch_N must be >= 0, got -50.0"),
+        ({"capacity": {"cylindre": {"slope_N_per_kPa": 5, "plateau_N": 99}}}, ["config"],
+         "capacity.cylindre names no shape class, so no lookup reads it; expected one of "
+         "['cylinder', 'sphere', 'cone', 'pyramid', 'cube', 'irregular', 'flat_plate', 'default']"),
+        ({"assembly": {"folded_aperture_mm": 30}}, ["workspace"],
+         "assembly.folded_aperture_mm 30.0 must not exceed the rest aperture R_g(0) = 20.675956 mm"),
+        # The solver brackets on the angle alone; no solve read the radial ranges.
+        ({"solver": {"box": {"r0_mm": [3.0, 5.0]}}}, ["config"],
+         "unknown config key 'solver.box.r0_mm'"),
+        ({"solver": {"box": {"r1_mm": [3.0, 5.0]}}}, ["config"],
+         "unknown config key 'solver.box.r1_mm'"),
     ],
     ids=["negative-ambient", "negative-lift", "negative-margin", "zero-theta-tol",
          "negative-ambient-and-area", "negative-margin-plate", "open-pressure-above-limit",
-         "negative-p-max", "zero-quad-tol"],
+         "negative-p-max", "zero-quad-tol", "negative-prestretch", "misspelt-capacity-shape",
+         "folded-above-rest", "radial-box-r0", "radial-box-r1"],
 )
 def test_bad_model_parameter_exit_1(capsys, tmp_path, monkeypatch, config, argv, message):
     # The value is rejected when the config is loaded, so every command fails alike.
@@ -677,7 +692,7 @@ PLAN = ["plan", "--object", "object.json"]
     [
         ({"suction": {"A_eff_mm2": math.nan}}, None, ["solve", "--pressure", "0"]),
         ({"solver": {"p_max_kPa": math.inf}}, None, ["workspace"]),
-        ({"solver": {"box": {"r0_mm": [4.56, math.inf]}}}, None, ["solve", "--pressure", "0"]),
+        ({"solver": {"box": {"theta0_deg": [57.6, math.inf]}}}, None, ["solve", "--pressure", "0"]),
         ({"capacity": {"cone": {"slope_N_per_kPa": math.nan, "plateau_N": 8.0}}}, None,
          ["solve", "--pressure", "0"]),
         (None, None, ["solve", "--pressure", "inf"]),
@@ -810,6 +825,16 @@ def test_geometry_whose_aperture_closes_exit_1(capsys, tmp_path, argv):
                                       "solver.box.theta0_deg"))
 
 
+def test_validate_audits_the_published_box_not_the_configured_one(capsys, tmp_path):
+    cfg = write_config(
+        tmp_path, {"solver": {"box": {"theta0_deg": [57.6, 62]}, "p_max_kPa": 5}}
+    )
+    code, out, _ = run(capsys, "--config", cfg, "validate", "--json")
+    assert code == 0
+    assert json.loads(out)["search_box_audit"]["published_box"] == {
+        "r0_mm": [4.56, 5.0], "r1_mm": [3.0, 3.8], "theta0_deg": [57.6, 80.0]}
+
+
 # ---------------------------------------------------------------------------
 # Boundary properties of the in-process ``main``
 
@@ -916,7 +941,8 @@ def test_plausible_models_validate_or_name_an_unreachable_p_max(
     # The box's angles run from the rest angle to 89 deg, so more of the models load.
     config = {"geometry": {"R0_mm": r_outer_0, "R1_mm": r_outer_0 * ratio,
                            "Theta0_deg": half_angle_0},
-              "material": {"c1_kPa": c1}, "assembly": {"n_chambers": n_chambers},
+              "material": {"c1_kPa": c1},
+              "assembly": {"n_chambers": n_chambers, "folded_aperture_mm": 0.0},
               "solver": {"box": {"theta0_deg": [half_angle_0, 89.0]}}}
     try:
         ctx = ModelContext.from_config(config)

@@ -100,7 +100,7 @@ def test_config_numbers_take_their_default_type(tmp_path):
         "geometry": {"R0_mm": 5, "R1_mm": 3, "Theta0_deg": 58},
         "material": {"c1_kPa": 150},
         "assembly": {"n_chambers": 16.0, "folded_aperture_mm": 4},
-        "solver": {"box": {"r0_mm": [4, 6], "theta0_deg": [58, 80]}, "p_max_kPa": 30},
+        "solver": {"box": {"theta0_deg": [58, 80]}, "p_max_kPa": 30},
         "suction": {"A_eff_mm2": 2000, "seal_threshold_kPa": 0},
         "grasp": {"open_kPa": 30, "stretch_margin_mm": 8},
         "capacity": {"cone": {"slope_N_per_kPa": 1, "plateau_N": 8}},
@@ -115,7 +115,8 @@ def test_config_numbers_take_their_default_type(tmp_path):
     n_chambers = ctx.config["assembly"].pop("n_chambers")
     assert type(n_chambers) is int and n_chambers == ctx.assembly.n_chambers == 16
     assert {type(n) for n in numbers(ctx.config)} == {float}
-    built = (ctx.material.c1, ctx.p_max_kPa, *ctx.box.r_outer_range, *ctx.capacity.entries["cone"])
+    built = (ctx.material.c1, ctx.p_max_kPa, *ctx.box.half_angle_range,
+             *ctx.capacity.entries["cone"])
     assert {type(n) for n in built} == {float}
 
 
@@ -208,7 +209,8 @@ def test_context_from_defaults(ctx):
     # Every default is the domain type's own.
     assert ctx.geometry == ChamberGeometry()
     assert ctx.material == HyperelasticMaterial()
-    assert ctx.box == SolverBox()
+    assert ctx.box == SolverBox() and SolverBox._fields == ("half_angle_range",)
+    assert default_config()["solver"]["box"] == {"theta0_deg": [57.6, 80.0]}
     assert ctx.capacity == CapacityCalibration.defaults()
     assert ctx.quad_rel_tol == QUAD_REL_TOL
     assert ctx.suction_model().seal_threshold_kPa == SEAL_THRESHOLD_KPA
@@ -238,8 +240,10 @@ def test_context_rejects_bad_values(tmp_path):
     "payload, message",
     [
         ({"solver": {"box": 5}}, "config key solver.box must be an object, got 5"),
-        ({"solver": {"box": {"r0_mm": [4.0, "x"]}}}, "config key solver.box.r0_mm must be a finite"),
-        ({"solver": {"box": {"r0_mm": 4.0}}}, "solver.box.r0_mm must be a [lo, hi] number pair"),
+        ({"solver": {"box": {"theta0_deg": [58.0, "x"]}}},
+         "config key solver.box.theta0_deg must be a finite"),
+        ({"solver": {"box": {"theta0_deg": 58.0}}},
+         "solver.box.theta0_deg must be a [lo, hi] number pair"),
         ({"assembly": {"n_chambers": 21.5}}, "assembly.n_chambers must be an integer"),
         ({"capacity": 5}, "config key capacity must be an object"),
         ({"capacity": {"cone": 5}}, "capacity.cone must be an object"),
@@ -269,6 +273,20 @@ def test_config_shape_errors_name_the_key(tmp_path, payload, message):
     with pytest.raises(ConfigError) as info:
         ModelContext.from_config(payload)
     assert message in str(info.value)
+
+
+def test_folded_aperture_may_reach_the_rest_aperture_but_not_pass_it():
+    rest = aperture_vs_pressure(GripperAssembly(ChamberGeometry(), HyperelasticMaterial()), 0.0)
+    ctx = ModelContext.from_config({"assembly": {"folded_aperture_mm": rest}})
+    ws = workspace(ctx.assembly, ctx.p_max_kPa, ctx.box)
+    assert ws.min_aperture_mm == ws.rest_aperture_mm == rest
+    with pytest.raises(ConfigError, match=r"assembly\.folded_aperture_mm 20\.67"):
+        ModelContext.from_config(
+            {"assembly": {"folded_aperture_mm": math.nextafter(rest, math.inf)}})
+    # The default 5 mm is above the rest aperture of a ring of 5 chambers or fewer.
+    assert ModelContext.from_config({"assembly": {"n_chambers": 6}}).assembly.n_chambers == 6
+    with pytest.raises(ConfigError, match=r"R_g\(0\) = 4\.69908091 mm"):
+        ModelContext.from_config({"assembly": {"n_chambers": 5}})
 
 
 def test_context_fills_missing_keys_from_defaults():

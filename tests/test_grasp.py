@@ -14,6 +14,7 @@ from accordion_gripper import (
     ObjectDescriptor,
     OutOfWorkspaceError,
     ShapeClass,
+    SolverBox,
     SuctionModel,
     contraction_capacity,
     plan_grasp,
@@ -110,10 +111,23 @@ def test_capacity_lookup_and_fallback(calib):
 
 
 def test_capacity_entry_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slope_N_per_kPa must be >= 0"):
         CapacityEntry(-1.0, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="threshold_kPa must be > 0"):
         CapacityEntry(1.0, 10.0, threshold_kPa=0.0)
+    # A negative baseline once loaded and failed only the plan that quoted it.
+    with pytest.raises(ValueError, match=r"prestretch_N must be >= 0, got -50\.0"):
+        CapacityEntry(1.0, 20.0, prestretch_N=-50.0)
+
+
+def test_capacity_names_are_the_ones_lookup_reads():
+    names = [shape.value for shape in ShapeClass] + ["default"]
+    assert set(CapacityCalibration({name: CapacityEntry(1.0, 10.0) for name in names}).entries) \
+        == set(names)
+    # A misspelt shape fell through to 'default' at every lookup.
+    with pytest.raises(ValueError, match=r"capacity\.cylindre names no shape class") as exc:
+        CapacityCalibration({"cylindre": CapacityEntry(5.0, 99.0)})
+    assert str(names) in str(exc.value)
 
 
 def test_capacity_zero_without_prestretch(calib):
@@ -210,6 +224,12 @@ def test_suction_model_replace_rebuilds_the_rest_volume(assembly):
     for copied in (copy.copy(replaced), copy.deepcopy(replaced),
                    pickle.loads(pickle.dumps(replaced))):
         assert copied == fresh
+
+
+def test_suction_model_with_the_default_box_left_out_or_passed_is_one_model(assembly):
+    left_out, passed = SuctionModel(assembly, 2264.0, 53.0), SuctionModel(
+        assembly, 2264.0, 53.0, box=SolverBox())
+    assert left_out == passed and hash(left_out) == hash(passed)
 
 
 def test_suction_seal_threshold(suction):

@@ -217,7 +217,7 @@ def test_inverse_stays_within_zero_and_p_max(assembly, p_max, tol, target):
 # Range ends, solved once per (assembly, p, box, tol)
 
 
-def direct_ends(assembly, p_max, box=None, tol=1e-12):
+def direct_ends(assembly, p_max, box=SolverBox(), tol=1e-12):
     return (aperture_vs_pressure(assembly, 0.0, box, tol),
             aperture_vs_pressure(assembly, p_max, box, tol))
 
@@ -238,6 +238,13 @@ def test_range_ends_cold_equal_warm_equal_direct(assembly, box):
     with pytest.raises(OutOfWorkspaceError) as exc:
         inverse_pressure(assembly, 30.0, 40.0, box=box)
     assert exc.value.reachable == (rest, largest)
+
+
+def test_default_box_left_out_or_passed_is_one_key(assembly):
+    # A box left out is the default box: one cache key, so 2 range-end misses, not 4.
+    _range_end.cache_clear()
+    assert workspace(assembly, 40.0) == workspace(assembly, 40.0, SolverBox())
+    assert _range_end.cache_info().misses == 2
 
 
 def test_range_ends_each_key_part_gets_its_own_value(geom, mat, box):
@@ -337,13 +344,19 @@ def test_scaling_the_radii_scales_the_apertures(geom, c1, k, n_chambers, t, f):
     )
 
 
+def scaled_config(k):
+    """The default model with every length times k, the folded aperture too."""
+    return {"geometry": {"R0_mm": k * 4.56, "R1_mm": k * 3.0},
+            "assembly": {"folded_aperture_mm": k * 5.0}}
+
+
 @settings(max_examples=10, deadline=None)
 @given(k=scale_factors)
 @example(k=1e-3)
 @example(k=1500.0)  # area residual 1.5e-8 mm^2*rad: rounding of a 2.7e7 mm^2*rad area
 @example(k=1e4)
 def test_validation_passes_at_every_scale(k):
-    ctx = ModelContext.from_config({"geometry": {"R0_mm": k * 4.56, "R1_mm": k * 3.0}})
+    ctx = ModelContext.from_config(scaled_config(k))
     report = build_validation_report(ctx)
     assert report["pass"], [check for check in report["checks"] if not check["pass"]]
 
@@ -359,7 +372,7 @@ def test_validation_passes_at_every_scale(k):
 def test_validation_fails_on_a_real_violation_at_every_scale(monkeypatch, k, check, violate):
     # The residual checks are relative: a violation of 1e-6 of its own scale
     # (1e-8 for the rest state) fails at every size of the geometry.
-    ctx = ModelContext.from_config({"geometry": {"R0_mm": k * 4.56, "R1_mm": k * 3.0}})
+    ctx = ModelContext.from_config(scaled_config(k))
 
     def violated_sweep(*args):
         rows = sweep(*args)
@@ -393,6 +406,7 @@ def test_every_config_that_loads_opens_under_inflation(ratio, theta0_deg, top):
     try:
         ctx = ModelContext.from_config({
             "geometry": {"R0_mm": 4.56, "R1_mm": 4.56 * ratio, "Theta0_deg": theta0_deg},
+            "assembly": {"folded_aperture_mm": 0.0},
             "solver": {"box": {"theta0_deg": [theta0_deg, hi_deg]}}})
     except ConfigError as exc:
         assert "close the aperture under inflation" in str(exc)
