@@ -145,13 +145,18 @@ def _report(series: MeasurementSeries, preds, params: dict, at_bound: bool, nfev
             status: int) -> FitReport:
     """The fit's report.  Its notes remark when a parameter ends at a bound of
     its search (``at_bound``) and when the minimiser stopped at its evaluation
-    cap (``status`` 1)."""
+    cap (``status`` 1).  A parameter or residual norm that is not finite, as
+    extreme data can give, raises CalibrationError: JSON has no such number."""
+    residual_norm = math.sqrt(_sum_sq(preds, series.ys()))
+    for name, value in (*params.items(), ("residual_norm", residual_norm)):
+        if not math.isfinite(value):
+            raise CalibrationError(f"fit failed: {name} is {value}, not a finite number")
     notes = "optimizer at bound" if at_bound else ""
     if status == 1:
         notes = "; ".join(filter(None, (notes, "optimizer stopped at its evaluation cap")))
     return FitReport(
         params=params,
-        residual_norm=math.sqrt(_sum_sq(preds, series.ys())),
+        residual_norm=residual_norm,
         per_point=tuple({"x": x, "measured": y, "predicted": p, "error": p - y}
                         for (x, y), p in zip(series.rows, preds)),
         at_bound=at_bound,
@@ -280,7 +285,7 @@ def fit_c1(
     _, rest, top, _ = workspace(unit, q_top, box, tol)
     # A point past the box's reach is read at the top: its own c1 is at most c1_reach.  One
     # at or below rest, or at unit-curve pressure 0, fits only a rigid wall: it is left out.
-    qs = [inverse_pressure(unit, min(y, top), q_top, tol, box) if y > rest else 0.0 for y in ys]
+    qs = [inverse_pressure(unit, min(y, top), q_top, box, tol) if y > rest else 0.0 for y in ys]
     own = [p / q for p, q in zip(xs, qs) if q > 0]
     if not own:
         raise CalibrationError(f"fit_c1 failed: no aperture lies above the rest aperture "
@@ -313,7 +318,8 @@ def extract_peak_force(series: MeasurementSeries, smoothing_window: int = 1) -> 
     """Peak force (N) of a force-displacement trace.
 
     ``smoothing_window`` > 1 applies a centred moving average before taking
-    the maximum (window 1 means no smoothing).
+    the maximum (window 1 means no smoothing).  A peak that is not finite,
+    as forces near the float limit give once summed, raises CalibrationError.
     """
     _require_kind(series, SeriesKind.FORCE_DISPLACEMENT, "extract_peak_force")
     ys = series.ys()
@@ -326,7 +332,10 @@ def extract_peak_force(series: MeasurementSeries, smoothing_window: int = 1) -> 
         return max(ys)
     # Window sums as differences of prefix sums: O(n) for any window.
     sums = list(accumulate(ys, initial=0.0))
-    return max(map(sub, sums[w:], sums)) / w
+    peak = max(map(sub, sums[w:], sums)) / w
+    if not math.isfinite(peak):
+        raise CalibrationError(f"peak force is {peak}, not a finite number: window sums overflow")
+    return peak
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .records import CheckedRecord
 
 #: The published box, the original design study's search: (lo, hi) of r0 in [4.56, 5] mm, r1 in
 #: [3, 3.8] mm and theta0 in [57.6 deg, 80 deg] (rad here).  Its lower corner is the default
-#: geometry and its angle range the default ``SolverBox``; inflation leaves the radial ranges.
+#: geometry and its top angle the default ``SolverBox``; inflation leaves the radial ranges.
 PUBLISHED_BOX = ((4.56, 5.0), (3.0, 3.8), (math.radians(57.6), math.radians(80.0)))
 
 #: Default tolerances: on theta0 (rad) of every bracketed solve, and the
@@ -95,22 +95,20 @@ class DeformedState(CheckedRecord, namedtuple("DeformedState", "r_outer r_inner 
         return tuple.__new__(cls, (r_outer, r_inner, half_angle))
 
 
-class SolverBox(CheckedRecord, namedtuple("SolverBox", "half_angle_range")):
-    """The range (lo, hi), rad, of the deformed half angle theta0 the solver brackets on.
+class SolverBox(CheckedRecord, namedtuple("SolverBox", "half_angle_max")):
+    """The top angle, rad, of the deformed half angle theta0 the solver brackets on.
 
-    The pin and area constraints fix r1 and r0 once theta0 is known, so the angle range
-    is the whole search box.  It is stored as a tuple, so a box is hashable.
+    Inflation opens the chamber from rest, so every bracket runs from the rest angle
+    Theta0 up to this top; the pin and area constraints fix r1 and r0 once theta0 is
+    known, so the angle range is the whole search box.
     """
 
     __slots__ = ()
 
-    def __new__(cls, half_angle_range: tuple[float, float] = PUBLISHED_BOX[2]):
-        lo, hi = half_angle_range
-        if not lo <= hi:
-            raise ValueError(f"half_angle_range is empty: [{lo}, {hi}]")
-        if not 0.0 < lo <= hi < math.pi / 2:
-            raise ValueError(f"half_angle_range must lie in (0, pi/2), got [{lo}, {hi}]")
-        return tuple.__new__(cls, ((lo, hi),))
+    def __new__(cls, half_angle_max: float = PUBLISHED_BOX[2][1]):
+        if not 0.0 < half_angle_max < math.pi / 2:
+            raise ValueError(f"half_angle_max must lie in (0, pi/2), got {half_angle_max}")
+        return tuple.__new__(cls, (half_angle_max,))
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +376,22 @@ _BOX_END_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=_BOX_END_CACHE_SIZE)
-def _box_end_pressures(geom: ChamberGeometry, lo: float, hi: float) -> tuple[float, float]:
-    """(q(lo), q(hi)): the c1 = 1 kPa pressures at the ends of a box's angle range.
+def _box_end_pressures(geom: ChamberGeometry, hi: float) -> tuple[float, float]:
+    """(q(Theta0), q(hi)): the c1 = 1 kPa pressures at the ends of the bracket [Theta0, hi].
 
-    They depend only on the geometry and the two angles, so each key is evaluated
+    They depend only on the geometry and the top angle, so each key is evaluated
     once and every c1 scales the same pair; the geometry is immutable, so a stored
     pair never goes stale, and an exception is raised afresh on every call, never stored.
     """
+    lo = geom.half_angle_0
     return _pressure(geom, *_radii(geom, lo), lo), _pressure(geom, *_radii(geom, hi), hi)
 
 
 def reachable_pressure_range(
     geom: ChamberGeometry, mat: HyperelasticMaterial, box: SolverBox = SolverBox()
 ) -> tuple[float, float]:
-    """Pressures (kPa) reachable in the box's angle range; rest-angle noise below 0 floors to 0."""
-    q_lo, q_hi = _box_end_pressures(geom, *box.half_angle_range)
+    """Pressures (kPa) reachable on [Theta0, box top]; rest-angle noise below 0 floors to 0."""
+    q_lo, q_hi = _box_end_pressures(geom, box.half_angle_max)
     return max(mat.c1 * q_lo, 0.0), mat.c1 * q_hi
 
 
@@ -413,10 +412,10 @@ def solve_deformation(
     """Solve for the deformed state at inflation pressure p (kPa).
 
     The pin and area constraints eliminate r1 and r0, reducing the system
-    to a single monotone equation P(theta0) = p bracketed over the box's
-    angle range (Brent).  The constraints hold exactly by construction;
-    the pressure residual is bounded by the bracketing tolerance.  At 0 kPa
-    the state is the rest geometry, P(Theta0) = 0, when the box holds Theta0.
+    to a single monotone equation P(theta0) = p bracketed on [Theta0, box
+    top] (Brent).  The constraints hold exactly by construction; the
+    pressure residual is bounded by the bracketing tolerance.  At 0 kPa the
+    state is the rest geometry, P(Theta0) = 0.
     """
     if p < 0:
         raise OutOfWorkspaceError(
@@ -425,11 +424,11 @@ def solve_deformation(
         )
     if tol <= 0:
         raise ValueError(f"theta tolerance must be positive, got {tol}")
-    lo, hi = box.half_angle_range
-    if p == 0 and lo <= geom.half_angle_0 <= hi:
-        return state_at_angle(geom, geom.half_angle_0)
-    # brentq starts at the box ends, whose c1 = 1 kPa pressures are evaluated once per key.
-    q_lo, q_hi = _box_end_pressures(geom, lo, hi)
+    lo, hi = geom.half_angle_0, box.half_angle_max
+    if p == 0:
+        return state_at_angle(geom, lo)
+    # brentq starts at the bracket ends, whose c1 = 1 kPa pressures are evaluated once per key.
+    q_lo, q_hi = _box_end_pressures(geom, hi)
     p_lo, p_hi = mat.c1 * q_lo, mat.c1 * q_hi
     if p < p_lo or p > p_hi:  # a NaN compares false both ways and reaches brentq's ValueError
         raise _outside_box(p, (max(p_lo, 0.0), p_hi))

@@ -32,6 +32,7 @@ from .chamber import (
 from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_context, read_json
 from .errors import GripperError, OutOfWorkspaceError
 from .gripper import (
+    GripperAssembly,
     _forward,
     contraction_diameter_range,
     inverse_pressure,
@@ -116,7 +117,7 @@ def cmd_sweep(ctx: ModelContext, args) -> int:
 
 
 def cmd_invert(ctx: ModelContext, args) -> int:
-    p = inverse_pressure(ctx.assembly, args.aperture, ctx.p_max_kPa, ctx.theta_tol_rad, ctx.box)
+    p = inverse_pressure(ctx.assembly, args.aperture, ctx.p_max_kPa, ctx.box, ctx.theta_tol_rad)
     if args.json:
         _print_json({"target_Rg_mm": args.aperture, "pressure_kPa": p})
     else:
@@ -225,7 +226,7 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
 
     # The published rest aperture holds only for the published assembly; on
     # any other, Rg(0) is the undeformed geometry's, which fixed_point checks.
-    if geom == ChamberGeometry() and assembly.n_chambers == 22:
+    if geom == ChamberGeometry() and assembly.n_chambers == GripperAssembly(geom, mat).n_chambers:
         add(
             "rest_aperture_pin",
             abs(rest.Rg_mm - 20.676) < 1e-3,
@@ -268,10 +269,9 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
     )
 
     rng = random.Random(seed)
-    lo, hi = box.half_angle_range
     worst = 0.0
     for _ in range(100):
-        state = state_at_angle(geom, rng.uniform(lo, hi))
+        state = state_at_angle(geom, rng.uniform(geom.half_angle_0, box.half_angle_max))
         printed = pressure_closed_form(geom, state, mat, "as_printed")
         rederived = pressure_closed_form(geom, state, mat, "rederived")
         identity = (
@@ -291,7 +291,7 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
     worst_rt = 0.0
     for row in rows[4::4]:
         p = row.pressure_kPa
-        p_back = inverse_pressure(assembly, row.Rg_mm, ctx.p_max_kPa, ctx.theta_tol_rad, box)
+        p_back = inverse_pressure(assembly, row.Rg_mm, ctx.p_max_kPa, box, ctx.theta_tol_rad)
         worst_rt = max(worst_rt, abs(p_back - p) / max(1.0, abs(p)))
     add(
         "inverse_round_trip",

@@ -41,7 +41,7 @@ DEFAULT_CONFIG = {
     "material": {"c1_kPa": _ASM.material.c1},
     "assembly": {"n_chambers": _ASM.n_chambers, "folded_aperture_mm": _ASM.folded_aperture_mm},
     "solver": {
-        "box": {"theta0_deg": [math.degrees(a) for a in SolverBox().half_angle_range]},
+        "box": {"theta0_max_deg": math.degrees(SolverBox().half_angle_max)},
         "theta_tol_rad": THETA_TOL_RAD,
         "quad_rel_tol": QUAD_REL_TOL,
         "p_max_kPa": P_MAX_KPA,
@@ -78,9 +78,9 @@ def read_json(path):
 
 
 def _merge(default, value, where: str = ""):
-    """``value`` laid over ``default`` in new dicts and lists, in one walk that gives it
-    the shape of ``default``: an object, a [lo, hi] pair or a finite number, each number
-    in the type of its default (an int for an int, else a float)."""
+    """``value`` laid over ``default`` in new dicts, in one walk that gives it the shape
+    of ``default``: an object or a finite number, each number in the type of its default
+    (an int for an int, else a float)."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"config key {where} must be an object, got {value!r}")
@@ -97,10 +97,6 @@ def _merge(default, value, where: str = ""):
             else:
                 raise ConfigError(f"unknown config key {at!r}")
         return out
-    if isinstance(default, list):
-        if not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise ConfigError(f"config key {where} must be a [lo, hi] number pair, got {value!r}")
-        return [_merge(lo_or_hi, item, where) for lo_or_hi, item in zip(default, value)]
     # json accepts NaN, Infinity and integers beyond the float range.
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max):
@@ -138,33 +134,30 @@ def load_config(path: str | None = None) -> dict:
 
 
 def _check_box(geometry, box, geo, box_cfg) -> None:
-    """Reject a model whose c1 = 1 kPa pressure at a solver box end is not finite, or whose
-    wall distance D, and so its aperture, does not grow under inflation: dD/dtheta0 <= 0
-    at Theta0, or D(hi) <= D(Theta0), each in closed form.
+    """Reject a model whose c1 = 1 kPa pressure at an end of the bracket [Theta0, top] is
+    not finite, or whose wall distance D, and so its aperture, does not grow under
+    inflation: dD/dtheta0 <= 0 at Theta0, or D(top) <= D(Theta0), each in closed form.
 
     Every solve scales that unit pressure pair by c1, so the first solve finds it stored.
     """
+    keys = (f"geometry.R0_mm {geo['R0_mm']}, geometry.R1_mm {geo['R1_mm']} and geometry."
+            f"Theta0_deg {geo['Theta0_deg']} with solver.box.theta0_max_deg "
+            f"{box_cfg['theta0_max_deg']}")
     try:
-        ends = _box_end_pressures(geometry, *box.half_angle_range)
+        ends = _box_end_pressures(geometry, box.half_angle_max)
         fault = "" if all(map(math.isfinite, ends)) else f"they are {ends[0]} and {ends[1]} kPa"
     except (ValueError, ArithmeticError) as exc:  # e.g. r1**2 underflowing to 0 in a 1/r1**2
         fault = exc
     if fault:
-        raise ValueError(
-            f"geometry.R0_mm {geo['R0_mm']} and geometry.R1_mm {geo['R1_mm']} with "
-            f"solver.box.theta0_deg {box_cfg['theta0_deg']} give no finite pressure at the "
-            f"box ends ({fault})")
+        raise ValueError(f"{keys} give no finite pressure at the bracket ends ({fault})")
     r0, r1, rest = geometry[:3]
     slope = 2.0 * (r1 / math.sin(rest)
                    - (r1 * r1 / math.tan(rest) + (r0 * r0 - r1 * r1) / (2.0 * rest)) / r0)
-    _, hi = box.half_angle_range
-    d_rest, d_hi = (_wall_distance(*_radii(geometry, t), t) for t in (rest, hi))
+    d_rest, d_hi = (_wall_distance(*_radii(geometry, t), t) for t in (rest, box.half_angle_max))
     if not (slope > 0 and d_hi > d_rest):
         raise ValueError(
-            f"geometry.R0_mm {geo['R0_mm']}, geometry.R1_mm {geo['R1_mm']} and geometry.Theta0_deg "
-            f"{geo['Theta0_deg']} with solver.box.theta0_deg {box_cfg['theta0_deg']} close the "
-            f"aperture under inflation (dD/dtheta0 {slope:.6g} mm/rad at rest; D {d_rest:.6g} mm "
-            f"at rest, {d_hi:.6g} mm at the box end)")
+            f"{keys} close the aperture under inflation (dD/dtheta0 {slope:.6g} mm/rad at "
+            f"rest; D {d_rest:.6g} mm at rest, {d_hi:.6g} mm at the box top)")
 
 
 class ModelContext(namedtuple("ModelContext", "config geometry material assembly box capacity "
@@ -191,7 +184,7 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
                 raise ValueError(f"material.c1_kPa: {exc}") from None
             assembly = GripperAssembly(geometry, material, cfg["assembly"]["n_chambers"],
                                        cfg["assembly"]["folded_aperture_mm"])
-            box = SolverBox(tuple(map(math.radians, box_cfg["theta0_deg"])))
+            box = SolverBox(math.radians(box_cfg["theta0_max_deg"]))
             entries = {}
             for name, entry in cfg["capacity"].items():
                 try:
@@ -199,17 +192,16 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
                 except ValueError as exc:  # its message starts with the field's name
                     raise ValueError(f"capacity.{name}.{exc}") from None
             capacity = CapacityCalibration(entries)
-            lo, hi = box.half_angle_range
-            if not lo <= geometry.half_angle_0 < hi:
+            if not geometry.half_angle_0 < box.half_angle_max:
                 raise ValueError(
-                    f"solver.box.theta0_deg {box_cfg['theta0_deg']} must start at or below the "
-                    f"rest angle Theta0 = {geo['Theta0_deg']} deg and end above it"
-                )
+                    f"solver.box.theta0_max_deg {box_cfg['theta0_max_deg']} is at or below the "
+                    f"rest angle Theta0 = {geo['Theta0_deg']} deg; it must lie above it")
             _check_box(geometry, box, geo, box_cfg)
-            ends = _box_end_pressures(geometry, *box.half_angle_range)
+            ends = _box_end_pressures(geometry, box.half_angle_max)
             if not all(math.isfinite(material.c1 * q) for q in ends):
-                raise ValueError(f"material.c1_kPa {material.c1} with solver.box.theta0_deg "
-                                 f"{box_cfg['theta0_deg']} overflows the pressure at a box end")
+                raise ValueError(f"material.c1_kPa {material.c1} with solver.box.theta0_max_deg "
+                                 f"{box_cfg['theta0_max_deg']} overflows the pressure at a "
+                                 "bracket end")
             if solver["p_max_kPa"] < 0:
                 raise ValueError(f"solver.p_max_kPa must be >= 0, got {solver['p_max_kPa']}")
             if solver["quad_rel_tol"] <= 0:

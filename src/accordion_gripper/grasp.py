@@ -267,7 +267,7 @@ class SuctionModel(CheckedRecord, namedtuple("SuctionModel", (
 def suction_force(
     model: SuctionModel,
     p_chamber: float,
-    lift_volume_increase_mm3: float = 0.0,
+    lift_volume_increase_mm3: float,
 ) -> float:
     """Suction lifting force (N) with the seal formed.
 

@@ -127,8 +127,8 @@ def inverse_pressure(
     assembly: GripperAssembly,
     target_rg: float,
     p_max: float = P_MAX_KPA,
-    tol: float = THETA_TOL_RAD,
     box: SolverBox = SolverBox(),
+    tol: float = THETA_TOL_RAD,
 ) -> float:
     """Pressure (kPa) at which the aperture radius equals target_rg (mm).
 

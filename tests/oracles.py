@@ -28,12 +28,12 @@ def nested_inverse_pressure(assembly, target_rg, p_max=40.0, box=SolverBox()):
 def grid_search_state(geom, mat, p_target, box, n=400):
     """Brute-force minimizer over (r0, r1, theta0) for one target pressure.
 
-    Scans an n^3 grid over the box's angle range and radial ranges padded
-    to cover the constraint manifold, minimizing the squared pressure and
+    Scans an n^3 grid over the angles from the rest angle to the box top and
+    radial ranges padded to cover the constraint manifold, minimizing the squared pressure and
     constraint residuals (each scaled by its per-grid-cell sensitivity).
     Returns the best grid point and the grid spacings.
     """
-    th_lo, th_hi = box.half_angle_range
+    th_lo, th_hi = geom.half_angle_0, box.half_angle_max
     a = geom.pin_half_distance
     area0 = geom.sector_area_scale
     c1 = mat.c1

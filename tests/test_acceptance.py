@@ -104,7 +104,7 @@ def test_criterion_03_printed_equation_audit(ctx, capsys):
         )
         rng = np.random.default_rng(1)
         worst = 0.0
-        for theta in rng.uniform(*ctx.box.half_angle_range, size=100):
+        for theta in rng.uniform(ctx.geometry.half_angle_0, ctx.box.half_angle_max, size=100):
             state = state_at_angle(geom, float(theta))
             gap = pressure_closed_form(geom, state, mat, "as_printed") - (
                 pressure_closed_form(geom, state, mat, "rederived")

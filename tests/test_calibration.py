@@ -160,7 +160,7 @@ def test_fit_c1_rejects_flat_series(geom):
 def test_fit_c1_fails_when_no_constant_reaches_the_series(geom):
     # No c1 opens the chamber past 57.7 deg, so every aperture lies beyond the box's
     # reach: the fit stops at c1_reach, the softest c1 that reaches 40 kPa, and says so.
-    narrow = SolverBox(half_angle_range=(math.radians(57.6), math.radians(57.7)))
+    narrow = SolverBox(half_angle_max=math.radians(57.7))
     report = fit_c1(make_aperture_series(geom), geom, box=narrow)
     unit_reach = reachable_pressure_range(geom, HyperelasticMaterial(1.0), narrow)[1]
     assert report.params["c1_kPa"] == pytest.approx(PRESSURES[-1] / unit_reach, rel=1e-12)
@@ -213,7 +213,7 @@ def test_fit_c1_recovers_constants_far_from_the_default(geom, c1):
 def test_fit_c1_scales_with_the_pressures(geom, c1, k):
     # P is linear in c1: the apertures seen at pressures k*p are those of k*c1.
     # The box reaches 85 deg, so the scaled pressures stay reachable.
-    box = SolverBox(half_angle_range=(geom.half_angle_0, math.radians(85.0)))
+    box = SolverBox(half_angle_max=math.radians(85.0))
     series = make_aperture_series(geom, c1=c1)
     scaled = MeasurementSeries.from_pairs(
         SeriesKind.PRESSURE_APERTURE, [(k * p, y) for p, y in series.rows])
@@ -361,6 +361,13 @@ def test_extract_peak_force_validation():
     wrong = MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, [(0, 1), (1, 2)])
     with pytest.raises(CalibrationError, match="force_displacement"):
         extract_peak_force(wrong)
+    # Each force is finite, but two of them sum past the float range.
+    huge = MeasurementSeries.from_pairs(
+        SeriesKind.FORCE_DISPLACEMENT, [(0, 1.7e308), (1, 1.7e308), (2, 1.0)]
+    )
+    assert extract_peak_force(huge) == 1.7e308
+    with pytest.raises(CalibrationError, match="peak force is inf, not a finite number"):
+        extract_peak_force(huge, smoothing_window=2)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +500,11 @@ def test_fit_suction_input_validation(assembly):
         flat = MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, zip((0.0, 20.0), peaks))
         with pytest.raises(CalibrationError, match=r"projected seal area \S+ mm\^2 <= 0"):
             fit_suction(flat, assembly)
+    # Finite peaks near the float limit project onto an infinite seal area.
+    huge = MeasurementSeries.from_pairs(
+        SeriesKind.SUCTION_FORCE, [(0.0, 1e300), (20.0, 1e308), (40.0, 1.7e308)])
+    with pytest.raises(CalibrationError, match="A_eff_mm2 is inf, not a finite number"):
+        fit_suction(huge, assembly)
 
 
 @pytest.mark.parametrize("scale, a_eff, h_eff", [

@@ -82,10 +82,9 @@ def test_invalid_state_rejected(args):
 
 
 def test_invalid_box_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        SolverBox(half_angle_range=(1.2, 1.0))
-    with pytest.raises(ValueError, match="half_angle_range"):
-        SolverBox(half_angle_range=(1.0, math.pi))
+    for top in (0.0, math.pi / 2, math.pi):
+        with pytest.raises(ValueError, match="half_angle_max"):
+            SolverBox(half_angle_max=top)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,7 @@ def test_pressure_at_angle_is_the_closed_form(c1, geom):
 
 
 def test_solve_evaluates_each_box_end_once(monkeypatch):
-    # Once per (geometry, box angles), across solves at different pressures and c1.
+    # Once per (geometry, box top), across solves at different pressures and c1.
     import accordion_gripper.chamber as chamber
 
     angles, unit = [], chamber._pressure
@@ -315,7 +314,7 @@ def test_solve_evaluates_each_box_end_once(monkeypatch):
 
     monkeypatch.setattr(chamber, "_pressure", spy)
     chamber._box_end_pressures.cache_clear()  # earlier tests store this key's pair
-    lo, hi = SolverBox().half_angle_range
+    lo, hi = ChamberGeometry().half_angle_0, SolverBox().half_angle_max
     # 0 kPa is the rest state: no solve.
     for c1, p, evaluations in ((119.0, 0.0, 0), (119.0, 12.5, 1), (119.0, 40.0, 1),
                                (85.0, 20.0, 1), (1e4, 1000.0, 1)):
@@ -325,15 +324,14 @@ def test_solve_evaluates_each_box_end_once(monkeypatch):
 
 @st.composite
 def bracketed_models(draw):
-    """A random geometry, c1 and box, and a pressure inside the box's range."""
+    """A random geometry, c1 and box top, and a pressure inside the range they bracket."""
     r_outer_0 = draw(st.floats(min_value=1.0, max_value=20.0))
     geom = ChamberGeometry(r_outer_0, r_outer_0 * draw(st.floats(min_value=0.3, max_value=0.95)),
                            math.radians(draw(st.floats(min_value=10.0, max_value=80.0))))
     mat = HyperelasticMaterial(draw(st.floats(min_value=1.0, max_value=1e4)))
-    lo = geom.half_angle_0 * draw(st.floats(min_value=0.5, max_value=1.0))
-    hi = draw(st.floats(min_value=geom.half_angle_0, max_value=math.radians(89.0),
-                        exclude_min=True))
-    box = SolverBox(half_angle_range=(lo, hi))
+    lo = geom.half_angle_0
+    hi = draw(st.floats(min_value=lo, max_value=math.radians(89.0), exclude_min=True))
+    box = SolverBox(half_angle_max=hi)
     p_lo, p_hi = (pressure_at_angle(geom, mat, t) for t in (lo, hi))
     assume(max(p_lo, 0.0) < p_hi)
     f = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
@@ -347,7 +345,7 @@ def bracketed_models(draw):
 def test_solve_is_brent_on_the_closed_form_bit_for_bit(model, tol):
     # Stored box-end pressures change no iterate: the root is scipy's, to the bit.
     geom, mat, box, p = model
-    lo, hi = box.half_angle_range
+    lo, hi = geom.half_angle_0, box.half_angle_max
     theta = optimize.brentq(
         lambda t: pressure_closed_form(geom, state_at_angle(geom, t), mat) - p, lo, hi, xtol=tol)
     assert solve_deformation(geom, mat, p, box, tol) == state_at_angle(geom, theta)
@@ -376,7 +374,7 @@ def test_geometry_replace_rebuilds_the_derived_constants():
 
 
 def test_box_end_pressures_are_stored_per_key():
-    # The pair is the c1 = 1 kPa curve's, so only the geometry and the box angles key it.
+    # The pair is the c1 = 1 kPa curve's, so only the geometry and the box top key it.
     import accordion_gripper.chamber as chamber
 
     store = chamber._box_end_pressures
@@ -385,24 +383,23 @@ def test_box_end_pressures_are_stored_per_key():
     cold = solve_deformation(geom, mat, 12.5, box)
     assert store.cache_info().misses == 1
     assert solve_deformation(geom, mat, 12.5, box) == cold
-    q_lo, q_hi = store(geom, *box.half_angle_range)
+    q_lo, q_hi = store(geom, box.half_angle_max)
     for c1 in (1.0, 85.0, 120.0, 1e4):
         other = HyperelasticMaterial(c1)
         reach = reachable_pressure_range(geom, other, box)
         assert reach == (max(c1 * q_lo, 0.0), c1 * q_hi)
         solve_deformation(geom, other, 0.5 * reach[1], box)
     assert store.cache_info().misses == 1
-    lo, hi = box.half_angle_range
     for changed in (dict(geom=ChamberGeometry(4.6)),
-                    dict(box=SolverBox(half_angle_range=(lo, hi - 1e-3))),
-                    dict(box=SolverBox(half_angle_range=(lo - 1e-3, hi)))):
+                    dict(geom=ChamberGeometry(half_angle_0=geom.half_angle_0 - 1e-3)),
+                    dict(box=SolverBox(half_angle_max=box.half_angle_max - 1e-3))):
         args = {"geom": geom, "box": box, **changed}
         misses = store.cache_info().misses
         solve_deformation(args["geom"], mat, 12.5, args["box"])
         assert store.cache_info().misses == misses + 1, changed
-        assert store(args["geom"], *args["box"].half_angle_range) == tuple(
+        assert store(args["geom"], args["box"].half_angle_max) == tuple(
             pressure_at_angle(args["geom"], HyperelasticMaterial(1.0), t)
-            for t in args["box"].half_angle_range)
+            for t in (args["geom"].half_angle_0, args["box"].half_angle_max))
 
 
 def test_box_end_arithmetic_error_is_raised_on_every_call():
@@ -432,7 +429,7 @@ def test_reachable_pressure_range_floors_rest_noise_at_zero(c1):
     assert pressure_at_angle(geom, mat, geom.half_angle_0) < 0.0
     lo, hi = reachable_pressure_range(geom, mat)
     assert lo == 0.0
-    assert hi == pressure_at_angle(geom, mat, SolverBox().half_angle_range[1])
+    assert hi == pressure_at_angle(geom, mat, SolverBox().half_angle_max)
     with pytest.raises(OutOfWorkspaceError) as exc:
         solve_deformation(geom, mat, 100.0)
     assert exc.value.reachable == (0.0, hi)
@@ -518,23 +515,21 @@ def test_solve_rejects_non_positive_tolerance(p, tol):
 
 
 def test_rest_state_needs_no_solve():
-    # Near the default geometry, with the box starting at Theta0, P(Theta0)
-    # rounds to either side of 0 kPa; above it, 0 kPa used to lie outside the
-    # bracket and the config did not load.
+    # Near the default geometry P(Theta0), the bracket's lower end, rounds to
+    # either side of 0 kPa; above it, 0 kPa used to lie outside the bracket
+    # and the config did not load.
     rng = random.Random(20261018)
     noise_above_zero = 0
     for _ in range(500):
         r1 = rng.uniform(2.5, 3.5)
         theta0_deg = rng.uniform(50.0, 65.0)
-        ctx = ModelContext.from_config({
-            "geometry": {"R0_mm": r1 + rng.uniform(1.0, 2.0), "R1_mm": r1,
-                         "Theta0_deg": theta0_deg},
-            "solver": {"box": {"theta0_deg": [theta0_deg, 80.0]}},
-        })
+        ctx = ModelContext.from_config({"geometry": {
+            "R0_mm": r1 + rng.uniform(1.0, 2.0), "R1_mm": r1, "Theta0_deg": theta0_deg}})
         geom, mat, box = ctx.geometry, ctx.material, ctx.box
         assert solve_deformation(geom, mat, 0.0, box) == state_at_angle(geom, geom.half_angle_0)
         try:
-            theta = brentq(lambda t: pressure_at_angle(geom, mat, t), *box.half_angle_range)
+            theta = brentq(lambda t: pressure_at_angle(geom, mat, t), geom.half_angle_0,
+                           box.half_angle_max)
         except ValueError:
             noise_above_zero += 1
             continue

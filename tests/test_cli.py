@@ -313,16 +313,19 @@ def test_unreadable_data_exit_1(capsys, tmp_path, monkeypatch, command, data):
          "['cylinder', 'sphere', 'cone', 'pyramid', 'cube', 'irregular', 'flat_plate', 'default']"),
         ({"assembly": {"folded_aperture_mm": 30}}, ["workspace"],
          "assembly.folded_aperture_mm 30.0 must not exceed the rest aperture R_g(0) = 20.675956 mm"),
-        # The solver brackets on the angle alone; no solve read the radial ranges.
+        # The solver brackets on the angle alone, from the rest angle to the box top; no
+        # solve read the radial ranges or a lower angle.
         ({"solver": {"box": {"r0_mm": [3.0, 5.0]}}}, ["config"],
          "unknown config key 'solver.box.r0_mm'"),
         ({"solver": {"box": {"r1_mm": [3.0, 5.0]}}}, ["config"],
          "unknown config key 'solver.box.r1_mm'"),
+        ({"solver": {"box": {"theta0_deg": [57.6, 80.0]}}}, ["solve", "--pressure", "0"],
+         "unknown config key 'solver.box.theta0_deg'"),
     ],
     ids=["negative-ambient", "negative-lift", "negative-margin", "zero-theta-tol",
          "negative-ambient-and-area", "negative-margin-plate", "open-pressure-above-limit",
          "negative-p-max", "zero-quad-tol", "negative-prestretch", "misspelt-capacity-shape",
-         "folded-above-rest", "radial-box-r0", "radial-box-r1"],
+         "folded-above-rest", "radial-box-r0", "radial-box-r1", "box-angle-pair"],
 )
 def test_bad_model_parameter_exit_1(capsys, tmp_path, monkeypatch, config, argv, message):
     # The value is rejected when the config is loaded, so every command fails alike.
@@ -365,7 +368,7 @@ def write_config(tmp_path, payload):
 def test_plan_suction_checks_configured_box(capsys, tmp_path):
     # The box reaches only [0, 12.68] kPa, below the 20 kPa suction phase.
     cfg = write_config(
-        tmp_path, {"solver": {"box": {"theta0_deg": [57.6, 62]}, "p_max_kPa": 5}}
+        tmp_path, {"solver": {"box": {"theta0_max_deg": 62}, "p_max_kPa": 5}}
     )
     path = write_object(
         tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0}
@@ -378,7 +381,7 @@ def test_plan_suction_checks_configured_box(capsys, tmp_path):
 def test_plan_contraction_checks_p_max(capsys, tmp_path):
     # The 40 kPa "open" phase is above the 5 kPa the workspace was solved at.
     cfg = write_config(
-        tmp_path, {"solver": {"box": {"theta0_deg": [57.6, 62]}, "p_max_kPa": 5}}
+        tmp_path, {"solver": {"box": {"theta0_max_deg": 62}, "p_max_kPa": 5}}
     )
     path = write_object(
         tmp_path, {"shape_class": "cylinder", "characteristic_diameter_mm": 40.0}
@@ -392,22 +395,11 @@ def test_plan_contraction_checks_p_max(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", [["solve", "--pressure", "0"], ["workspace"], ["validate"]])
 def test_box_below_rest_angle_exit_1(capsys, tmp_path, command):
-    # Every angle of the box is below Theta0 = 57.6 deg, so no pressure is reachable.
-    cfg = write_config(tmp_path, {"solver": {"box": {"theta0_deg": [40, 50]}}})
+    # The box top is below Theta0 = 57.6 deg, so no pressure is reachable.
+    cfg = write_config(tmp_path, {"solver": {"box": {"theta0_max_deg": 50}}})
     code, out, err = run(capsys, "--config", cfg, *command)
     assert (code, out) == (1, "")
     assert "below the rest angle" in err
-
-
-@pytest.mark.parametrize(
-    "command", [["workspace"], ["invert", "--aperture", "21.5"], ["validate"]]
-)
-def test_box_above_rest_angle_exit_1(capsys, tmp_path, command):
-    # The box starts above Theta0 = 57.6 deg, so the 0 kPa rest state is outside it.
-    cfg = write_config(tmp_path, {"solver": {"box": {"theta0_deg": [60, 80]}}})
-    code, out, err = run(capsys, "--config", cfg, *command)
-    assert (code, out) == (1, "")
-    assert err.startswith("config error: ") and "rest angle" in err
 
 
 @pytest.mark.parametrize("command", [
@@ -416,13 +408,12 @@ def test_box_above_rest_angle_exit_1(capsys, tmp_path, command):
     ["fit-suction", "--data", "suction.csv"],
 ], ids=lambda argv: argv[0])
 def test_box_at_rest_angle_with_rest_noise_above_zero(capsys, tmp_path, monkeypatch, command):
-    # P(Theta0) rounds to +5.7e-14 kPa here, so a solve at 0 kPa in a box that
-    # starts at Theta0 had no bracket and every command failed at config load.
+    # P(Theta0) rounds to +5.7e-14 kPa here, so a solve at 0 kPa on the bracket
+    # [Theta0, top] had no sign change and every command failed at config load.
     monkeypatch.chdir(tmp_path)
     write_object(tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0})
     (tmp_path / "suction.csv").write_text("pressure_kPa,force_N\n0,15\n20,30\n")
-    cfg = write_config(tmp_path, {"geometry": {"R0_mm": 4.5, "R1_mm": 2.8, "Theta0_deg": 55},
-                                  "solver": {"box": {"theta0_deg": [55, 80]}}})
+    cfg = write_config(tmp_path, {"geometry": {"R0_mm": 4.5, "R1_mm": 2.8, "Theta0_deg": 55}})
     code, _, err = run(capsys, "--config", cfg, *command)
     assert (code, err) == (0, "")
 
@@ -475,7 +466,7 @@ def test_unreachable_p_max_is_named(capsys, tmp_path, monkeypatch, command):
 def test_sweep_to_defaults_to_p_max(capsys, tmp_path):
     # The box reaches only [0, 12.68] kPa; the sweep ends at the configured 5 kPa.
     cfg = write_config(
-        tmp_path, {"solver": {"box": {"theta0_deg": [57.6, 62]}, "p_max_kPa": 5}}
+        tmp_path, {"solver": {"box": {"theta0_max_deg": 62}, "p_max_kPa": 5}}
     )
     out = tmp_path / "sweep.csv"
     code, stdout, _ = run(capsys, "--config", cfg, "sweep", "--steps", "3", "--out", str(out))
@@ -519,7 +510,7 @@ def test_validate_other_chamber_counts(capsys, tmp_path, n_chambers):
     {"geometry": {"R0_mm": 4.058026863274308, "R1_mm": 2.535132809527206,
                   "Theta0_deg": 59.69654777875791},
      "material": {"c1_kPa": 96.2176012907255}, "assembly": {"n_chambers": 28},
-     "solver": {"box": {"theta0_deg": [59.69654777875791, 75.07716438821367]},
+     "solver": {"box": {"theta0_max_deg": 75.07716438821367},
                 "p_max_kPa": 25.832450340642087, "theta_tol_rad": 1e-10}},
 ], ids=["default-geometry", "n28"])
 def test_validate_round_trip_ends_on_p_max(capsys, tmp_path, config):
@@ -692,7 +683,7 @@ PLAN = ["plan", "--object", "object.json"]
     [
         ({"suction": {"A_eff_mm2": math.nan}}, None, ["solve", "--pressure", "0"]),
         ({"solver": {"p_max_kPa": math.inf}}, None, ["workspace"]),
-        ({"solver": {"box": {"theta0_deg": [57.6, math.inf]}}}, None, ["solve", "--pressure", "0"]),
+        ({"solver": {"box": {"theta0_max_deg": math.inf}}}, None, ["solve", "--pressure", "0"]),
         ({"capacity": {"cone": {"slope_N_per_kPa": math.nan, "plateau_N": 8.0}}}, None,
          ["solve", "--pressure", "0"]),
         (None, None, ["solve", "--pressure", "inf"]),
@@ -709,11 +700,19 @@ PLAN = ["plan", "--object", "object.json"]
         ({"material": {"c1_kPa": 10**400}}, None, ["solve", "--pressure", "0"]),
         ({"capacity": {"cone": {"slope_N_per_kPa": 10**400, "plateau_N": 8.0}}}, None,
          ["solve", "--pressure", "0"]),
+        # Finite data near the float limit whose fitted area and residual norm, or window
+        # sum, overflow to inf: both commands printed Infinity, which JSON cannot hold.
+        (None, None, ["fit-suction", "--data", "big-suction.csv"]),
+        (None, None, ["peak-force", "--data", "big-trace.csv", "--window", "2", "--json"]),
     ],
 )
 def test_non_finite_input_exit_1(capsys, tmp_path, monkeypatch, config, descriptor, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nan.csv").write_text("pressure_kPa,aperture_mm\n5,20.8\n10,nan\n15,21.2\n")
+    (tmp_path / "big-suction.csv").write_text(
+        "pressure_kPa,force_N\n0,1e300\n20,1e308\n40,1.7e308\n")
+    (tmp_path / "big-trace.csv").write_text(
+        "displacement_mm,force_N\n0,1.7e308\n1,1.7e308\n2,1\n")
     if descriptor is not None:
         write_object(
             tmp_path,
@@ -768,7 +767,7 @@ def test_byte_order_mark_config_and_descriptor_load(capsys, tmp_path):
     [
         ({"geometry": {"R0_mm": 1e200}}, "config error: "),
         ({"geometry": {"R1_mm": 1e-300}}, "config error: "),
-        ({"solver": {"box": {"theta0_deg": [1e-300, 80]}}}, "config error: "),
+        ({"geometry": {"Theta0_deg": 1e-300}}, "config error: "),
     ],
     ids=["R0-overflows", "R1-underflows", "box-angle-underflows"],
 )
@@ -786,7 +785,7 @@ def test_degenerate_number_exit_1(capsys, tmp_path, config, prefix, argv):
     # 2*c1 is a float, but c1 times the box top's unit pressure, 2.34, is not.
     {"material": {"c1_kPa": 8.9e307},
      "geometry": {"R0_mm": 4.56, "R1_mm": 3.79, "Theta0_deg": 12.1},
-     "solver": {"box": {"theta0_deg": [12.1, 86.5]}}},
+     "solver": {"box": {"theta0_max_deg": 86.5}}},
 ], ids=["stress-law", "box-top-pressure"])
 def test_c1_whose_pressures_overflow_exit_1(capsys, tmp_path, config, argv):
     code, out, err = run(capsys, "--config", write_config(tmp_path, config), *argv)
@@ -816,18 +815,18 @@ def test_fit_c1_recovers_a_stiff_wall_from_its_own_sweep(capsys, tmp_path):
 def test_geometry_whose_aperture_closes_exit_1(capsys, tmp_path, argv):
     # The wall distance falls from the rest angle: workspace printed a max aperture
     # (18.49 mm) below the rest aperture (19.37 mm), and every invert exited 2.
-    cfg = write_config(tmp_path, {"geometry": {"R0_mm": 6.885, "R1_mm": 4.286, "Theta0_deg": 16.02},
-                                  "solver": {"box": {"theta0_deg": [16.02, 80]}}})
+    cfg = write_config(tmp_path,
+                       {"geometry": {"R0_mm": 6.885, "R1_mm": 4.286, "Theta0_deg": 16.02}})
     code, out, err = run(capsys, "--config", cfg, *argv)
     assert (code, out, err.count("\n")) == (1, "", 1)
     assert err.startswith("config error: ") and "close the aperture under inflation" in err
     assert all(key in err for key in ("geometry.R0_mm", "geometry.R1_mm", "geometry.Theta0_deg",
-                                      "solver.box.theta0_deg"))
+                                      "solver.box.theta0_max_deg"))
 
 
 def test_validate_audits_the_published_box_not_the_configured_one(capsys, tmp_path):
     cfg = write_config(
-        tmp_path, {"solver": {"box": {"theta0_deg": [57.6, 62]}, "p_max_kPa": 5}}
+        tmp_path, {"solver": {"box": {"theta0_max_deg": 62}, "p_max_kPa": 5}}
     )
     code, out, _ = run(capsys, "--config", cfg, "validate", "--json")
     assert code == 0
@@ -938,12 +937,12 @@ def test_every_command_keeps_the_exit_code_contract(inputs, config, argv):
        n_chambers=st.integers(min_value=3, max_value=200))
 def test_plausible_models_validate_or_name_an_unreachable_p_max(
         inputs, r_outer_0, ratio, half_angle_0, c1, n_chambers):
-    # The box's angles run from the rest angle to 89 deg, so more of the models load.
+    # The box top is 89 deg, so more of the models load.
     config = {"geometry": {"R0_mm": r_outer_0, "R1_mm": r_outer_0 * ratio,
                            "Theta0_deg": half_angle_0},
               "material": {"c1_kPa": c1},
               "assembly": {"n_chambers": n_chambers, "folded_aperture_mm": 0.0},
-              "solver": {"box": {"theta0_deg": [half_angle_0, 89.0]}}}
+              "solver": {"box": {"theta0_max_deg": 89.0}}}
     try:
         ctx = ModelContext.from_config(config)
     except ConfigError:

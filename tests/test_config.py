@@ -100,7 +100,7 @@ def test_config_numbers_take_their_default_type(tmp_path):
         "geometry": {"R0_mm": 5, "R1_mm": 3, "Theta0_deg": 58},
         "material": {"c1_kPa": 150},
         "assembly": {"n_chambers": 16.0, "folded_aperture_mm": 4},
-        "solver": {"box": {"theta0_deg": [58, 80]}, "p_max_kPa": 30},
+        "solver": {"box": {"theta0_max_deg": 80}, "p_max_kPa": 30},
         "suction": {"A_eff_mm2": 2000, "seal_threshold_kPa": 0},
         "grasp": {"open_kPa": 30, "stretch_margin_mm": 8},
         "capacity": {"cone": {"slope_N_per_kPa": 1, "plateau_N": 8}},
@@ -110,12 +110,12 @@ def test_config_numbers_take_their_default_type(tmp_path):
     def numbers(value):
         if isinstance(value, dict):
             return [n for item in value.values() for n in numbers(item)]
-        return [n for item in value for n in numbers(item)] if isinstance(value, list) else [value]
+        return [value]
 
     n_chambers = ctx.config["assembly"].pop("n_chambers")
     assert type(n_chambers) is int and n_chambers == ctx.assembly.n_chambers == 16
     assert {type(n) for n in numbers(ctx.config)} == {float}
-    built = (ctx.material.c1, ctx.p_max_kPa, *ctx.box.half_angle_range,
+    built = (ctx.material.c1, ctx.p_max_kPa, *ctx.box,
              *ctx.capacity.entries["cone"])
     assert {type(n) for n in built} == {float}
 
@@ -160,18 +160,20 @@ def test_load_context_runs_no_solver(monkeypatch):
     "payload, value",
     [
         ({"geometry": {"R1_mm": 1e-300}}, "geometry.R1_mm 1e-300"),
-        ({"solver": {"box": {"theta0_deg": [1e-300, 80]}}}, "solver.box.theta0_deg [1e-300, 80.0]"),
+        ({"geometry": {"Theta0_deg": 1e-300}}, "geometry.Theta0_deg 1e-300"),
     ],
     ids=["R1-underflows", "box-angle-underflows"],
 )
 def test_config_without_finite_box_end_pressures_names_the_keys(tmp_path, payload, value):
-    # Both load as numbers, but 1/r1**2 divides by an r1**2 that underflows to 0.
+    # Both load as numbers, but at the box top 1/r1**2 divides by an r1**2 that underflows
+    # to 0: r1 = R1*sin(Theta0)/sin(top).
     with pytest.raises(ConfigError) as info:
         load_context(write_config(tmp_path, payload))
     message = str(info.value)
     assert value in message
     assert all(key in message
-               for key in ("geometry.R0_mm", "geometry.R1_mm", "solver.box.theta0_deg"))
+               for key in ("geometry.R0_mm", "geometry.R1_mm", "geometry.Theta0_deg",
+                           "solver.box.theta0_max_deg"))
     assert "float division by zero" in message
 
 
@@ -203,14 +205,14 @@ def test_context_from_defaults(ctx):
     assert ctx.geometry.half_angle_0 == pytest.approx(math.radians(57.6))
     assert ctx.material.c1 == 119.0
     assert ctx.assembly.n_chambers == 22
-    assert ctx.box.half_angle_range[1] == pytest.approx(math.radians(80.0))
+    assert ctx.box.half_angle_max == pytest.approx(math.radians(80.0))
     assert ctx.p_max_kPa == 40.0
     assert ctx.capacity.lookup("sphere").slope_N_per_kPa == 0.75
     # Every default is the domain type's own.
     assert ctx.geometry == ChamberGeometry()
     assert ctx.material == HyperelasticMaterial()
-    assert ctx.box == SolverBox() and SolverBox._fields == ("half_angle_range",)
-    assert default_config()["solver"]["box"] == {"theta0_deg": [57.6, 80.0]}
+    assert ctx.box == SolverBox() and SolverBox._fields == ("half_angle_max",)
+    assert default_config()["solver"]["box"] == {"theta0_max_deg": 80.0}
     assert ctx.capacity == CapacityCalibration.defaults()
     assert ctx.quad_rel_tol == QUAD_REL_TOL
     assert ctx.suction_model().seal_threshold_kPa == SEAL_THRESHOLD_KPA
@@ -222,11 +224,11 @@ def test_context_rejects_bad_values(tmp_path):
         {"material": {"c1_kPa": "soft"}},
         {"assembly": {"n_chambers": 21.5}},
         {"geometry": {"Theta0_deg": 0.0}},
-        {"solver": {"box": {"theta0_deg": [80.0]}}},
+        {"solver": {"box": {"theta0_max_deg": [80.0]}}},
         {"solver": {"box": 5}},
-        {"solver": {"box": {"theta0_deg": [40.0, 50.0]}}},
-        {"solver": {"box": {"theta0_deg": [40.0, 57.6]}}},  # ends at the rest angle
-        {"solver": {"box": {"theta0_deg": [57.7, 80.0]}}},  # starts above it
+        {"solver": {"box": {"theta0_max_deg": 50.0}}},
+        {"solver": {"box": {"theta0_max_deg": 57.6}}},  # ends at the rest angle
+        {"solver": {"box": {"theta0_max_deg": 90.0}}},  # at pi/2
         {"capacity": {"cone": {"plateau_N": 8.0}}},
         {"capacity": {"cone": {"slope_N_per_kPa": 0.4, "plateau_N": 8.0, "hue": 1}}},
     ]
@@ -240,10 +242,10 @@ def test_context_rejects_bad_values(tmp_path):
     "payload, message",
     [
         ({"solver": {"box": 5}}, "config key solver.box must be an object, got 5"),
-        ({"solver": {"box": {"theta0_deg": [58.0, "x"]}}},
-         "config key solver.box.theta0_deg must be a finite"),
-        ({"solver": {"box": {"theta0_deg": 58.0}}},
-         "solver.box.theta0_deg must be a [lo, hi] number pair"),
+        ({"solver": {"box": {"theta0_max_deg": "x"}}},
+         "config key solver.box.theta0_max_deg must be a finite"),
+        ({"solver": {"box": {"theta0_deg": [57.6, 80.0]}}},
+         "unknown config key 'solver.box.theta0_deg'"),
         ({"assembly": {"n_chambers": 21.5}}, "assembly.n_chambers must be an integer"),
         ({"capacity": 5}, "config key capacity must be an object"),
         ({"capacity": {"cone": 5}}, "capacity.cone must be an object"),
@@ -255,8 +257,8 @@ def test_context_rejects_bad_values(tmp_path):
          "config key capacity.cone missing 'plateau_N'"),
         ({"capacity": {"cone": {"slope_N_per_kPa": 0.4, "plateau_N": 8.0, "hue": 1}}},
          "unknown config key 'capacity.cone.hue'"),
-        ({"solver": {"box": {"theta0_deg": [60.0, 80.0]}}},
-         "solver.box.theta0_deg [60.0, 80.0] must start at or below the rest angle"),
+        ({"solver": {"box": {"theta0_max_deg": 57.6}}},
+         "solver.box.theta0_max_deg 57.6 is at or below the rest angle"),
         ({"solver": {"p_max_kPa": -5}}, "invalid config: solver.p_max_kPa must be >= 0, got -5.0"),
         ({"solver": {"quad_rel_tol": 0}},
          "invalid config: solver.quad_rel_tol must be positive, got 0.0"),
@@ -368,8 +370,8 @@ REPLACE_CASES = {
                         {"half_angle_0": 1.0}, ChamberGeometry(half_angle_0=1.0)),
     "DeformedState": (DeformedState(4.5, 3.0, 1.0), {"r_inner": -1.0}, (ValueError, "r1 < r0"),
                       {"half_angle": 1.2}, DeformedState(4.5, 3.0, 1.2)),
-    "SolverBox": (SolverBox(), {"half_angle_range": (2.0, 1.0)}, (ValueError, "empty"),
-                  {"half_angle_range": [1.0, 1.2]}, SolverBox(half_angle_range=(1.0, 1.2))),
+    "SolverBox": (SolverBox(), {"half_angle_max": 2.0}, (ValueError, "half_angle_max"),
+                  {"half_angle_max": 1.2}, SolverBox(half_angle_max=1.2)),
     "GripperAssembly": (_ASM, {"n_chambers": 1}, (ValueError, "n_chambers"), {"n_chambers": 16},
                         GripperAssembly(ChamberGeometry(), HyperelasticMaterial(), 16)),
     "CapacityEntry": (CapacityEntry(0.1, 2.0), {"plateau_N": -1.0}, (ValueError, "plateau"),

@@ -210,7 +210,7 @@ def test_failed_sweep_csv_keeps_a_link(assembly, tmp_path):
 def test_inverse_stays_within_zero_and_p_max(assembly, p_max, tol, target):
     ws = workspace(assembly, p_max, tol=tol)
     target = min(max(target, ws.rest_aperture_mm), ws.max_aperture_mm)
-    assert 0.0 <= inverse_pressure(assembly, target, p_max, tol) <= p_max
+    assert 0.0 <= inverse_pressure(assembly, target, p_max, SolverBox(), tol) <= p_max
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +256,7 @@ def test_range_ends_each_key_part_gets_its_own_value(geom, mat, box):
         "n_chambers": (GripperAssembly(geom, mat, 28), 40.0, box, 1e-12),
         "Theta0": (GripperAssembly(ChamberGeometry(half_angle_0=math.radians(60.0)), mat),
                    40.0, box, 1e-12),
-        "box angles": (base, 40.0, SolverBox(half_angle_range=(math.radians(57.6),
-                                                                math.radians(75.0))), 1e-12),
+        "box top": (base, 40.0, SolverBox(half_angle_max=math.radians(75.0)), 1e-12),
         "tol": (base, 40.0, box, 1e-3),
         "p_max": (base, 30.0, box, 1e-12),
     }
@@ -268,26 +267,17 @@ def test_range_ends_each_key_part_gets_its_own_value(geom, mat, box):
         assert (ws.rest_aperture_mm, ws.max_aperture_mm) == direct_ends(
             assembly, p_max, variant_box, tol), part
         with pytest.raises(OutOfWorkspaceError) as exc:
-            inverse_pressure(assembly, 30.0, p_max, tol, variant_box)
+            inverse_pressure(assembly, 30.0, p_max, variant_box, tol)
         assert exc.value.reachable == direct_ends(assembly, p_max, variant_box, tol), part
 
 
 def test_unreachable_p_max_raises_on_every_call(assembly):
-    narrow = SolverBox(half_angle_range=(math.radians(57.6), math.radians(62.0)))  # <= 12.7 kPa
+    narrow = SolverBox(half_angle_max=math.radians(62.0))  # <= 12.7 kPa
     for _ in range(2):
         with pytest.raises(OutOfWorkspaceError, match="reachable inside the solver box"):
             workspace(assembly, 40.0, narrow)
         with pytest.raises(OutOfWorkspaceError, match="reachable inside the solver box"):
             inverse_pressure(assembly, 21.0, 40.0, box=narrow)
-
-
-def test_box_from_lists_equals_box_from_tuples(assembly, box):
-    listed = SolverBox(*map(list, box))
-    assert listed == box and hash(listed) == hash(box)
-    assert all(type(r) is tuple for r in listed)
-    assert workspace(assembly, 40.0, listed) == workspace(assembly, 40.0, box)
-    assert (inverse_pressure(assembly, 21.5, box=listed)
-            == inverse_pressure(assembly, 21.5, box=box))
 
 
 @settings(max_examples=25, deadline=None)
@@ -331,7 +321,7 @@ def test_scaling_the_radii_scales_the_apertures(geom, c1, k, n_chambers, t, f):
     scaled_geom = ChamberGeometry(k * geom.r_outer_0, k * geom.r_inner_0, geom.half_angle_0)
     assembly = GripperAssembly(geom, mat, n_chambers)
     scaled = GripperAssembly(scaled_geom, mat, n_chambers)
-    lo, hi = SolverBox().half_angle_range
+    lo, hi = geom.half_angle_0, SolverBox().half_angle_max
     theta = lo + t * (hi - lo)
     assert pressure_at_angle(scaled_geom, mat, theta) == pytest.approx(
         pressure_at_angle(geom, mat, theta), rel=1e-12)
@@ -407,11 +397,11 @@ def test_every_config_that_loads_opens_under_inflation(ratio, theta0_deg, top):
         ctx = ModelContext.from_config({
             "geometry": {"R0_mm": 4.56, "R1_mm": 4.56 * ratio, "Theta0_deg": theta0_deg},
             "assembly": {"folded_aperture_mm": 0.0},
-            "solver": {"box": {"theta0_deg": [theta0_deg, hi_deg]}}})
+            "solver": {"box": {"theta0_max_deg": hi_deg}}})
     except ConfigError as exc:
         assert "close the aperture under inflation" in str(exc)
         return
-    lo, hi = ctx.geometry.half_angle_0, ctx.box.half_angle_range[1]
+    lo, hi = ctx.geometry.half_angle_0, ctx.box.half_angle_max
     thetas = [lo + (hi - lo) * i / 200 for i in range(201)]
     ps = [pressure_at_angle(ctx.geometry, ctx.material, t) for t in thetas]
     rgs = [aperture_radius(wall_distance(state_at_angle(ctx.geometry, t)), ctx.assembly)
