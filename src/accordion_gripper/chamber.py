@@ -379,12 +379,18 @@ _BOX_END_CACHE_SIZE = 128
 def _box_end_pressures(geom: ChamberGeometry, hi: float) -> tuple[float, float]:
     """(q(Theta0), q(hi)): the c1 = 1 kPa pressures at the ends of the bracket [Theta0, hi].
 
-    They depend only on the geometry and the top angle, so each key is evaluated
-    once and every c1 scales the same pair; the geometry is immutable, so a stored
-    pair never goes stale, and an exception is raised afresh on every call, never stored.
+    A top at or below Theta0, or an end pressure that is not finite, is a ValueError.  Each
+    (geometry, top) is evaluated once and every c1 scales its pair; the key is immutable, so
+    a stored pair never goes stale, and an exception is raised afresh on every call.
     """
     lo = geom.half_angle_0
-    return _pressure(geom, *_radii(geom, lo), lo), _pressure(geom, *_radii(geom, hi), hi)
+    if not lo < hi:
+        raise ValueError(f"the solver box top {math.degrees(hi):.6g} deg is at or below the rest "
+                         f"angle Theta0 = {math.degrees(lo):.6g} deg; it must lie above it")
+    ends = _pressure(geom, *_radii(geom, lo), lo), _pressure(geom, *_radii(geom, hi), hi)
+    if not all(map(math.isfinite, ends)):
+        raise ValueError(f"the c1 = 1 kPa pressures {ends} kPa at the bracket ends are not finite")
+    return ends
 
 
 def reachable_pressure_range(
@@ -415,7 +421,7 @@ def solve_deformation(
     to a single monotone equation P(theta0) = p bracketed on [Theta0, box
     top] (Brent).  The constraints hold exactly by construction; the
     pressure residual is bounded by the bracketing tolerance.  At 0 kPa the
-    state is the rest geometry, P(Theta0) = 0.
+    state is the rest geometry, P(Theta0) = 0; the bracket is checked there too.
     """
     if p < 0:
         raise OutOfWorkspaceError(
@@ -425,10 +431,10 @@ def solve_deformation(
     if tol <= 0:
         raise ValueError(f"theta tolerance must be positive, got {tol}")
     lo, hi = geom.half_angle_0, box.half_angle_max
+    # Checked at every pressure; brentq starts at the ends, evaluated once per key.
+    q_lo, q_hi = _box_end_pressures(geom, hi)
     if p == 0:
         return state_at_angle(geom, lo)
-    # brentq starts at the bracket ends, whose c1 = 1 kPa pressures are evaluated once per key.
-    q_lo, q_hi = _box_end_pressures(geom, hi)
     p_lo, p_hi = mat.c1 * q_lo, mat.c1 * q_hi
     if p < p_lo or p > p_hi:  # a NaN compares false both ways and reaches brentq's ValueError
         raise _outside_box(p, (max(p_lo, 0.0), p_hi))

@@ -19,9 +19,10 @@ import math
 import os
 import sys
 from collections import namedtuple
+from functools import reduce
 
-from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox, _box_end_pressures
-from .chamber import _radii, _wall_distance
+from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox
+from .chamber import reachable_pressure_range, state_at_angle, wall_distance
 from .errors import ConfigError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA, SEAL_THRESHOLD_KPA
 from .grasp import CapacityCalibration, CapacityEntry, GraspMode, SuctionModel
@@ -133,31 +134,16 @@ def load_config(path: str | None = None) -> dict:
     return _merge(default_config(), _user_config(path))
 
 
-def _check_box(geometry, box, geo, box_cfg) -> None:
-    """Reject a model whose c1 = 1 kPa pressure at an end of the bracket [Theta0, top] is
-    not finite, or whose wall distance D, and so its aperture, does not grow under
-    inflation: dD/dtheta0 <= 0 at Theta0, or D(top) <= D(Theta0), each in closed form.
-
-    Every solve scales that unit pressure pair by c1, so the first solve finds it stored.
-    """
-    keys = (f"geometry.R0_mm {geo['R0_mm']}, geometry.R1_mm {geo['R1_mm']} and geometry."
-            f"Theta0_deg {geo['Theta0_deg']} with solver.box.theta0_max_deg "
-            f"{box_cfg['theta0_max_deg']}")
-    try:
-        ends = _box_end_pressures(geometry, box.half_angle_max)
-        fault = "" if all(map(math.isfinite, ends)) else f"they are {ends[0]} and {ends[1]} kPa"
-    except (ValueError, ArithmeticError) as exc:  # e.g. r1**2 underflowing to 0 in a 1/r1**2
-        fault = exc
-    if fault:
-        raise ValueError(f"{keys} give no finite pressure at the bracket ends ({fault})")
+def _check_opens(geometry, box) -> None:
+    """Reject a model whose wall distance D, and so its aperture, does not grow under
+    inflation: dD/dtheta0 <= 0 at Theta0, or D(top) <= D(Theta0), each in closed form."""
     r0, r1, rest = geometry[:3]
     slope = 2.0 * (r1 / math.sin(rest)
                    - (r1 * r1 / math.tan(rest) + (r0 * r0 - r1 * r1) / (2.0 * rest)) / r0)
-    d_rest, d_hi = (_wall_distance(*_radii(geometry, t), t) for t in (rest, box.half_angle_max))
+    d_rest, d_hi = (wall_distance(state_at_angle(geometry, t)) for t in (rest, box.half_angle_max))
     if not (slope > 0 and d_hi > d_rest):
-        raise ValueError(
-            f"{keys} close the aperture under inflation (dD/dtheta0 {slope:.6g} mm/rad at "
-            f"rest; D {d_rest:.6g} mm at rest, {d_hi:.6g} mm at the box top)")
+        raise ValueError(f"they close the aperture under inflation (dD/dtheta0 {slope:.6g} mm/rad "
+                         f"at rest; D {d_rest:.6g} mm at rest, {d_hi:.6g} mm at the box top)")
 
 
 class ModelContext(namedtuple("ModelContext", "config geometry material assembly box capacity "
@@ -175,53 +161,58 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
         """
         cfg = _merge(default_config(), cfg)
         geo, solver, suction, grasp = cfg["geometry"], cfg["solver"], cfg["suction"], cfg["grasp"]
-        box_cfg = solver["box"]
-        try:
-            geometry = ChamberGeometry(geo["R0_mm"], geo["R1_mm"], math.radians(geo["Theta0_deg"]))
+
+        def keys(*paths: str) -> str:
+            """Each config key in ``paths`` with its value: the lead of an error about them."""
+            return ", ".join(f"{p} {reduce(dict.get, p.split('.'), cfg)}" for p in paths) + ": "
+
+        def named(lead, build, *args, **kwargs):
+            """``build(*args, **kwargs)``; a ValueError or ArithmeticError (e.g. a float overflow
+            or a 1/0) becomes the config error, led by ``lead``: a tuple of config keys, shown
+            with their values, or a string put before the message as it is."""
             try:
-                material = HyperelasticMaterial(cfg["material"]["c1_kPa"])
-            except ValueError as exc:
-                raise ValueError(f"material.c1_kPa: {exc}") from None
-            assembly = GripperAssembly(geometry, material, cfg["assembly"]["n_chambers"],
-                                       cfg["assembly"]["folded_aperture_mm"])
-            box = SolverBox(math.radians(box_cfg["theta0_max_deg"]))
-            entries = {}
-            for name, entry in cfg["capacity"].items():
-                try:
-                    entries[name] = CapacityEntry(**entry)
-                except ValueError as exc:  # its message starts with the field's name
-                    raise ValueError(f"capacity.{name}.{exc}") from None
-            capacity = CapacityCalibration(entries)
-            if not geometry.half_angle_0 < box.half_angle_max:
-                raise ValueError(
-                    f"solver.box.theta0_max_deg {box_cfg['theta0_max_deg']} is at or below the "
-                    f"rest angle Theta0 = {geo['Theta0_deg']} deg; it must lie above it")
-            _check_box(geometry, box, geo, box_cfg)
-            ends = _box_end_pressures(geometry, box.half_angle_max)
-            if not all(math.isfinite(material.c1 * q) for q in ends):
-                raise ValueError(f"material.c1_kPa {material.c1} with solver.box.theta0_max_deg "
-                                 f"{box_cfg['theta0_max_deg']} overflows the pressure at a "
-                                 "bracket end")
+                return build(*args, **kwargs)
+            except (ValueError, ArithmeticError) as exc:
+                lead = lead if isinstance(lead, str) else keys(*lead)
+                raise ConfigError(f"invalid config: {lead}{exc}") from exc
+
+        geo_keys = ("geometry.R0_mm", "geometry.R1_mm", "geometry.Theta0_deg")
+        top_key, schedule = "solver.box.theta0_max_deg", {key: grasp[key] for key in SCHEDULE_KPA}
+        try:
+            geometry = named(geo_keys, ChamberGeometry, geo["R0_mm"], geo["R1_mm"],
+                             math.radians(geo["Theta0_deg"]))
+            material = named(("material.c1_kPa",), HyperelasticMaterial, cfg["material"]["c1_kPa"])
+            assembly = named(("assembly.n_chambers", "assembly.folded_aperture_mm"),
+                             GripperAssembly, geometry, material, **cfg["assembly"])
+            box = named((top_key,), SolverBox, math.radians(solver["box"]["theta0_max_deg"]))
+            # A CapacityEntry's message starts with the field's name.
+            capacity = CapacityCalibration({name: named(f"capacity.{name}.", CapacityEntry, **entry)
+                                            for name, entry in cfg["capacity"].items()})
+            reach = named((*geo_keys, top_key), reachable_pressure_range, geometry, material, box)
+            named((*geo_keys, top_key), _check_opens, geometry, box)
+            if not all(map(math.isfinite, reach)):
+                raise ValueError(f"{keys('material.c1_kPa', top_key)}c1 times the pressure at a "
+                                 "bracket end overflows")
             if solver["p_max_kPa"] < 0:
                 raise ValueError(f"solver.p_max_kPa must be >= 0, got {solver['p_max_kPa']}")
-            if solver["quad_rel_tol"] <= 0:
-                raise ValueError(
-                    f"solver.quad_rel_tol must be positive, got {solver['quad_rel_tol']}")
-            if solver["theta_tol_rad"] <= 0:
-                raise ValueError(
-                    f"solver.theta_tol_rad must be positive, got {solver['theta_tol_rad']}")
+            for key in ("quad_rel_tol", "theta_tol_rad"):
+                if solver[key] <= 0:
+                    raise ValueError(f"solver.{key} must be positive, got {solver[key]}")
             rest = aperture_vs_pressure(assembly, 0.0, box, solver["theta_tol_rad"])
             if assembly.folded_aperture_mm > rest:
                 raise ValueError(f"assembly.folded_aperture_mm {assembly.folded_aperture_mm} must "
                                  f"not exceed the rest aperture R_g(0) = {rest:.9g} mm")
-            model = SuctionModel.from_assembly(
-                assembly, suction["A_eff_mm2"], suction["h_eff_mm"], suction["ambient_kPa"], box,
-                solver["theta_tol_rad"], suction["seal_threshold_kPa"])
-            check_lift_volume(suction["lift_volume_increase_mm3"])
-            check_stretch_margin(grasp["stretch_margin_mm"])
+            model = named(("suction.A_eff_mm2", "suction.h_eff_mm", "suction.ambient_kPa",
+                           "suction.seal_threshold_kPa"), SuctionModel.from_assembly,
+                          assembly, suction["A_eff_mm2"], suction["h_eff_mm"],
+                          suction["ambient_kPa"], box, solver["theta_tol_rad"],
+                          suction["seal_threshold_kPa"])
+            named(("suction.lift_volume_increase_mm3",), check_lift_volume,
+                  suction["lift_volume_increase_mm3"])
+            named(("grasp.stretch_margin_mm",), check_stretch_margin, grasp["stretch_margin_mm"])
             for mode in GraspMode:
-                pressure_schedule(mode, **{key: grasp[key] for key in SCHEDULE_KPA})
-        except (ValueError, ArithmeticError) as exc:  # e.g. a float overflow or a 1/0
+                named([f"grasp.{key}" for key in schedule], pressure_schedule, mode, **schedule)
+        except (ValueError, ArithmeticError) as exc:  # a rule of the config's own
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(cfg, geometry, material, assembly, box, capacity, solver["theta_tol_rad"],
                    solver["quad_rel_tol"], solver["p_max_kPa"], model)

@@ -143,9 +143,9 @@ class CapacityEntry(CheckedRecord, namedtuple(
                 prestretch_N: float = 0.0):
         for field, value in (("slope_N_per_kPa", slope_N_per_kPa), ("plateau_N", plateau_N),
                              ("prestretch_N", prestretch_N)):
-            if value < 0:
+            if not value >= 0:  # a NaN fails every comparison
                 raise ValueError(f"{field} must be >= 0, got {value}")
-        if threshold_kPa <= 0:
+        if not threshold_kPa > 0:
             raise ValueError(f"threshold_kPa must be > 0, got {threshold_kPa}")
         return tuple.__new__(cls, (slope_N_per_kPa, plateau_N, threshold_kPa, prestretch_N))
 
@@ -197,7 +197,7 @@ def contraction_capacity(
     pre-stretch baseline, applied only when the object is wider than the
     rest interior diameter (contact without any vacuum).
     """
-    if p_vac > 0:
+    if not p_vac <= 0:
         raise ValueError(f"vacuum pressure must be <= 0 kPa, got {p_vac}")
     entry = calib.lookup(obj.shape_class)
     prestretched = (
@@ -244,10 +244,12 @@ class SuctionModel(CheckedRecord, namedtuple("SuctionModel", (
                 ambient_pressure_kPa: float = AMBIENT_KPA, box: SolverBox = SolverBox(),
                 tol: float = THETA_TOL_RAD, seal_threshold_kPa: float = SEAL_THRESHOLD_KPA):
         check_ambient_pressure(ambient_pressure_kPa)
-        if effective_seal_area_mm2 <= 0:
+        if not effective_seal_area_mm2 > 0:
             raise ValueError("effective seal area must be positive")
-        if h_eff_mm <= 0:
+        if not h_eff_mm > 0:
             raise ValueError(f"effective height must be positive, got {h_eff_mm}")
+        if not math.isfinite(seal_threshold_kPa):
+            raise ValueError(f"seal threshold must be finite, got {seal_threshold_kPa}")
         rest_volume = sealed_volume(aperture_vs_pressure(assembly, 0.0, box, tol), h_eff_mm)
         return tuple.__new__(cls, (assembly, effective_seal_area_mm2, h_eff_mm,
                                    ambient_pressure_kPa, box, tol, seal_threshold_kPa,
@@ -291,13 +293,13 @@ def suction_force(
 
 def check_lift_volume(lift_volume_increase_mm3: float) -> None:
     """Reject a negative growth (mm^3) of the sealed volume while lifting."""
-    if lift_volume_increase_mm3 < 0:
+    if not lift_volume_increase_mm3 >= 0:
         raise ValueError("lift volume increase must be >= 0")
 
 
 def check_ambient_pressure(ambient_pressure_kPa: float) -> None:
     """Reject an ambient pressure (kPa) that is not positive."""
-    if ambient_pressure_kPa <= 0:
+    if not ambient_pressure_kPa > 0:
         raise ValueError("ambient pressure must be positive")
 
 
@@ -316,7 +318,7 @@ class GraspPlan(CheckedRecord, namedtuple("GraspPlan",
 
     def __new__(cls, mode: GraspMode | None, schedule: list, predicted_capacity_N: float,
                 feasible: bool, rationale: str):
-        if predicted_capacity_N < 0:
+        if not predicted_capacity_N >= 0:
             raise ValueError("predicted capacity must be >= 0")
         return tuple.__new__(cls, (mode, schedule, predicted_capacity_N, feasible, rationale))
 
@@ -396,11 +398,9 @@ def pressure_schedule(
     else:
         raise ValueError(f"unknown grasp mode {mode!r}")
     for label, p in schedule:
-        if abs(p) > PRESSURE_LIMIT_KPA:
-            raise ValueError(
-                f"configured {label!r} pressure {p} kPa exceeds "
-                f"+/-{PRESSURE_LIMIT_KPA} kPa"
-            )
+        if not abs(p) <= PRESSURE_LIMIT_KPA:
+            raise ValueError(f"configured {label!r} pressure {p} kPa exceeds "
+                             f"+/-{PRESSURE_LIMIT_KPA} kPa")
     return schedule
 
 

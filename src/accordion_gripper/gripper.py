@@ -60,7 +60,7 @@ class GripperAssembly(CheckedRecord, namedtuple("GripperAssembly",
                 n_chambers: int = 22, folded_aperture_mm: float = 5.0):
         if not (isinstance(n_chambers, int) and n_chambers >= 3):
             raise ValueError(f"n_chambers must be an integer >= 3, got {n_chambers}")
-        if folded_aperture_mm < 0:
+        if not folded_aperture_mm >= 0:  # a NaN fails every comparison
             raise ValueError(f"folded_aperture_mm must be >= 0, got {folded_aperture_mm}")
         return tuple.__new__(cls, (geometry, material, n_chambers, folded_aperture_mm))
 
@@ -94,7 +94,7 @@ SWEEP_CSV_HEADER = ",".join(SweepRow._fields)
 
 def aperture_radius(d: float, assembly: GripperAssembly) -> float:
     """Aperture radius R_g = D/alpha for wall distance d (mm)."""
-    if d < 0:
+    if not d >= 0:
         raise ValueError(f"wall distance must be >= 0, got {d}")
     return d / assembly.sector_angle
 
@@ -136,6 +136,8 @@ def inverse_pressure(
     ``tol``, rad) between the angles at 0 kPa and at p_max (``_range_end``)
     finds the angle of the target aperture; its pressure follows in closed form.
     """
+    if math.isnan(target_rg):
+        raise ValueError(f"target aperture must be a number, got {target_rg}")
     geom = assembly.geometry
     state_lo, _, rg_lo = _range_end(assembly, 0.0, box, tol)
     state_hi, _, rg_hi = _range_end(assembly, p_max, box, tol)
@@ -171,7 +173,7 @@ def workspace(
     The contraction-side minimum is the configured folded aperture; the
     folding branch is not modelled analytically.
     """
-    if p_max < 0:
+    if not p_max >= 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     return Workspace(
         min_aperture_mm=assembly.folded_aperture_mm,
@@ -199,7 +201,7 @@ def contraction_diameter_range(
 
 def check_stretch_margin(stretch_margin_mm: float) -> None:
     """Reject a negative stretch margin (mm)."""
-    if stretch_margin_mm < 0:
+    if not stretch_margin_mm >= 0:
         raise ValueError(f"stretch margin must be >= 0 mm, got {stretch_margin_mm}")
 
 

@@ -315,8 +315,8 @@ def test_solve_evaluates_each_box_end_once(monkeypatch):
     monkeypatch.setattr(chamber, "_pressure", spy)
     chamber._box_end_pressures.cache_clear()  # earlier tests store this key's pair
     lo, hi = ChamberGeometry().half_angle_0, SolverBox().half_angle_max
-    # 0 kPa is the rest state: no solve.
-    for c1, p, evaluations in ((119.0, 0.0, 0), (119.0, 12.5, 1), (119.0, 40.0, 1),
+    # 0 kPa is the rest state, with no solve, but it checks the bracket: it reads the pair.
+    for c1, p, evaluations in ((119.0, 0.0, 1), (119.0, 12.5, 1), (119.0, 40.0, 1),
                                (85.0, 20.0, 1), (1e4, 1000.0, 1)):
         solve_deformation(ChamberGeometry(), HyperelasticMaterial(c1), p)
         assert (angles.count(lo), angles.count(hi)) == (evaluations, evaluations)
@@ -414,6 +414,57 @@ def test_box_end_arithmetic_error_is_raised_on_every_call():
             reachable_pressure_range(geom, HyperelasticMaterial())
     after = chamber._box_end_pressures.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses + 4)
+
+
+def _calls_with_box(box):
+    """Every library call that takes a box, each on the default model."""
+    from accordion_gripper import GripperAssembly, SuctionModel
+    from accordion_gripper.calibration import MeasurementSeries, SeriesKind, fit_c1, fit_suction
+    from accordion_gripper.gripper import aperture_vs_pressure, inverse_pressure, sweep, workspace
+
+    geom, mat = ChamberGeometry(), HyperelasticMaterial()
+    asm = GripperAssembly(geom, mat)
+    apertures = MeasurementSeries.from_pairs(SeriesKind.PRESSURE_APERTURE,
+                                             [(5, 20.8), (10, 20.97), (20, 21.55)])
+    peaks = MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, [(0, 15), (20, 30), (40, 41)])
+    return {
+        "solve-0": lambda: solve_deformation(geom, mat, 0.0, box),
+        "solve-5": lambda: solve_deformation(geom, mat, 5.0, box),
+        "reachable": lambda: reachable_pressure_range(geom, mat, box),
+        "aperture": lambda: aperture_vs_pressure(asm, 5.0, box),
+        "inverse": lambda: inverse_pressure(asm, 21.0, 40.0, box),
+        "workspace-0": lambda: workspace(asm, 0.0, box),
+        "workspace-40": lambda: workspace(asm, 40.0, box),
+        "sweep": lambda: sweep(asm, 0.0, 10.0, 3, box),
+        "suction-model": lambda: SuctionModel(asm, 2264.0, 53.0, box=box),
+        "fit-c1": lambda: fit_c1(apertures, geom, box=box),
+        "fit-suction": lambda: fit_suction(peaks, asm, box=box),
+    }
+
+
+@pytest.mark.parametrize("call", list(_calls_with_box(SolverBox())))
+def test_every_call_rejects_a_box_top_below_the_rest_angle(call):
+    # 0.5 rad is 28.6 deg, below Theta0 = 57.6 deg: the bracket [Theta0, top] is empty.
+    below = _calls_with_box(SolverBox(0.5))[call]
+    with pytest.raises(ValueError, match="at or below the rest angle") as info:
+        below()
+    assert "28.6" in str(info.value) and "57.6 deg" in str(info.value)
+    _calls_with_box(SolverBox())[call]()  # the default box answers
+
+
+def test_box_end_pressure_that_is_not_finite_is_raised_on_every_call():
+    import accordion_gripper.chamber as chamber
+
+    geom = ChamberGeometry(4.56, 1e-155, math.radians(57.6))  # the pair is (nan, inf)
+    before = chamber._box_end_pressures.cache_info()
+    for _ in range(2):
+        for call in (lambda: solve_deformation(geom, HyperelasticMaterial(), 0.0),
+                     lambda: solve_deformation(geom, HyperelasticMaterial(), 12.5),
+                     lambda: reachable_pressure_range(geom, HyperelasticMaterial())):
+            with pytest.raises(ValueError, match=r"\(nan, inf\) kPa .* not finite"):
+                call()
+    after = chamber._box_end_pressures.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 6)
 
 
 def test_reachable_pressure_range():

@@ -4,8 +4,8 @@
 code it gave (plus the CSV a ``sweep`` wrote) when the file was last
 written.  The ten commands, and the error paths of bad input files, run
 under the default config, two (c1, n_chambers) overrides, a config of
-integers with a new capacity shape, and one of out-of-range suction and
-grasp values.  A change that moves an output digit rewrites
+integers with a new capacity shape, one of out-of-range suction and
+grasp values, and one whose solver box top lies below the rest angle.  A change that moves an output digit rewrites
 the file with ``PYTHONPATH=src python tests/test_cli_golden.py``, which prints
 each rewritten entry's command, field and moved numbers as old -> new.
 """
@@ -37,6 +37,8 @@ CONFIGS = {
     # Suction and grasp values out of range: rejected at load, whatever the command.
     "out_of_range.json": {"suction": {"ambient_kPa": -101, "A_eff_mm2": -5},
                           "grasp": {"stretch_margin_mm": -100, "open_kPa": 50}},
+    # A box top below the rest angle: the bracket [Theta0, top] is empty.
+    "box_below_rest.json": {"solver": {"box": {"theta0_max_deg": 50}}},
 }
 
 INPUTS = {

@@ -258,12 +258,22 @@ def test_context_rejects_bad_values(tmp_path):
         ({"capacity": {"cone": {"slope_N_per_kPa": 0.4, "plateau_N": 8.0, "hue": 1}}},
          "unknown config key 'capacity.cone.hue'"),
         ({"solver": {"box": {"theta0_max_deg": 57.6}}},
-         "solver.box.theta0_max_deg 57.6 is at or below the rest angle"),
+         "geometry.Theta0_deg 57.6, solver.box.theta0_max_deg 57.6: the solver box top 57.6 deg "
+         "is at or below the rest angle"),
         ({"solver": {"p_max_kPa": -5}}, "invalid config: solver.p_max_kPa must be >= 0, got -5.0"),
         ({"solver": {"quad_rel_tol": 0}},
          "invalid config: solver.quad_rel_tol must be positive, got 0.0"),
         ({"solver": {"theta_tol_rad": 0}},
          "invalid config: solver.theta_tol_rad must be positive, got 0.0"),
+        # A record's own rule is led by the keys its fields came from, with their values.
+        ({"solver": {"box": {"theta0_max_deg": 90}}},
+         "invalid config: solver.box.theta0_max_deg 90.0: half_angle_max must lie in (0, pi/2)"),
+        ({"geometry": {"Theta0_deg": 95}},
+         "invalid config: geometry.R0_mm 4.56, geometry.R1_mm 3.0, geometry.Theta0_deg 95.0: "
+         "require 0 < Theta0 < pi/2 rad"),
+        ({"assembly": {"n_chambers": 2}},
+         "invalid config: assembly.n_chambers 2, assembly.folded_aperture_mm 5.0: n_chambers "
+         "must be an integer >= 3, got 2"),
     ],
 )
 def test_config_shape_errors_name_the_key(tmp_path, payload, message):

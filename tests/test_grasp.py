@@ -23,6 +23,8 @@ from accordion_gripper import (
     suction_force,
     workspace,
 )
+from accordion_gripper.grasp import check_lift_volume
+from accordion_gripper.gripper import aperture_radius, check_stretch_margin, inverse_pressure
 
 REST_RG = 20.675956017774557
 
@@ -285,6 +287,37 @@ def test_pressure_schedules():
         pressure_schedule(GraspMode.CONTRACTION, open_kPa=50.0)
     with pytest.raises(ValueError, match="unknown grasp mode None"):
         pressure_schedule(None)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: CapacityEntry(NAN, 20.0),
+    lambda a: CapacityEntry(1.0, NAN),
+    lambda a: CapacityEntry(1.0, 20.0, threshold_kPa=NAN),
+    lambda a: CapacityEntry(1.0, 20.0, prestretch_N=NAN),
+    lambda a: a._replace(folded_aperture_mm=NAN),
+    lambda a: SuctionModel(a, NAN, 53.0),
+    lambda a: SuctionModel(a, 2264.0, NAN),
+    lambda a: SuctionModel(a, 2264.0, 53.0, ambient_pressure_kPa=NAN),
+    lambda a: SuctionModel(a, 2264.0, 53.0, seal_threshold_kPa=NAN),
+    lambda a: SuctionModel(a, 2264.0, 53.0, seal_threshold_kPa=-math.inf),
+    lambda a: check_lift_volume(NAN),
+    lambda a: check_stretch_margin(NAN),
+    lambda a: pressure_schedule(GraspMode.CONTRACTION, open_kPa=NAN),
+    lambda a: GraspPlan(None, [], NAN, False, ""),
+    lambda a: aperture_radius(NAN, a),
+    lambda a: contraction_capacity(obj(), NAN, CapacityCalibration.defaults()),
+    lambda a: inverse_pressure(a, NAN),  # bad input (exit 1), not out of workspace (exit 2)
+    lambda a: workspace(a, NAN),
+], ids=["slope", "plateau", "threshold", "prestretch", "folded-aperture", "seal-area",
+        "h-eff", "ambient", "seal-threshold", "seal-threshold-inf", "lift-volume",
+        "stretch-margin", "schedule", "plan-capacity", "aperture-radius", "vacuum",
+        "inverse-target", "workspace-p-max"])
+def test_nan_fails_every_range_check(assembly, call):
+    with pytest.raises(ValueError, match="nan|must be"):  # the range check's own message
+        call(assembly)
 
 
 def test_plan_validation():
