@@ -201,7 +201,7 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = QUAD_REL_TOL,
     that is pure cancellation noise (magnitude ~eps_mach times the terms
     it is built from) can never satisfy a purely relative target.
     """
-    if rel_tol <= 0:
+    if not rel_tol > 0:  # a NaN fails it too
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if a == b:
         return 0.0
@@ -278,9 +278,10 @@ def _pressure(geom, r0, r1, theta, log_coeff=2.0):
 # Bracketed root finder
 
 _RTOL = 4 * 2.220446049250313e-16  # 4 machine epsilons: scipy's default rtol
+_MAXITER = 100  # scipy's default
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = _MAXITER) -> float:
     """Root of f in the bracket [a, b] by Brent's method.
 
     Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
@@ -290,7 +291,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> fl
     ``(xtol + 4*eps*|x|)/2``.  Raises ValueError when f(a) and f(b) share a
     sign or f returns NaN, and ConvergenceError after ``maxiter`` steps.
     """
-    if xtol <= 0:
+    if not xtol > 0:  # a NaN fails it too
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
 
     def call(x: float) -> float:
@@ -299,9 +300,18 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> fl
             raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
         return fx
 
-    xpre, xcur = float(a), float(b)
+    a, b = float(a), float(b)
+    return _brent(call, a, b, call(a), call(b), xtol, maxiter)
+
+
+def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
+           maxiter: int = _MAXITER) -> float:
+    """``brentq``'s iteration on [xpre, xcur] from the known end values fpre and fcur.
+
+    The one body of every bracketed solve: f is called only inside the bracket and
+    must return a float; the caller checks xtol and any NaN.
+    """
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -343,7 +353,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> fl
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = f(xcur)
     raise ConvergenceError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
 
 
@@ -352,7 +362,11 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> fl
 
 
 def _radii(geom: ChamberGeometry, theta: float) -> tuple[float, float]:
-    """(r0, r1), mm, implied by theta0 via the pin and area constraints."""
+    """(r0, r1), mm, implied by theta0 via the pin and area constraints.
+
+    The residuals of ``solve_deformation`` and ``angle_at_aperture`` repeat its float
+    operations on the geometry's constants, bound once per call.
+    """
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"half angle {theta} outside (0, pi/2)")
     r1 = geom.pin_half_distance / math.sin(theta)
@@ -423,22 +437,45 @@ def solve_deformation(
     pressure residual is bounded by the bracketing tolerance.  At 0 kPa the
     state is the rest geometry, P(Theta0) = 0; the bracket is checked there too.
     """
+    if math.isnan(p):
+        raise ValueError(f"pressure must be a number, got {p} kPa")
     if p < 0:
         raise OutOfWorkspaceError(
             f"inflation branch only: pressure must be >= 0 kPa, got {p}",
             reachable=(0.0, None),
         )
-    if tol <= 0:
+    if not tol > 0:  # a NaN fails it too
         raise ValueError(f"theta tolerance must be positive, got {tol}")
     lo, hi = geom.half_angle_0, box.half_angle_max
-    # Checked at every pressure; brentq starts at the ends, evaluated once per key.
+    # Checked at every pressure; Brent starts at the ends, evaluated once per key.
     q_lo, q_hi = _box_end_pressures(geom, hi)
     if p == 0:
         return state_at_angle(geom, lo)
-    p_lo, p_hi = mat.c1 * q_lo, mat.c1 * q_hi
-    if p < p_lo or p > p_hi:  # a NaN compares false both ways and reaches brentq's ValueError
+    c1 = mat.c1
+    p_lo, p_hi = c1 * q_lo, c1 * q_hi
+    if p < p_lo or p > p_hi:
         raise _outside_box(p, (max(p_lo, 0.0), p_hi))
-    ends = {lo: p_lo, hi: p_hi}
-    theta = brentq(lambda t: (ends[t] if t in ends else pressure_at_angle(geom, mat, t)) - p,
-                   lo, hi, xtol=tol)
-    return state_at_angle(geom, theta)
+    pin, area, sin, sqrt = geom.pin_half_distance, geom.sector_area_scale, math.sin, math.sqrt
+
+    def residual(t: float) -> float:  # pressure_at_angle(geom, mat, t) - p, on bound constants
+        r1 = pin / sin(t)
+        return c1 * _pressure(geom, sqrt(r1 * r1 + area / t), r1, t) - p
+
+    return state_at_angle(geom, _brent(residual, lo, hi, p_lo - p, p_hi - p, tol))
+
+
+def angle_at_aperture(geom: ChamberGeometry, sector_angle: float, target: float,
+                      lo: float, hi: float, rg_lo: float, rg_hi: float, tol: float) -> float:
+    """theta0 (rad) in [lo, hi] where the aperture radius D/alpha equals target (mm).
+
+    alpha is the ``sector_angle`` (rad) each chamber of the ring spans.  The apertures
+    rg_lo and rg_hi at lo and hi are the caller's, and must bracket the target; ``tol``
+    is the Brent tolerance on theta0.
+    """
+    pin, area, sin, sqrt = geom.pin_half_distance, geom.sector_area_scale, math.sin, math.sqrt
+
+    def residual(t: float) -> float:  # wall_distance(state_at_angle(geom, t))/alpha - target
+        r1 = pin / sin(t)
+        return _wall_distance(sqrt(r1 * r1 + area / t), r1, t) / sector_angle - target
+
+    return _brent(residual, lo, hi, rg_lo - target, rg_hi - target, tol)

@@ -22,10 +22,8 @@ from .chamber import (
     DeformedState,
     SolverBox,
     _outside_box,
-    _radii,
-    _wall_distance,
+    angle_at_aperture,
     area_residual,
-    brentq,
     pin_residual,
     pressure_at_angle,
     pressure_quadrature,
@@ -141,11 +139,6 @@ def inverse_pressure(
     geom = assembly.geometry
     state_lo, _, rg_lo = _range_end(assembly, 0.0, box, tol)
     state_hi, _, rg_hi = _range_end(assembly, p_max, box, tol)
-    lo, hi = state_lo.half_angle, state_hi.half_angle
-
-    def rg(theta: float) -> float:
-        return aperture_radius(_wall_distance(*_radii(geom, theta), theta), assembly)
-
     if not rg_lo <= target_rg <= rg_hi:
         raise OutOfWorkspaceError(
             f"target aperture {target_rg} mm outside the achievable range "
@@ -156,8 +149,8 @@ def inverse_pressure(
         return 0.0
     if rg_hi == target_rg:
         return p_max
-    ends = {lo: rg_lo, hi: rg_hi}  # brentq starts at the range ends: evaluate them once
-    theta = brentq(lambda t: (ends[t] if t in ends else rg(t)) - target_rg, lo, hi, xtol=tol)
+    theta = angle_at_aperture(geom, assembly.sector_angle, target_rg, state_lo.half_angle,
+                              state_hi.half_angle, rg_lo, rg_hi, tol)
     # Past [0, p_max] by rounding near rest, or near p_max because that end is solved to tol.
     return min(max(pressure_at_angle(geom, assembly.material, theta), 0.0), p_max)
 

@@ -352,6 +352,28 @@ def test_solve_is_brent_on_the_closed_form_bit_for_bit(model, tol):
 
 
 @settings(max_examples=60, deadline=None)
+@given(model=bracketed_models(), tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+       n_chambers=st.integers(min_value=3, max_value=60),
+       f=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_inverse_is_brent_on_the_aperture_bit_for_bit(model, tol, n_chambers, f):
+    # Stored range ends change no iterate: the angle is scipy's, to the bit, then clamped.
+    from accordion_gripper import GripperAssembly, aperture_radius
+    from accordion_gripper.gripper import aperture_vs_pressure, inverse_pressure
+
+    geom, mat, box, p_max = model
+    asm = GripperAssembly(geom, mat, n_chambers)
+    rg_lo, rg_hi = (aperture_vs_pressure(asm, p, box, tol) for p in (0.0, p_max))
+    target = rg_lo + f * (rg_hi - rg_lo)
+    assume(rg_lo < target < rg_hi)  # the aperture falls under inflation on some geometries
+    lo, hi = geom.half_angle_0, solve_deformation(geom, mat, p_max, box, tol).half_angle
+    theta = optimize.brentq(
+        lambda t: aperture_radius(wall_distance(state_at_angle(geom, t)), asm) - target,
+        lo, hi, xtol=tol)
+    expected = min(max(pressure_at_angle(geom, mat, theta), 0.0), p_max)
+    assert inverse_pressure(asm, target, p_max, box, tol) == expected
+
+
+@settings(max_examples=60, deadline=None)
 @given(r_outer_0=st.floats(min_value=1e-3, max_value=1e3),
        ratio=st.floats(min_value=1e-3, max_value=0.999),
        half_angle_0=st.floats(min_value=1e-3, max_value=1.57))
@@ -547,9 +569,39 @@ def test_unreachable_pressure_reports_range():
 
 
 def test_nan_pressure_is_not_out_of_workspace():
-    # NaN lies on neither side of the reachable range: the root finder's error passes through.
-    with pytest.raises(ValueError, match="NaN"):
+    # NaN lies on neither side of the reachable range: a bad input, named before any solve.
+    with pytest.raises(ValueError, match="pressure must be a number, got nan kPa"):
         solve_deformation(ChamberGeometry(), HyperelasticMaterial(), math.nan)
+
+
+def _nan_argument_calls():
+    from accordion_gripper import GripperAssembly, SuctionModel, suction_force
+    from accordion_gripper.gripper import inverse_pressure
+
+    geom, mat, nan = ChamberGeometry(), HyperelasticMaterial(), math.nan
+    asm = GripperAssembly(geom, mat)
+    pressure = "pressure must be a number, got nan kPa"
+    # A NaN solve pressure, solve tolerance and brentq xtol have their own tests.
+    return {
+        "inverse-p-max": (lambda: inverse_pressure(asm, 21.0, nan), pressure),
+        "suction-pressure": (lambda: suction_force(SuctionModel(asm, 2264.0, 53.0), nan, 5000),
+                             pressure),
+        "inverse-tol": (lambda: inverse_pressure(asm, 21.0, tol=nan),
+                        "theta tolerance must be positive, got nan"),
+        "simpson-rel-tol": (lambda: adaptive_simpson(math.sin, 0.0, 1.0, rel_tol=nan),
+                            "rel_tol must be positive, got nan"),
+        "quadrature-rel-tol": (lambda: pressure_quadrature(geom, geom.undeformed_state(), mat,
+                                                           rel_tol=nan),
+                               "rel_tol must be positive, got nan"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_nan_argument_calls()))
+def test_nan_argument_is_named_before_any_solve(case):
+    # A bad input (ValueError), named with its value, not a NaN met inside Brent or Simpson.
+    call, message = _nan_argument_calls()[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 2.0, -0.1])
@@ -559,7 +611,7 @@ def test_state_at_angle_rejects_angle_outside_quarter_turn(theta):
 
 
 @pytest.mark.parametrize("p", [0.0, 20.0, 100.0])
-@pytest.mark.parametrize("tol", [0.0, -1e-12])
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
 def test_solve_rejects_non_positive_tolerance(p, tol):
     with pytest.raises(ValueError, match="theta tolerance must be positive"):
         solve_deformation(ChamberGeometry(), HyperelasticMaterial(), p, tol=tol)
@@ -656,7 +708,7 @@ def test_brentq_nan_rejected():
         brentq(lambda x: math.nan if x > 0.1 else x - 0.5, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("xtol", [0.0, -1e-12])
+@pytest.mark.parametrize("xtol", [0.0, -1e-12, math.nan])
 def test_brentq_rejects_non_positive_xtol(xtol):
     with pytest.raises(ValueError, match="xtol too small"):
         brentq(lambda x: x - 0.5, 0.0, 1.0, xtol=xtol)

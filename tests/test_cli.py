@@ -555,16 +555,13 @@ def test_theta_tol_reaches_every_solve(capsys, tmp_path, monkeypatch, command):
     import accordion_gripper.chamber as chamber
     import accordion_gripper.gripper as gripper
 
-    xtols = []
+    xtols, real = [], chamber._brent
 
-    def spy(real):
-        def brentq(f, a, b, **kwargs):
-            xtols.append(kwargs.get("xtol"))
-            return real(f, a, b, **kwargs)
-        return brentq
+    def brent(f, a, b, fa, fb, xtol, *args):  # the body every solve and inverse runs
+        xtols.append(xtol)
+        return real(f, a, b, fa, fb, xtol, *args)
 
-    for module in (chamber, gripper):
-        monkeypatch.setattr(module, "brentq", spy(module.brentq))
+    monkeypatch.setattr(chamber, "_brent", brent)
     argv = {
         "solve": ["--pressure", "20"],
         "invert": ["--aperture", "21.5"],

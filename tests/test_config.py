@@ -147,13 +147,18 @@ def test_context_suction_model_runs_no_solve(monkeypatch):
 def test_load_context_runs_no_solver(monkeypatch):
     # The rest state, which the suction model's rest volume reads, is the geometry.
     import accordion_gripper.chamber as chamber
-    import accordion_gripper.gripper as gripper
 
-    calls = []
-    for module in (chamber, gripper):
-        monkeypatch.setattr(module, "brentq", lambda *args, **kwargs: calls.append(args))
-    load_context(None)
+    calls, real = [], chamber._brent
+
+    def brent(*args):  # the body every solve and inverse runs
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chamber, "_brent", brent)
+    ctx = load_context(None)
     assert calls == []
+    chamber.solve_deformation(ctx.geometry, ctx.material, 20.0)  # the spy sees a solve
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
