@@ -17,11 +17,13 @@ with their line number.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import sub
 
 from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox, reachable_pressure_range
@@ -83,35 +85,123 @@ class MeasurementSeries(CheckedRecord, namedtuple("MeasurementSeries", "kind row
 
 
 def load_series_csv(path, kind: SeriesKind) -> MeasurementSeries:
-    """Read a measurement CSV, failing loudly on any malformed content."""
-    expected = _KINDS[kind][0]
+    """Read a measurement CSV, failing loudly on any malformed content.
+
+    A plain file (unquoted ``x,y`` lines) is read a block at a time; any other
+    is read by ``csv.reader``, which also words every error.
+    """
+    # Unbuffered: a file the plain pass rejects reaches csv.reader through a fresh
+    # buffer, so its errors read as they would from a text-mode open().
+    with open(path, "rb", buffering=0) as raw:
+        pairs = _read_pairs(raw, path, _KINDS[kind][0])
+    return MeasurementSeries(kind, pairs)
+
+
+def _read_pairs(raw, path, expected: tuple) -> tuple:
+    """The file's (x, y) rows: by the plain pass where it applies, else by csv.reader."""
+    if raw.seekable():  # a pipe can be read only once, so csv.reader reads it
+        try:
+            return _plain_pairs(raw, expected)
+        except ValueError:  # not plain: csv.reader reads it again, and words any error
+            raw.seek(0)
+    return _csv_pairs(raw, path, expected)
+
+
+#: Bytes the plain pass reads at a time: it holds one block, and a longer line
+#: (far below csv's 128 KiB field limit) is left to ``csv.reader``.  Blocks of
+#: 64 KiB parse no faster, and their buffers raise the peak RSS by ~0.5 MiB.
+_BLOCK_BYTES = 1 << 14
+
+#: Every byte but comma and newline: deleting them from lines that each hold
+#: exactly one comma leaves ``b",\n"`` once per line.
+_FIELD_BYTES = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _plain_pairs(raw, expected: tuple) -> tuple:
+    """The (x, y) rows of a file that ``csv.reader`` splits at its commas and line
+    ends alone; ValueError for any other file, as then the two might disagree.
+
+    No Python code runs per row: each block's lines are checked by counting and
+    all their fields go through one ``map(float, ...)``.  ``float`` on bytes
+    takes ASCII only, so a body that parses is valid UTF-8.  A quote, which
+    csv.reader would read as quoting, fails both ``float`` and the header match.
+    """
+    runs = map(_lf_ends, _line_runs(raw))
+    header, _, run = next(runs, b"").removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    if tuple(h.strip() for h in header.decode().split(",")) != expected:
+        raise ValueError("not the expected header")
+    pairs = []
+    for run in chain((run,), runs):
+        while b"\n\n" in run:  # blank lines
+            run = run.replace(b"\n\n", b"\n")
+        run = run.lstrip(b"\n")
+        separators = run.translate(None, _FIELD_BYTES)
+        if separators.count(b",\n") * 2 != len(separators):
+            raise ValueError("a line without exactly one comma")
+        fields = map(float, run[:-1].replace(b"\n", b",").split(b","))
+        pairs.extend(zip(fields, fields))
+    return tuple(pairs)
+
+
+def _lf_ends(run: bytes) -> bytes:
+    """``run`` with its CRLF line ends as LF; ValueError for a CR alone, which ends a
+    csv row where no plain line ends."""
+    if b"\r" in run:
+        run = run.replace(b"\r\n", b"\n")
+        if b"\r" in run:
+            raise ValueError("a CR without an LF")
+    return run
+
+
+def _line_runs(raw):
+    """The bytes of ``raw`` in runs of whole lines, each ending in a newline (one is
+    added at the end of the file); ValueError for a line longer than a block."""
+    carry = b""
+    while data := raw.read(_BLOCK_BYTES):
+        run = carry + data
+        # Only the first line can span two reads.
+        if len(run) > _BLOCK_BYTES and run.find(b"\n", 0, _BLOCK_BYTES + 1) < 0:
+            raise ValueError("a line longer than one block")
+        cut = run.rfind(b"\n") + 1
+        run, carry = run[:cut], run[cut:]
+        if run:
+            yield run
+    if carry:
+        yield carry + b"\n"
+
+
+def _csv_pairs(raw, path, expected: tuple) -> tuple:
+    """The (x, y) rows of any file ``csv.reader`` reads, with its line number on each error."""
     pairs = []
     # utf-8-sig: spreadsheet "CSV UTF-8" exports start with a byte-order mark.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as text:
+        reader = csv.reader(text)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CalibrationError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != expected:
-            raise CalibrationError(
-                f"{path}:1: expected header {','.join(expected)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CalibrationError(
-                    f"{path}:{lineno}: expected 2 fields, got {len(row)}"
-                )
             try:
-                pairs.append((float(row[0]), float(row[1])))
-            except ValueError:
+                header = next(reader)
+            except StopIteration:
+                raise CalibrationError(f"{path}: empty file") from None
+            if tuple(h.strip() for h in header) != expected:
                 raise CalibrationError(
-                    f"{path}:{lineno}: non-numeric value in {row!r}"
-                ) from None
-    return MeasurementSeries(kind, tuple(pairs))
+                    f"{path}:1: expected header {','.join(expected)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise CalibrationError(
+                        f"{path}:{lineno}: expected 2 fields, got {len(row)}"
+                    )
+                try:
+                    pairs.append((float(row[0]), float(row[1])))
+                except ValueError:
+                    raise CalibrationError(
+                        f"{path}:{lineno}: non-numeric value in {row!r}"
+                    ) from None
+        except csv.Error as exc:  # a field over csv.field_size_limit(); NUL on Python 3.10
+            raise CalibrationError(f"{path}:{reader.line_num}: {exc}") from None
+    return tuple(pairs)
 
 
 class FitReport(namedtuple("FitReport", "params residual_norm per_point at_bound notes n_evals",

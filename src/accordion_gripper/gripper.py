@@ -121,6 +121,13 @@ def _forward(assembly: GripperAssembly, p: float, box: SolverBox,
 _range_end = functools.lru_cache(maxsize=_RANGE_END_CACHE_SIZE)(_forward)
 
 
+def _closing(p_max: float, rg_lo: float, rg_hi: float) -> ValueError:
+    """The error for range ends whose aperture falls from 0 kPa to p_max: the rule
+    ``config`` applies to a geometry at load, for callers that skip the config."""
+    return ValueError(f"the aperture closes under inflation: R_g({p_max} kPa) = "
+                      f"{rg_hi:.9g} mm is below R_g(0) = {rg_lo:.9g} mm")
+
+
 def inverse_pressure(
     assembly: GripperAssembly,
     target_rg: float,
@@ -139,6 +146,8 @@ def inverse_pressure(
     geom = assembly.geometry
     state_lo, _, rg_lo = _range_end(assembly, 0.0, box, tol)
     state_hi, _, rg_hi = _range_end(assembly, p_max, box, tol)
+    if rg_hi < rg_lo:
+        raise _closing(p_max, rg_lo, rg_hi)
     if not rg_lo <= target_rg <= rg_hi:
         raise OutOfWorkspaceError(
             f"target aperture {target_rg} mm outside the achievable range "
@@ -168,10 +177,14 @@ def workspace(
     """
     if not p_max >= 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
+    rest = _range_end(assembly, 0.0, box, tol)[2]
+    top = _range_end(assembly, p_max, box, tol)[2]
+    if top < rest:
+        raise _closing(p_max, rest, top)
     return Workspace(
         min_aperture_mm=assembly.folded_aperture_mm,
-        rest_aperture_mm=_range_end(assembly, 0.0, box, tol)[2],
-        max_aperture_mm=_range_end(assembly, p_max, box, tol)[2],
+        rest_aperture_mm=rest,
+        max_aperture_mm=top,
         p_max_kPa=p_max,
     )
 

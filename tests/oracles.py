@@ -4,15 +4,24 @@ These deliberately avoid the library's solver path: the grid search scans
 the full 3-D unknown space with its own (numpy) pressure evaluation, so a
 bug in the scalar reduction cannot hide.  The nested inverse inverts the
 forward map by root finding over pressure, so it shares no step with the
-library's inverse, which solves over theta0.
+library's inverse, which solves over theta0.  The row-by-row CSV reader
+parses every file with ``csv.reader`` alone, one Python step per row.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.optimize import brentq
 
-from accordion_gripper import SolverBox, aperture_vs_pressure
+from accordion_gripper import CalibrationError, SolverBox, aperture_vs_pressure
+from accordion_gripper.calibration import MeasurementSeries, SeriesKind
+
+CSV_HEADERS = {
+    SeriesKind.PRESSURE_APERTURE: ("pressure_kPa", "aperture_mm"),
+    SeriesKind.FORCE_DISPLACEMENT: ("displacement_mm", "force_N"),
+    SeriesKind.SUCTION_FORCE: ("pressure_kPa", "force_N"),
+}
 
 
 def nested_inverse_pressure(assembly, target_rg, p_max=40.0, box=SolverBox()):
@@ -92,3 +101,36 @@ def grid_search_state(geom, mat, p_target, box, n=400):
             best_obj = obj[i, j]
             best = (float(r0g[i]), float(r1g[j]), float(th))
     return best, (float(d_r0), float(d_r1), float(d_th))
+
+
+def load_series_csv_by_rows(path, kind):
+    """A measurement CSV read by one ``csv.reader`` loop over its rows, each error
+    naming its line: ``calibration.load_series_csv`` as it was before its block pass."""
+    expected = CSV_HEADERS[kind]
+    pairs = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CalibrationError(f"{path}: empty file") from None
+            if tuple(h.strip() for h in header) != expected:
+                raise CalibrationError(
+                    f"{path}:1: expected header {','.join(expected)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise CalibrationError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                try:
+                    pairs.append((float(row[0]), float(row[1])))
+                except ValueError:
+                    raise CalibrationError(
+                        f"{path}:{lineno}: non-numeric value in {row!r}"
+                    ) from None
+        except csv.Error as exc:
+            raise CalibrationError(f"{path}:{reader.line_num}: {exc}") from None
+    return MeasurementSeries(kind, tuple(pairs))

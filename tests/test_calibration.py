@@ -1,5 +1,7 @@
+import codecs
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from accordion_gripper.calibration import (
     load_series_csv,
 )
 from accordion_gripper.chamber import reachable_pressure_range
+from oracles import CSV_HEADERS, load_series_csv_by_rows
 
 PRESSURES = [4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0, 40.0]
 
@@ -77,12 +80,39 @@ def test_series_rejects_non_finite_values(kind, pairs):
         MeasurementSeries.from_pairs(kind, pairs)
 
 
-def test_load_series_csv_round_trip(tmp_path):
+ROWS = ((5.0, 20.8), (10.0, 21.0), (15.0, 21.2))
+
+
+#: The same three rows, each way a measurement CSV may write them.
+CSV_TEXTS = {
+    "lf": "pressure_kPa,aperture_mm\n5,20.8\n10,21.0\n15,21.2\n",
+    "crlf": "pressure_kPa,aperture_mm\r\n5,20.8\r\n10,21.0\r\n15,21.2\r\n",
+    "quoted": '"pressure_kPa","aperture_mm"\n"5","20.8"\n"10",21.0\n15,"21.2"\n',
+    "cr_only": "pressure_kPa,aperture_mm\r5,20.8\r10,21.0\r15,21.2\r",
+    "bom_crlf": "\ufeffpressure_kPa,aperture_mm\r\n5,20.8\r\n10,21.0\r\n15,21.2\r\n",
+    "blank_lines": "pressure_kPa,aperture_mm\n\n5,20.8\n\n\n10,21.0\r\n\r\n15,21.2\n\n\n",
+    "spaces": "pressure_kPa , aperture_mm\n 5 , 20.8\n10,\t21.0 \n 15,21.2",
+}
+
+
+@pytest.mark.parametrize("text", CSV_TEXTS.values(), ids=list(CSV_TEXTS))
+def test_load_series_csv_round_trip(tmp_path, text):
     path = tmp_path / "data.csv"
-    path.write_text("pressure_kPa,aperture_mm\n5,20.8\n10,21.0\n15,21.2\n")
+    path.write_bytes(text.encode())
     series = load_series_csv(path, SeriesKind.PRESSURE_APERTURE)
-    assert series.rows == ((5.0, 20.8), (10.0, 21.0), (15.0, 21.2))
+    assert series.rows == ROWS
     assert list(series.xs()) == [5.0, 10.0, 15.0]
+
+
+@pytest.mark.parametrize("name", CSV_TEXTS)
+def test_only_quoted_or_cr_only_files_reach_csv_reader(tmp_path, name):
+    """Unquoted lines with LF or CRLF ends, a BOM, blank lines and spaces take the block
+    pass; quoted fields and CR-only line ends are read by csv.reader."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(CSV_TEXTS[name].encode())
+    with mock.patch.object(calibration, "_csv_pairs", wraps=calibration._csv_pairs) as reader:
+        assert load_series_csv(path, SeriesKind.PRESSURE_APERTURE).rows == ROWS
+    assert reader.called == (name in ("quoted", "cr_only"))
 
 
 @pytest.mark.parametrize(
@@ -92,13 +122,122 @@ def test_load_series_csv_round_trip(tmp_path):
         ("pressure_kPa,radius_mm\n5,20.8\n", ":1: expected header"),
         ("pressure_kPa,aperture_mm\n5,20.8\n10\n15,21.2\n", ":3: expected 2 fields"),
         ("pressure_kPa,aperture_mm\n5,20.8\n10,abc\n15,21.2\n", ":3: non-numeric"),
+        ("pressure_kPa,aperture_mm\r\n5,20.8\r\n10\r\n15,21.2\r\n", ":3: expected 2 fields"),
+        ('"pressure_kPa","aperture_mm"\n"5,1",20.8\n', r":2: non-numeric value in \['5,1', '20.8'\]"),
+        ("pressure_kPa,aperture_mm\r5,20.8\r10,1,2\r", ":3: expected 2 fields, got 3"),
+        ("\ufeffpressure_kPa,radius_mm\r\n5,20.8\r\n", ":1: expected header 'pressure_kPa,aper"),
+        ("pressure_kPa,aperture_mm\n\n5,20.8\n\n10,x\n", ":5: non-numeric"),
+        ("pressure_kPa,aperture_mm\n 5 , 20.8\n 10 , \n", r":3: non-numeric value in \[' 10 ', ' '\]"),
     ],
 )
 def test_load_series_csv_errors(tmp_path, text, match):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     with pytest.raises(CalibrationError, match=match):
         load_series_csv(path, SeriesKind.PRESSURE_APERTURE)
+
+
+def test_load_series_csv_names_the_line_of_a_csv_error(tmp_path):
+    """A field over csv.field_size_limit() is a CalibrationError naming its line."""
+    path = tmp_path / "long.csv"
+    path.write_text("displacement_mm,force_N\n0,1\n1," + "1" * 131073 + "\n2,3\n")
+    with pytest.raises(CalibrationError, match=r":3: field larger than field limit \(131072\)$"):
+        load_series_csv(path, SeriesKind.FORCE_DISPLACEMENT)
+
+
+def _outcome(load, path, kind):
+    """The series ``load`` reads, bit for bit, or its exception's type and message."""
+    try:
+        series = load(path, kind)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return series.kind, [tuple(map(float.hex, row)) for row in series.rows]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_load_series_csv_reads_across_blocks(tmp_path, eol):
+    """Lines and blank lines cut by the block ends, and a line longer than a block,
+    read as the row-by-row reader reads them."""
+    rows = [f"{0.001 * i!r},{math.sin(i)!r}" for i in range(12_000)]
+    for i in range(0, len(rows), 97):
+        rows[i] += eol  # a blank line
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(eol.join(["displacement_mm,force_N", *rows, ""]).encode())
+    long_line = tmp_path / "long_line.csv"
+    long_line.write_bytes(eol.join(["displacement_mm,force_N", *rows[:3000],
+                                    "0" * 70_000 + "1.5,2", *rows[3000:]]).encode())
+    # Quoted, so csv.reader rereads it, and its decode error lies past the first chunk.
+    bad_byte = tmp_path / "bad_byte.csv"
+    text = plain.read_bytes().replace(b"displacement_mm", b'"displacement_mm"', 1)
+    bad_byte.write_bytes(text[:70_000] + b"\xff" + text[70_000:])
+    for path in (plain, long_line, bad_byte):
+        assert path.stat().st_size > 3 * calibration._BLOCK_BYTES
+        got = _outcome(load_series_csv, path, SeriesKind.FORCE_DISPLACEMENT)
+        assert got == _outcome(load_series_csv_by_rows, path, SeriesKind.FORCE_DISPLACEMENT)
+        if path is long_line:
+            assert len(got[1]) == 12_001 and got[1][3000] == (1.5.hex(), 2.0.hex())
+    assert got[0] is UnicodeDecodeError
+
+
+_CSV_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.text("0123456789.eE+- \t\x0b\x00", max_size=8),
+    st.sampled_from(["nan", "-inf", "Infinity", "1_0", "", " 7 "]),
+)
+_CSV_SEPARATORS = st.sampled_from([",", ",", ",", ",,", ", ", ""])
+_CSV_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", ""])
+_CSV_JUNK = st.text('0123456789.eE+-, \t"\r\n\x00', max_size=6) | st.sampled_from(["nan", "inf"])
+
+
+@st.composite
+def measurement_files(draw):
+    """A measurement CSV's kind and bytes: mostly plain rows, with quotes, CR line
+    ends, NUL, a BOM, header variants and invalid UTF-8 mixed in."""
+    kind = draw(st.sampled_from(SeriesKind))
+    x, y = CSV_HEADERS[kind]
+    header = draw(st.sampled_from([f"{x},{y}"] * 6 + [f" {x} ,{y}\t", f'"{x}","{y}"',
+                                                      f"{x},wrong", f"{x},{y},", f"{x}\r,{y}", ""]))
+    if draw(st.booleans()):  # a plain file of finite values, one line end throughout
+        eol = draw(st.sampled_from(["\n", "\r\n"]))
+        values = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        rows = draw(st.lists(st.tuples(values, values), min_size=2, max_size=12))
+        text = eol.join([header, *map(",".join, rows)]) + draw(st.sampled_from(["", eol]))
+    else:
+        pieces = [header, draw(_CSV_LINE_ENDS)]
+        for _ in range(draw(st.integers(0, 8))):
+            if draw(st.integers(0, 4)) == 0:
+                pieces.append(draw(_CSV_JUNK))
+            else:
+                quote = draw(st.sampled_from(["", "", '"']))
+                pieces += [quote + draw(_CSV_FIELDS) + quote, draw(_CSV_SEPARATORS),
+                           draw(_CSV_FIELDS), draw(_CSV_LINE_ENDS)]
+        text = "".join(pieces)
+    data = text.encode()
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])) + data[at:]
+    return kind, data
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=400, deadline=None)
+@given(file=measurement_files(), block=st.sampled_from([1, 2, 7, 64, 1 << 16]))
+def test_load_series_csv_matches_the_row_by_row_reader(csv_dir, file, block):
+    """The block pass, at any block size, or csv.reader after it gives up: the same series
+    as the row-by-row reader, or the same exception type and message."""
+    kind, data = file
+    path = csv_dir / "drawn.csv"
+    path.write_bytes(data)
+    with mock.patch.object(calibration, "_BLOCK_BYTES", block):
+        got = _outcome(load_series_csv, path, kind)
+    assert got == _outcome(load_series_csv_by_rows, path, kind)
 
 
 def test_load_series_csv_skips_blank_lines(tmp_path):

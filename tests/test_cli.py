@@ -657,6 +657,22 @@ def test_commands_run_on_the_standard_library_alone(capsys, tmp_path, monkeypatc
         assert run(capsys, *argv) == (0, proc.stdout, ""), argv
 
 
+@pytest.mark.parametrize("row", ["1," + "1" * 131_073, "1,\x002"], ids=["field_over_limit", "nul"])
+def test_a_csv_reader_error_is_one_error_line(tmp_path, monkeypatch, row):
+    """A CSV that csv.reader itself rejects (a field over its size limit; a NUL on
+    Python 3.10) exits 1 with one ``error:`` line naming the file, not a traceback."""
+    monkeypatch.delenv("GRIPPER_CONFIG", raising=False)
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"displacement_mm,force_N\n0,1\n{row}\n2,3\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-S", "-m", "accordion_gripper", "peak-force",
+                           "--data", str(trace)], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {trace}:3: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_no_command_imports_scipy(tmp_path):
     """All ten commands in one interpreter: each exits 0, and afterwards
     neither scipy nor numpy is loaded."""

@@ -280,6 +280,24 @@ def test_unreachable_p_max_raises_on_every_call(assembly):
             inverse_pressure(assembly, 21.0, 40.0, box=narrow)
 
 
+def test_a_closing_aperture_is_named_not_inverted():
+    """A geometry whose aperture falls under inflation, which config rejects at load: the
+    library's inverse and workspace name both range ends instead of a reversed range."""
+    closing = GripperAssembly(ChamberGeometry(6.885, 4.286, math.radians(16.02)),
+                              HyperelasticMaterial(119.0))
+    rgs = [aperture_vs_pressure(closing, p) for p in (0.0, 20.0, 40.0)]
+    assert rgs == pytest.approx([19.3659066, 18.8700530, 18.4936614], abs=1e-7)
+    match = (r"^the aperture closes under inflation: R_g\(40.0 kPa\) = 18.4936614 mm "
+             r"is below R_g\(0\) = 19.3659066 mm$")
+    with pytest.raises(ValueError, match=match):
+        inverse_pressure(closing, rgs[1], 40.0)
+    with pytest.raises(ValueError, match=match):
+        workspace(closing, 40.0)
+    # At p_max = 0 both ends are the rest aperture: nothing closes.
+    assert workspace(closing, 0.0).max_aperture_mm == rgs[0]
+    assert inverse_pressure(closing, rgs[0], 0.0) == 0.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     c1=st.floats(min_value=80.0, max_value=300.0),  # the box reaches 40 kPa
