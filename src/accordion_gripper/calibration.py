@@ -171,7 +171,8 @@ def _line_runs(raw):
 
 
 def _csv_pairs(raw, path, expected: tuple) -> tuple:
-    """The (x, y) rows of any file ``csv.reader`` reads, with its line number on each error."""
+    """The (x, y) rows of any file ``csv.reader`` reads; each error names the physical line
+    it ends on, which a quoted field holding a newline puts past the record count."""
     pairs = []
     # utf-8-sig: spreadsheet "CSV UTF-8" exports start with a byte-order mark.
     with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as text:
@@ -186,18 +187,18 @@ def _csv_pairs(raw, path, expected: tuple) -> tuple:
                     f"{path}:1: expected header {','.join(expected)!r}, "
                     f"got {','.join(header)!r}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != 2:
                     raise CalibrationError(
-                        f"{path}:{lineno}: expected 2 fields, got {len(row)}"
+                        f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}"
                     )
                 try:
                     pairs.append((float(row[0]), float(row[1])))
                 except ValueError:
                     raise CalibrationError(
-                        f"{path}:{lineno}: non-numeric value in {row!r}"
+                        f"{path}:{reader.line_num}: non-numeric value in {row!r}"
                     ) from None
         except csv.Error as exc:  # a field over csv.field_size_limit(); NUL on Python 3.10
             raise CalibrationError(f"{path}:{reader.line_num}: {exc}") from None

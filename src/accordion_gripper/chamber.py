@@ -281,35 +281,17 @@ _RTOL = 4 * 2.220446049250313e-16  # 4 machine epsilons: scipy's default rtol
 _MAXITER = 100  # scipy's default
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = _MAXITER) -> float:
-    """Root of f in the bracket [a, b] by Brent's method.
-
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
-    in the form of scipy's ``brentq.c``: same defaults, same steps and the
-    same floating-point operations in the same order, so every iterate
-    matches scipy's bit for bit.  Converged when half the bracket is below
-    ``(xtol + 4*eps*|x|)/2``.  Raises ValueError when f(a) and f(b) share a
-    sign or f returns NaN, and ConvergenceError after ``maxiter`` steps.
-    """
-    if not xtol > 0:  # a NaN fails it too
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
-        return fx
-
-    a, b = float(a), float(b)
-    return _brent(call, a, b, call(a), call(b), xtol, maxiter)
-
-
 def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
            maxiter: int = _MAXITER) -> float:
-    """``brentq``'s iteration on [xpre, xcur] from the known end values fpre and fcur.
+    """Root of f in the bracket [xpre, xcur] by Brent's method, from the known end values.
 
-    The one body of every bracketed solve: f is called only inside the bracket and
-    must return a float; the caller checks xtol and any NaN.
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4, in the
+    form of scipy's ``brentq.c``: same steps and the same floating-point operations
+    in the same order, so every iterate matches scipy's ``brentq`` bit for bit.
+    Converged when half the bracket is below ``(xtol + 4*eps*|x|)/2``.  The one body
+    of every bracketed solve: f is called only inside the bracket and must return a
+    float; the caller checks xtol and any NaN.  Raises ValueError when fpre and fcur
+    share a sign, and ConvergenceError after ``maxiter`` steps.
     """
     xblk = fblk = spre = scur = 0.0
     if fpre == 0.0:
@@ -354,7 +336,8 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
-    raise ConvergenceError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
+    raise ConvergenceError(f"Brent's method failed to converge after {maxiter} iterations, "
+                           f"value is {xcur}")
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +398,6 @@ def reachable_pressure_range(
     return max(mat.c1 * q_lo, 0.0), mat.c1 * q_hi
 
 
-def _outside_box(p: float, reachable: tuple[float, float]) -> OutOfWorkspaceError:
-    """The error for a pressure p (kPa) outside the ``reachable`` range of the box."""
-    return OutOfWorkspaceError(f"pressure {p} kPa outside the range [{reachable[0]:.6g}, "
-                               f"{reachable[1]:.6g}] kPa reachable inside the solver box",
-                               reachable=reachable)
-
-
 def solve_deformation(
     geom: ChamberGeometry,
     mat: HyperelasticMaterial,
@@ -454,7 +430,10 @@ def solve_deformation(
     c1 = mat.c1
     p_lo, p_hi = c1 * q_lo, c1 * q_hi
     if p < p_lo or p > p_hi:
-        raise _outside_box(p, (max(p_lo, 0.0), p_hi))
+        reachable = max(p_lo, 0.0), p_hi
+        raise OutOfWorkspaceError(f"pressure {p} kPa outside the range [{reachable[0]:.6g}, "
+                                  f"{reachable[1]:.6g}] kPa reachable inside the solver box",
+                                  reachable=reachable)
     pin, area, sin, sqrt = geom.pin_half_distance, geom.sector_area_scale, math.sin, math.sqrt
 
     def residual(t: float) -> float:  # pressure_at_angle(geom, mat, t) - p, on bound constants

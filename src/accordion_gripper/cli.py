@@ -27,13 +27,15 @@ from .chamber import (
     area_residual,
     pressure_at_angle,
     pressure_closed_form,
+    solve_deformation,
     state_at_angle,
+    wall_distance,
 )
 from .config import ENV_CONFIG_VAR, ModelContext, default_config, load_context, read_json
 from .errors import GripperError, OutOfWorkspaceError
 from .gripper import (
     GripperAssembly,
-    _forward,
+    aperture_radius,
     contraction_diameter_range,
     inverse_pressure,
     iter_sweep,
@@ -73,7 +75,8 @@ def cmd_config(ctx: ModelContext, args) -> int:
 
 
 def _solve_payload(ctx: ModelContext, pressure: float) -> dict:
-    state, d, rg = _forward(ctx.assembly, pressure, ctx.box, ctx.theta_tol_rad)
+    state = solve_deformation(ctx.geometry, ctx.material, pressure, ctx.box, ctx.theta_tol_rad)
+    d = wall_distance(state)
     return {
         "pressure_kPa": pressure,
         "r0_mm": state.r_outer,
@@ -81,7 +84,7 @@ def _solve_payload(ctx: ModelContext, pressure: float) -> dict:
         "theta0_rad": state.half_angle,
         "theta0_deg": math.degrees(state.half_angle),
         "D_mm": d,
-        "Rg_mm": rg,
+        "Rg_mm": aperture_radius(d, ctx.assembly),
         "pin_residual": pin_residual(ctx.geometry, state),
         "area_residual": area_residual(ctx.geometry, state),
     }

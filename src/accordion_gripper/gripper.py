@@ -21,7 +21,6 @@ from .chamber import (
     ChamberGeometry,
     DeformedState,
     SolverBox,
-    _outside_box,
     angle_at_aperture,
     area_residual,
     pin_residual,
@@ -41,7 +40,7 @@ P_MAX_KPA = 40.0
 #: Default stretch margin (mm) of the contraction-feasible diameters.
 STRETCH_MARGIN_MM = 8.65
 
-#: Range ends ``_range_end`` keeps, the least recently used dropped first.
+#: Range-end tuples ``_range_ends`` keeps, the least recently used dropped first.
 _RANGE_END_CACHE_SIZE = 128
 
 
@@ -109,23 +108,29 @@ def aperture_vs_pressure(
 
 def _forward(assembly: GripperAssembly, p: float, box: SolverBox,
              tol: float) -> tuple[DeformedState, float, float]:
-    """(state, D mm, R_g mm) at pressure p (kPa): the one body of every forward output."""
+    """(state, D mm, R_g mm) at pressure p (kPa): the forward body of the map, the sweep
+    rows and the range ends; ``gripper solve`` runs the same public steps."""
     state = solve_deformation(assembly.geometry, assembly.material, p, box, tol)
     d = wall_distance(state)
     return state, d, aperture_radius(d, assembly)
 
 
-#: The forward body at the range ends, computed once per argument tuple.  The
-#: records in the key are immutable, so a stored end never goes stale; an
-#: exception is raised afresh on every call, never stored.
-_range_end = functools.lru_cache(maxsize=_RANGE_END_CACHE_SIZE)(_forward)
+@functools.lru_cache(maxsize=_RANGE_END_CACHE_SIZE)
+def _range_ends(assembly: GripperAssembly, p_max: float, box: SolverBox,
+                tol: float) -> tuple[float, float, float, float]:
+    """(theta0 rad, R_g mm) at 0 kPa, then at p_max: the forward body at both range ends.
 
-
-def _closing(p_max: float, rg_lo: float, rg_hi: float) -> ValueError:
-    """The error for range ends whose aperture falls from 0 kPa to p_max: the rule
-    ``config`` applies to a geometry at load, for callers that skip the config."""
-    return ValueError(f"the aperture closes under inflation: R_g({p_max} kPa) = "
-                      f"{rg_hi:.9g} mm is below R_g(0) = {rg_lo:.9g} mm")
+    An aperture that falls from 0 kPa to p_max is a ValueError, the rule ``config``
+    applies to a geometry at load, for callers that skip the config.  The records in
+    the key are immutable, so stored ends never go stale; an exception is raised
+    afresh on every call, never stored.
+    """
+    state_lo, _, rg_lo = _forward(assembly, 0.0, box, tol)
+    state_hi, _, rg_hi = _forward(assembly, p_max, box, tol)
+    if rg_hi < rg_lo:
+        raise ValueError(f"the aperture closes under inflation: R_g({p_max} kPa) = "
+                         f"{rg_hi:.9g} mm is below R_g(0) = {rg_lo:.9g} mm")
+    return state_lo.half_angle, rg_lo, state_hi.half_angle, rg_hi
 
 
 def inverse_pressure(
@@ -138,16 +143,13 @@ def inverse_pressure(
     """Pressure (kPa) at which the aperture radius equals target_rg (mm).
 
     R_g is explicit in theta0, so one bracketed solve on theta0 (tolerance
-    ``tol``, rad) between the angles at 0 kPa and at p_max (``_range_end``)
+    ``tol``, rad) between the angles at 0 kPa and at p_max (``_range_ends``)
     finds the angle of the target aperture; its pressure follows in closed form.
     """
     if math.isnan(target_rg):
         raise ValueError(f"target aperture must be a number, got {target_rg}")
     geom = assembly.geometry
-    state_lo, _, rg_lo = _range_end(assembly, 0.0, box, tol)
-    state_hi, _, rg_hi = _range_end(assembly, p_max, box, tol)
-    if rg_hi < rg_lo:
-        raise _closing(p_max, rg_lo, rg_hi)
+    theta_lo, rg_lo, theta_hi, rg_hi = _range_ends(assembly, p_max, box, tol)
     if not rg_lo <= target_rg <= rg_hi:
         raise OutOfWorkspaceError(
             f"target aperture {target_rg} mm outside the achievable range "
@@ -158,8 +160,8 @@ def inverse_pressure(
         return 0.0
     if rg_hi == target_rg:
         return p_max
-    theta = angle_at_aperture(geom, assembly.sector_angle, target_rg, state_lo.half_angle,
-                              state_hi.half_angle, rg_lo, rg_hi, tol)
+    theta = angle_at_aperture(geom, assembly.sector_angle, target_rg, theta_lo, theta_hi,
+                              rg_lo, rg_hi, tol)
     # Past [0, p_max] by rounding near rest, or near p_max because that end is solved to tol.
     return min(max(pressure_at_angle(geom, assembly.material, theta), 0.0), p_max)
 
@@ -177,10 +179,7 @@ def workspace(
     """
     if not p_max >= 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
-    rest = _range_end(assembly, 0.0, box, tol)[2]
-    top = _range_end(assembly, p_max, box, tol)[2]
-    if top < rest:
-        raise _closing(p_max, rest, top)
+    _, rest, _, top = _range_ends(assembly, p_max, box, tol)
     return Workspace(
         min_aperture_mm=assembly.folded_aperture_mm,
         rest_aperture_mm=rest,
@@ -226,9 +225,9 @@ def iter_sweep(
     if steps < 2:
         raise ValueError(f"sweep needs at least 2 steps, got {steps}")
     geom = assembly.geometry
-    reachable = reachable_pressure_range(geom, assembly.material, box)
-    if p_to > reachable[1]:
-        raise _outside_box(p_to, reachable)
+    if p_to > reachable_pressure_range(geom, assembly.material, box)[1]:
+        # Past the box top: the solver's own error, raised before any Brent step.
+        solve_deformation(geom, assembly.material, p_to, box, tol)
 
     def row(p: float) -> SweepRow:
         state, d, rg = _forward(assembly, p, box, tol)

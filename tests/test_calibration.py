@@ -128,6 +128,8 @@ def test_only_quoted_or_cr_only_files_reach_csv_reader(tmp_path, name):
         ("\ufeffpressure_kPa,radius_mm\r\n5,20.8\r\n", ":1: expected header 'pressure_kPa,aper"),
         ("pressure_kPa,aperture_mm\n\n5,20.8\n\n10,x\n", ":5: non-numeric"),
         ("pressure_kPa,aperture_mm\n 5 , 20.8\n 10 , \n", r":3: non-numeric value in \[' 10 ', ' '\]"),
+        # A quoted newline: the bad row is the file's fifth line, though its fourth record.
+        ('pressure_kPa,aperture_mm\n"0\n",1\n1,2\n2,x\n', r":5: non-numeric value in \['2', 'x'\]"),
     ],
 )
 def test_load_series_csv_errors(tmp_path, text, match):

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -575,7 +576,7 @@ def test_theta_tol_reaches_every_solve(capsys, tmp_path, monkeypatch, command):
         "fit-suction": write_fit_data(tmp_path, command),
     }[command]
     cfg = write_config(tmp_path, {"solver": {"theta_tol_rad": 1e-3}})
-    gripper._range_end.cache_clear()  # else an earlier case's range ends make no solve here
+    gripper._range_ends.cache_clear()  # else an earlier case's range ends make no solve here
     run(capsys, "--config", cfg, command, *argv)
     assert xtols
     assert set(xtols) == {1e-3}
@@ -686,6 +687,27 @@ def test_no_command_imports_dataclasses(tmp_path):
     commands = all_commands(tmp_path)
     loaded = probe_imports(tmp_path, commands, watch={"dataclasses", "inspect"})
     assert loaded == {argv[0]: [0, []] for argv in commands}
+
+
+def test_no_private_name_crosses_a_module():
+    """The only underscore name one package module imports from another is chamber's
+    ``material._stress_difference``: the quadrature oracle's nodes call the material law's
+    unchecked body, because the stretches there are positive by construction and the
+    public law's check on every node would cost a call each.  Dunder names are public."""
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "accordion_gripper")
+    crossing = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("accordion_gripper")):
+                crossing |= {(name[:-3], node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.endswith("__")}
+    assert crossing == {("chamber", "material", "_stress_difference")}
 
 
 PLAN = ["plan", "--object", "object.json"]

@@ -24,7 +24,7 @@ from accordion_gripper.cli import build_validation_report
 from accordion_gripper.config import ModelContext
 from accordion_gripper.gripper import (
     SWEEP_CSV_HEADER,
-    _range_end,
+    _range_ends,
     contraction_diameter_range,
     write_sweep_csv,
 )
@@ -126,6 +126,20 @@ def test_sweep_validation(assembly):
         sweep(assembly, 0.0, 10.0, 1)
 
 
+def test_sweep_past_the_box_raises_the_solver_error_without_brent(assembly, monkeypatch):
+    import accordion_gripper.chamber as chamber
+
+    with pytest.raises(OutOfWorkspaceError) as solved:
+        solve_deformation(assembly.geometry, assembly.material, 100.0, SolverBox())
+    calls = []
+    monkeypatch.setattr(chamber, "_brent", lambda *args: calls.append(args))
+    with pytest.raises(OutOfWorkspaceError) as swept:
+        sweep(assembly, 0.0, 100.0, 5)  # the default box reaches 68.64 kPa
+    assert str(swept.value) == str(solved.value)
+    assert swept.value.reachable == solved.value.reachable
+    assert calls == []
+
+
 def test_sweep_grid_and_residuals(assembly):
     rows = sweep(assembly, 0.0, 40.0, 9)
     assert len(rows) == 9
@@ -223,13 +237,13 @@ def direct_ends(assembly, p_max, box=SolverBox(), tol=1e-12):
 
 
 def test_range_ends_cold_equal_warm_equal_direct(assembly, box):
-    _range_end.cache_clear()
+    _range_ends.cache_clear()
     cold_ws = workspace(assembly, 40.0, box)
     cold_p = inverse_pressure(assembly, 21.5, 40.0, box=box)
-    assert _range_end.cache_info().misses == 2
+    assert _range_ends.cache_info().misses == 1
     assert workspace(assembly, 40.0, box) == cold_ws
     assert inverse_pressure(assembly, 21.5, 40.0, box=box) == cold_p
-    assert _range_end.cache_info().misses == 2
+    assert _range_ends.cache_info().misses == 1
     rest, largest = direct_ends(assembly, 40.0, box)
     assert (cold_ws.rest_aperture_mm, cold_ws.max_aperture_mm) == (rest, largest)
     # The inverse returns an end's pressure only on an exact match of its aperture.
@@ -241,14 +255,14 @@ def test_range_ends_cold_equal_warm_equal_direct(assembly, box):
 
 
 def test_default_box_left_out_or_passed_is_one_key(assembly):
-    # A box left out is the default box: one cache key, so 2 range-end misses, not 4.
-    _range_end.cache_clear()
+    # A box left out is the default box: one cache key, so 1 range-ends miss, not 2.
+    _range_ends.cache_clear()
     assert workspace(assembly, 40.0) == workspace(assembly, 40.0, SolverBox())
-    assert _range_end.cache_info().misses == 2
+    assert _range_ends.cache_info().misses == 1
 
 
 def test_range_ends_each_key_part_gets_its_own_value(geom, mat, box):
-    _range_end.cache_clear()
+    _range_ends.cache_clear()
     base = GripperAssembly(geom, mat)
     workspace(base, 40.0, box)
     variants = {
@@ -261,9 +275,9 @@ def test_range_ends_each_key_part_gets_its_own_value(geom, mat, box):
         "p_max": (base, 30.0, box, 1e-12),
     }
     for part, (assembly, p_max, variant_box, tol) in variants.items():
-        misses = _range_end.cache_info().misses
+        misses = _range_ends.cache_info().misses
         ws = workspace(assembly, p_max, variant_box, tol)
-        assert _range_end.cache_info().misses > misses, part
+        assert _range_ends.cache_info().misses > misses, part
         assert (ws.rest_aperture_mm, ws.max_aperture_mm) == direct_ends(
             assembly, p_max, variant_box, tol), part
         with pytest.raises(OutOfWorkspaceError) as exc:
