@@ -702,6 +702,18 @@ def test_brentq_same_sign_bracket_rejected():
         _brent(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, 2e-12)
 
 
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_brent_root_at_a_bracket_end_takes_no_step(end):
+    # A zero end value is the root, as scipy's brentq returns it, with no call of f.
+    lo, hi = 0.5, 2.0
+    root = {"lo": lo, "hi": hi}[end]
+    f = lambda x: x - root  # noqa: E731
+    calls = []
+    assert _brent(lambda x: calls.append(x), lo, hi, f(lo), f(hi), 2e-12) == root
+    assert optimize.brentq(f, lo, hi) == root
+    assert calls == []
+
+
 def test_brentq_maxiter_exhausted():
     with pytest.raises(ConvergenceError, match="3 iterations"):
         _brent(lambda x: x**3 - 2.0, 0.0, 2.0, -2.0, 6.0, 1e-15, 3)

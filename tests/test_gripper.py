@@ -312,6 +312,18 @@ def test_a_closing_aperture_is_named_not_inverted():
     assert inverse_pressure(closing, rgs[0], 0.0) == 0.0
 
 
+def test_a_closing_aperture_error_is_never_cached():
+    # Each call solves both range ends afresh and raises again; no entry is stored.
+    closing = GripperAssembly(ChamberGeometry(6.885, 4.286, math.radians(16.02)),
+                              HyperelasticMaterial(119.0))
+    _range_ends.cache_clear()
+    for call in (lambda: workspace(closing, 40.0), lambda: inverse_pressure(closing, 19.0, 40.0)):
+        with pytest.raises(ValueError, match="the aperture closes under inflation"):
+            call()
+    info = _range_ends.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     c1=st.floats(min_value=80.0, max_value=300.0),  # the box reaches 40 kPa
