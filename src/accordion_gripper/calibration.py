@@ -266,10 +266,15 @@ def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
     same floating-point order, so x, f(x) and the evaluation count match it.
     Returns ``(x, f(x), evaluations, status)``; status 0 is converged, 1 the
     ``maxiter`` evaluation cap reached, 2 a NaN met.
+
+    A step calls nothing but func: ``|x|`` is ``x if x > 0.0 else 0.0 - x`` and
+    ``max(|rat|, tol1)`` keeps ``|rat|`` unless ``tol1 > |rat|``, which is what
+    ``abs`` and ``max`` return for every float, signed zeros and NaN included.
     """
     a, b = bounds
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    third_xatol = xatol / 3.0
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
@@ -279,12 +284,12 @@ def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
     fu = math.inf
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol1 = sqrt_eps * (xf if xf > 0.0 else 0.0 - xf) + third_xatol
     tol2 = 2.0 * tol1
     status = 0
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+    while (xf - xm if xf > xm else xm - xf) > (tol2 - 0.5 * (b - a)):
         golden = True
-        if abs(e) > tol1:
+        if (e if e > 0.0 else 0.0 - e) > tol1:
             # Parabola through the three best points.
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
@@ -292,10 +297,13 @@ def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = abs(q)
+            else:
+                q = 0.0 - q
             r = e
             e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+            half_qr = 0.5 * q * r
+            if ((p if p > 0.0 else 0.0 - p) < (half_qr if half_qr > 0.0 else 0.0 - half_qr)
+                    and q * (a - xf) < p < q * (b - xf)):
                 golden = False
                 rat = (p + 0.0) / q
                 x = xf + rat
@@ -304,7 +312,10 @@ def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
         if golden:
             e = a - xf if xf >= xm else b - xf
             rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        step = rat if rat > 0.0 else 0.0 - rat
+        if tol1 > step:
+            step = tol1
+        x = xf + step if rat >= 0.0 else xf - step
         fu = func(x)
         num += 1
         if fu <= fx:
@@ -326,7 +337,7 @@ def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol1 = sqrt_eps * (xf if xf > 0.0 else 0.0 - xf) + third_xatol
         tol2 = 2.0 * tol1
         if num >= maxiter:
             status = 1

@@ -292,6 +292,10 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
     of every bracketed solve: f is called only inside the bracket and must return a
     float; the caller checks xtol and any NaN.  Raises ValueError when fpre and fcur
     share a sign, and ConvergenceError after ``maxiter`` steps.
+
+    A step calls nothing but f: ``|x|`` is ``x if x > 0.0 else 0.0 - x`` and
+    ``min(a, b)`` is ``b if b < a else a``, which return what ``abs`` and ``min``
+    return for every float, signed zeros and NaN included.
     """
     xblk = fblk = spre = scur = 0.0
     if fpre == 0.0:
@@ -300,20 +304,27 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
+    rtol = _RTOL
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+        # fpre is never 0 here, and a zero fcur returns below whatever the block is.
+        if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        afcur = fcur if fcur > 0.0 else 0.0 - fcur
+        afblk = fblk if fblk > 0.0 else 0.0 - fblk
+        if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            afcur = afblk
 
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        delta = (xtol + rtol * (xcur if xcur > 0.0 else 0.0 - xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        asbis = sbis if sbis > 0.0 else 0.0 - sbis
+        if fcur == 0.0 or asbis < delta:
             return xcur
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        aspre = spre if spre > 0.0 else 0.0 - spre
+        if aspre > delta and afcur < (fpre if fpre > 0.0 else 0.0 - fpre):
             if xpre == xblk:
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -322,7 +333,8 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            bound = 3.0 * asbis - delta
+            if 2.0 * (stry if stry > 0.0 else 0.0 - stry) < (bound if bound < aspre else aspre):
                 # good short step
                 spre, scur = scur, stry
             else:
@@ -331,10 +343,10 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
             spre = scur = sbis
 
         xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
+        if (scur if scur > 0.0 else 0.0 - scur) > delta:
             xcur += scur
         else:
-            xcur += delta if sbis > 0 else -delta
+            xcur += delta if sbis > 0.0 else -delta
         fcur = f(xcur)
     raise ConvergenceError(f"Brent's method failed to converge after {maxiter} iterations, "
                            f"value is {xcur}")

@@ -697,6 +697,31 @@ def test_fit_suction_is_scale_free(geom, c1, n_chambers, a_eff, h_eff, f):
 # Bounded minimiser: a port of scipy's minimize_scalar(method="bounded")
 
 
+#: The first point the bounded minimiser evaluates on (-5, 5).
+_FIRST_GOLDEN_POINT = -5.0 + 0.5 * (3.0 - math.sqrt(5.0)) * 10.0
+
+#: (f, bounds): minima at negative x, where |x| feeds the tolerance; a bound at +0.0
+#: or -0.0; decreasing functions, whose minimum is the upper bound; an exact zero at
+#: the first iterate; plateaus, where f(u) ties f(x).  Five of them take a step where
+#: the two operands of max(|rat|, tol1) tie.
+BOUNDED_EDGE_CASES = [
+    (lambda x: (x + 7.3) ** 2, (-20.0, -1.0)),
+    (lambda x: math.cosh(x + 2.0) - 0.5 * x, (-9.0, -0.5)),
+    (lambda x: (x - 0.2) ** 2, (-0.0, 5.0)),
+    (lambda x: (x + 0.4) ** 2, (-3.0, -0.0)),
+    (lambda x: x * x, (0.0, 2.0)),
+    (lambda x: x * x, (-0.0, 2.0)),
+    (lambda x: -x, (-4.0, -1.0)),
+    (lambda x: math.exp(-x), (-2.0, 3.0)),
+    (lambda x: -math.atan(x), (-5.0, 5.0)),
+    (lambda x: abs(x - _FIRST_GOLDEN_POINT), (-5.0, 5.0)),
+    (lambda x: max(abs(x - 1.1) - 0.5, 0.0), (-3.0, 4.0)),
+    (lambda x: max(abs(x + 2.1) - 0.05, 0.0), (-8.0, 0.0)),
+    (lambda x: float(math.floor(abs(x - 0.3))), (-4.0, 4.0)),
+    (lambda x: 1.0, (-1.0, 1.0)),
+]
+
+
 def test_bounded_minimiser_matches_scipy():
     rng = np.random.default_rng(77)
     problems = []
@@ -710,10 +735,14 @@ def test_bounded_minimiser_matches_scipy():
             (lambda x, c=c, k=k: math.cosh(k * (x - c) / 10.0) + 0.1 * x, (lo, hi)),
         ]
     for xatol in (1e-9, 1e-5):
-        for f, bounds in problems:
-            x, fun, nfev, status = calibration._minimize_bounded(f, bounds, xatol=xatol)
-            ref = minimize_scalar(f, bounds=bounds, method="bounded", options={"xatol": xatol})
-            assert (x, fun, nfev, status) == (ref.x, ref.fun, ref.nfev, ref.status)
+        for f, bounds in problems + BOUNDED_EDGE_CASES:
+            ours, theirs = [], []
+            x, fun, nfev, status = calibration._minimize_bounded(
+                lambda u: ours.append(u) or f(u), bounds, xatol=xatol)
+            ref = minimize_scalar(lambda u: theirs.append(u) or f(u), bounds=bounds,
+                                  method="bounded", options={"xatol": xatol})
+            assert (x, fun, nfev, status) == (ref.x, ref.fun, ref.nfev, ref.status), bounds
+            assert ours == theirs, bounds
 
 
 def test_bounded_minimiser_reports_cap():

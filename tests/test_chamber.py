@@ -677,24 +677,56 @@ def recorded(f):
     return g, xs
 
 
+#: (name, f, a, b): brackets the pressure residuals never meet. Roots and brackets at
+#: negative x, where |x| feeds the tolerance; an end at +0.0 or -0.0; decreasing
+#: functions; an exact zero at an interior iterate; plateaus, where |f(blk)| ties |f(cur)|.
+BRENT_EDGE_CASES = [
+    ("negative linear", lambda x: x + 3.7, -10.0, -1.0),
+    ("negative cubic", lambda x: (x + 2.0) ** 3 - 0.5, -5.0, 0.3),
+    ("negative sine", lambda x: math.sin(x) + 0.25, -2.0, -0.1),
+    ("end at -0.0", lambda x: x - 0.3, -0.0, 1.0),
+    ("end at +0.0", lambda x: x - 0.3, 0.0, 1.0),
+    ("top end at -0.0", lambda x: x + 0.7, -2.0, -0.0),
+    ("exp from -0.0", lambda x: math.exp(x) - 2.0, -0.0, 4.0),
+    ("decreasing cubic", lambda x: 2.0 - x**3, 0.0, 3.0),
+    ("decreasing exp", lambda x: math.exp(-x) - 0.3, -1.0, 5.0),
+    ("decreasing atan", lambda x: -math.atan(x + 4.0), -9.0, 2.0),
+    ("zero on the first secant", lambda x: x - 0.5, 0.0, 1.0),
+    ("zero band", lambda x: 0.0 if abs(x - 1.3) < 0.4 else x - 1.3, 0.0, 3.0),
+    ("narrow zero band", lambda x: 0.0 if abs(x - 0.8) < 1e-3 else math.tanh(5.0 * (x - 0.8)),
+     -3.0, 4.0),
+    ("negative zero band", lambda x: 0.0 if abs(x + 0.8) < 1e-3 else (x + 0.8) ** 3, -3.0, 0.0),
+    ("decreasing zero band", lambda x: 0.0 if abs(x + 2.5) < 0.7 else -(x + 2.5), -6.0, 1.0),
+    ("staircase", lambda x: math.floor(4.0 * x) - 1.5, 0.0, 1.0),
+    ("staircase from -0.0", lambda x: math.floor(4.0 * x) - 1.5, -0.0, 1.1),
+    ("clipped", lambda x: max(min(3.0 * x - 1.0, 1.0), -1.0), -2.0, 5.0),
+    ("decreasing clipped", lambda x: -max(min(3.0 * x + 4.0, 1.0), -1.0), -7.0, 0.0),
+    ("sign step", lambda x: math.copysign(1.0, x - 0.7), -1.0, 2.0),
+]
+
+
 @pytest.mark.parametrize("xtol", [1e-12, 1e-9, 1e-6, 1e-3])
 def test_brentq_matches_scipy_bit_for_bit(xtol):
     rng = np.random.default_rng(2024)
-    for _ in range(300):
+    problems = []
+    for i in range(300):
         geom = ChamberGeometry(
             rng.uniform(3.5, 6.0), rng.uniform(1.5, 3.4), math.radians(rng.uniform(40, 70))
         )
         mat = HyperelasticMaterial(rng.uniform(50.0, 300.0))
         lo, hi = geom.half_angle_0, math.radians(rng.uniform(75.0, 85.0))
         p = float(rng.uniform(0.0, pressure_at_angle(geom, mat, hi)))  # _brent takes floats
-        f = lambda t: pressure_at_angle(geom, mat, t) - p  # noqa: E731
+        f = lambda t, geom=geom, mat=mat, p=p: pressure_at_angle(geom, mat, t) - p  # noqa: E731
+        problems.append((f"pressure {i}", f, lo, hi))
+    for name, f, lo, hi in problems + BRENT_EDGE_CASES:
         ours, our_xs = recorded(f)
         theirs, their_xs = recorded(f)
         root_ours = _brent(ours, lo, hi, ours(lo), ours(hi), xtol)
         root_theirs = optimize.brentq(theirs, lo, hi, xtol=xtol)
-        assert root_ours == root_theirs
-        assert type(root_ours) is float
-        assert our_xs == their_xs
+        assert (root_ours, math.copysign(1.0, root_ours)) == (
+            root_theirs, math.copysign(1.0, root_theirs)), name
+        assert type(root_ours) is float, name
+        assert our_xs == their_xs, name
 
 
 def test_brentq_same_sign_bracket_rejected():
