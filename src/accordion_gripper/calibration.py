@@ -92,19 +92,15 @@ def load_series_csv(path, kind: SeriesKind) -> MeasurementSeries:
     """
     # Unbuffered: a file the plain pass rejects reaches csv.reader through a fresh
     # buffer, so its errors read as they would from a text-mode open().
+    expected = _KINDS[kind][0]
     with open(path, "rb", buffering=0) as raw:
-        pairs = _read_pairs(raw, path, _KINDS[kind][0])
+        if raw.seekable():  # a pipe can be read only once, so csv.reader reads it
+            try:
+                return MeasurementSeries(kind, _plain_pairs(raw, expected))
+            except ValueError:  # not plain: csv.reader reads it again, and words any error
+                raw.seek(0)
+        pairs = _csv_pairs(raw, path, expected)
     return MeasurementSeries(kind, pairs)
-
-
-def _read_pairs(raw, path, expected: tuple) -> tuple:
-    """The file's (x, y) rows: by the plain pass where it applies, else by csv.reader."""
-    if raw.seekable():  # a pipe can be read only once, so csv.reader reads it
-        try:
-            return _plain_pairs(raw, expected)
-        except ValueError:  # not plain: csv.reader reads it again, and words any error
-            raw.seek(0)
-    return _csv_pairs(raw, path, expected)
 
 
 #: Bytes the plain pass reads at a time: it holds one block, and a longer line

@@ -255,11 +255,6 @@ class SuctionModel(CheckedRecord, namedtuple("SuctionModel", (
                                    ambient_pressure_kPa, box, tol, seal_threshold_kPa,
                                    rest_volume))
 
-    def volume(self, p_chamber: float) -> float:
-        """Enclosed volume (mm^3) at chamber pressure p_chamber (kPa)."""
-        rg = aperture_vs_pressure(self.assembly, p_chamber, self.box, self.tol)
-        return sealed_volume(rg, self.h_eff_mm)
-
     @classmethod
     def from_assembly(cls, *args, **kwargs) -> "SuctionModel":
         """``SuctionModel(assembly, ...)``, the model's documented constructor."""
@@ -282,13 +277,10 @@ def suction_force(
             f"{model.seal_threshold_kPa} kPa; no seal is formed"
         )
     check_lift_volume(lift_volume_increase_mm3)
-    volume = model.volume(p_chamber) + lift_volume_increase_mm3
-    return suction_law(
-        model.ambient_pressure_kPa,
-        model.effective_seal_area_mm2,
-        model.rest_volume_mm3,
-        volume,
-    )
+    rg = aperture_vs_pressure(model.assembly, p_chamber, model.box, model.tol)
+    volume = sealed_volume(rg, model.h_eff_mm) + lift_volume_increase_mm3
+    return suction_law(model.ambient_pressure_kPa, model.effective_seal_area_mm2,
+                       model.rest_volume_mm3, volume)
 
 
 def check_lift_volume(lift_volume_increase_mm3: float) -> None:
@@ -336,7 +328,6 @@ class GraspPlan(CheckedRecord, namedtuple("GraspPlan",
 
 def select_mode(
     obj: ObjectDescriptor,
-    assembly: GripperAssembly,
     ws: Workspace,
     stretch_margin_mm: float = STRETCH_MARGIN_MM,
 ) -> ModeSelection:
@@ -419,7 +410,7 @@ def plan_grasp(
     A positive schedule pressure above ``ws.p_max_kPa``, the pressure the
     workspace was solved up to, raises OutOfWorkspaceError.
     """
-    sel = select_mode(obj, assembly, ws, stretch_margin_mm)
+    sel = select_mode(obj, ws, stretch_margin_mm)
     if not sel.feasible:
         return GraspPlan(None, [], 0.0, False, sel.reason)
     schedule = pressure_schedule(sel.mode, **schedule_pressures)

@@ -19,7 +19,6 @@ from .chamber import (
     QUAD_REL_TOL,
     THETA_TOL_RAD,
     ChamberGeometry,
-    DeformedState,
     SolverBox,
     angle_at_aperture,
     area_residual,
@@ -103,34 +102,28 @@ def aperture_vs_pressure(
     tol: float = THETA_TOL_RAD,
 ) -> float:
     """Forward map: aperture radius (mm) at inflation pressure p (kPa)."""
-    return _forward(assembly, p, box, tol)[2]
-
-
-def _forward(assembly: GripperAssembly, p: float, box: SolverBox,
-             tol: float) -> tuple[DeformedState, float, float]:
-    """(state, D mm, R_g mm) at pressure p (kPa): the forward body of the map, the sweep
-    rows and the range ends; ``gripper solve`` runs the same public steps."""
     state = solve_deformation(assembly.geometry, assembly.material, p, box, tol)
-    d = wall_distance(state)
-    return state, d, aperture_radius(d, assembly)
+    return aperture_radius(wall_distance(state), assembly)
 
 
 @functools.lru_cache(maxsize=_RANGE_END_CACHE_SIZE)
 def _range_ends(assembly: GripperAssembly, p_max: float, box: SolverBox,
-                tol: float) -> tuple[float, float, float, float]:
-    """(theta0 rad, R_g mm) at 0 kPa, then at p_max: the forward body at both range ends.
+                tol: float) -> tuple[float, float, float]:
+    """(R_g mm at 0 kPa, then theta0 rad and R_g mm at p_max); theta0 at 0 kPa is Theta0.
 
     An aperture that falls from 0 kPa to p_max is a ValueError, the rule ``config``
     applies to a geometry at load, for callers that skip the config.  The records in
     the key are immutable, so stored ends never go stale; an exception is raised
     afresh on every call, never stored.
     """
-    state_lo, _, rg_lo = _forward(assembly, 0.0, box, tol)
-    state_hi, _, rg_hi = _forward(assembly, p_max, box, tol)
+    geom, mat = assembly.geometry, assembly.material
+    rg_lo = aperture_radius(wall_distance(solve_deformation(geom, mat, 0.0, box, tol)), assembly)
+    state_hi = solve_deformation(geom, mat, p_max, box, tol)
+    rg_hi = aperture_radius(wall_distance(state_hi), assembly)
     if rg_hi < rg_lo:
         raise ValueError(f"the aperture closes under inflation: R_g({p_max} kPa) = "
                          f"{rg_hi:.9g} mm is below R_g(0) = {rg_lo:.9g} mm")
-    return state_lo.half_angle, rg_lo, state_hi.half_angle, rg_hi
+    return rg_lo, state_hi.half_angle, rg_hi
 
 
 def inverse_pressure(
@@ -143,13 +136,13 @@ def inverse_pressure(
     """Pressure (kPa) at which the aperture radius equals target_rg (mm).
 
     R_g is explicit in theta0, so one bracketed solve on theta0 (tolerance
-    ``tol``, rad) between the angles at 0 kPa and at p_max (``_range_ends``)
+    ``tol``, rad) between Theta0 and the angle at p_max (``_range_ends``)
     finds the angle of the target aperture; its pressure follows in closed form.
     """
     if math.isnan(target_rg):
         raise ValueError(f"target aperture must be a number, got {target_rg}")
     geom = assembly.geometry
-    theta_lo, rg_lo, theta_hi, rg_hi = _range_ends(assembly, p_max, box, tol)
+    rg_lo, theta_hi, rg_hi = _range_ends(assembly, p_max, box, tol)
     if not rg_lo <= target_rg <= rg_hi:
         raise OutOfWorkspaceError(
             f"target aperture {target_rg} mm outside the achievable range "
@@ -160,8 +153,8 @@ def inverse_pressure(
         return 0.0
     if rg_hi == target_rg:
         return p_max
-    theta = angle_at_aperture(geom, assembly.sector_angle, target_rg, theta_lo, theta_hi,
-                              rg_lo, rg_hi, tol)
+    theta = angle_at_aperture(geom, assembly.sector_angle, target_rg, geom.half_angle_0,
+                              theta_hi, rg_lo, rg_hi, tol)
     # Past [0, p_max] by rounding near rest, or near p_max because that end is solved to tol.
     return min(max(pressure_at_angle(geom, assembly.material, theta), 0.0), p_max)
 
@@ -179,7 +172,7 @@ def workspace(
     """
     if not p_max >= 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
-    _, rest, _, top = _range_ends(assembly, p_max, box, tol)
+    rest, _, top = _range_ends(assembly, p_max, box, tol)
     return Workspace(
         min_aperture_mm=assembly.folded_aperture_mm,
         rest_aperture_mm=rest,
@@ -225,13 +218,16 @@ def iter_sweep(
     if steps < 2:
         raise ValueError(f"sweep needs at least 2 steps, got {steps}")
     geom = assembly.geometry
-    if p_to > reachable_pressure_range(geom, assembly.material, box)[1]:
-        # Past the box top: the solver's own error, raised before any Brent step.
-        solve_deformation(geom, assembly.material, p_to, box, tol)
+    lo, hi = reachable_pressure_range(geom, assembly.material, box)
+    if p_to > hi or p_from < lo:
+        # An end past the box, p_to's first: the solver's own error, before any Brent step.
+        solve_deformation(geom, assembly.material, p_to if p_to > hi else p_from, box, tol)
 
     def row(p: float) -> SweepRow:
-        state, d, rg = _forward(assembly, p, box, tol)
-        return SweepRow(p, state.r_outer, state.r_inner, state.half_angle, d, rg,
+        state = solve_deformation(geom, assembly.material, p, box, tol)
+        d = wall_distance(state)
+        return SweepRow(p, state.r_outer, state.r_inner, state.half_angle, d,
+                        aperture_radius(d, assembly),
                         pin_residual(geom, state), area_residual(geom, state),
                         pressure_quadrature(geom, state, assembly.material, quad_rel_tol))
 

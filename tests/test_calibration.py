@@ -702,8 +702,9 @@ _FIRST_GOLDEN_POINT = -5.0 + 0.5 * (3.0 - math.sqrt(5.0)) * 10.0
 
 #: (f, bounds): minima at negative x, where |x| feeds the tolerance; a bound at +0.0
 #: or -0.0; decreasing functions, whose minimum is the upper bound; an exact zero at
-#: the first iterate; plateaus, where f(u) ties f(x).  Five of them take a step where
-#: the two operands of max(|rat|, tol1) tie.
+#: the first iterate; plateaus, where f(u) ties f(x); a NaN everywhere, and on part of
+#: the interval (status 2 where a NaN is met).  Five of them take a step where the two
+#: operands of max(|rat|, tol1) tie.
 BOUNDED_EDGE_CASES = [
     (lambda x: (x + 7.3) ** 2, (-20.0, -1.0)),
     (lambda x: math.cosh(x + 2.0) - 0.5 * x, (-9.0, -0.5)),
@@ -719,6 +720,9 @@ BOUNDED_EDGE_CASES = [
     (lambda x: max(abs(x + 2.1) - 0.05, 0.0), (-8.0, 0.0)),
     (lambda x: float(math.floor(abs(x - 0.3))), (-4.0, 4.0)),
     (lambda x: 1.0, (-1.0, 1.0)),
+    (lambda x: math.nan, (0.0, 1.0)),
+    (lambda x: math.nan if x > 0.5 else (x - 0.7) ** 2, (0.0, 1.0)),
+    (lambda x: math.nan if x < -1.0 else (x + 2.0) ** 2, (-4.0, 3.0)),
 ]
 
 
@@ -741,7 +745,8 @@ def test_bounded_minimiser_matches_scipy():
                 lambda u: ours.append(u) or f(u), bounds, xatol=xatol)
             ref = minimize_scalar(lambda u: theirs.append(u) or f(u), bounds=bounds,
                                   method="bounded", options={"xatol": xatol})
-            assert (x, fun, nfev, status) == (ref.x, ref.fun, ref.nfev, ref.status), bounds
+            assert (x, nfev, status) == (ref.x, ref.nfev, ref.status), bounds
+            assert fun == ref.fun or math.isnan(fun) and math.isnan(ref.fun), bounds
             assert ours == theirs, bounds
 
 

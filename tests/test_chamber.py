@@ -168,6 +168,16 @@ def test_adaptive_simpson_reports_nonconvergence():
         adaptive_simpson(f, 0.0, 1.0, rel_tol=1e-12, max_depth=2)
 
 
+def test_adaptive_simpson_stops_at_float_resolution():
+    # On 8 ulps the halves reach 2 ulps, which have no interior points, after two levels;
+    # sin(1e15 x) keeps the estimates apart, so only the resolution stop ends the search.
+    b = 1.0
+    for _ in range(8):
+        b = math.nextafter(b, 2.0)
+    value = adaptive_simpson(lambda x: math.sin(1e15 * x), 1.0, b, rel_tol=1e-300)
+    assert math.isfinite(value)
+
+
 def test_quadrature_noise_floor_at_rest():
     # The integrand at zero deformation is pure roundoff; the absolute
     # floor must absorb it instead of dividing forever.

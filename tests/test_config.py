@@ -333,7 +333,7 @@ def records(ctx):
         ctx.capacity.lookup("sphere"), ctx.suction_model(), ws, obj,
         solve_deformation(ctx.geometry, ctx.material, 10.0),
         sweep(asm, 0.0, 10.0, 2)[0],
-        select_mode(obj, asm, ws),
+        select_mode(obj, ws),
         plan_grasp(obj, asm, ws, ctx.capacity),
         MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, [(10.0, 1.0), (20.0, 2.0)]),
         FitReport({"c1_kPa": 119.0}, 0.0, ()),

@@ -245,36 +245,34 @@ def test_suction_seal_threshold(suction):
 # Mode selection and planning
 
 
-def test_expansion_preferred_for_apertured_object(assembly, ws):
+def test_expansion_preferred_for_apertured_object(ws):
     o = obj(
         ShapeClass.CYLINDER,
         60.0,
         has_aperture=True,
         aperture_diameter_mm=40.0,
     )
-    sel = select_mode(o, assembly, ws)
+    sel = select_mode(o, ws)
     assert sel.mode is GraspMode.EXPANSION and sel.feasible
 
 
-def test_suction_for_flat_objects(assembly, ws):
-    sel = select_mode(obj(ShapeClass.FLAT_PLATE, 300.0), assembly, ws)
+def test_suction_for_flat_objects(ws):
+    sel = select_mode(obj(ShapeClass.FLAT_PLATE, 300.0), ws)
     assert sel.mode is GraspMode.SUCTION and sel.feasible
-    sel = select_mode(
-        obj(ShapeClass.CUBE, 300.0, has_flat_sealable_surface=True), assembly, ws
-    )
+    sel = select_mode(obj(ShapeClass.CUBE, 300.0, has_flat_sealable_surface=True), ws)
     assert sel.mode is GraspMode.SUCTION and sel.feasible
 
 
-def test_contraction_for_workspace_sized_object(assembly, ws):
-    sel = select_mode(obj(ShapeClass.CYLINDER, 40.0), assembly, ws)
+def test_contraction_for_workspace_sized_object(ws):
+    sel = select_mode(obj(ShapeClass.CYLINDER, 40.0), ws)
     assert sel.mode is GraspMode.CONTRACTION and sel.feasible
 
 
-def test_infeasible_reasons(assembly, ws):
-    too_big = select_mode(obj(ShapeClass.SPHERE, 200.0), assembly, ws)
+def test_infeasible_reasons(ws):
+    too_big = select_mode(obj(ShapeClass.SPHERE, 200.0), ws)
     assert not too_big.feasible and too_big.mode is None
     assert "exceeds workspace" in too_big.reason
-    too_small = select_mode(obj(ShapeClass.SPHERE, 4.0), assembly, ws)
+    too_small = select_mode(obj(ShapeClass.SPHERE, 4.0), ws)
     assert not too_small.feasible
     assert "below workspace" in too_small.reason
 

@@ -26,6 +26,7 @@ from accordion_gripper.gripper import (
     SWEEP_CSV_HEADER,
     _range_ends,
     contraction_diameter_range,
+    iter_sweep,
     write_sweep_csv,
 )
 
@@ -137,6 +138,20 @@ def test_sweep_past_the_box_raises_the_solver_error_without_brent(assembly, monk
         sweep(assembly, 0.0, 100.0, 5)  # the default box reaches 68.64 kPa
     assert str(swept.value) == str(solved.value)
     assert swept.value.reachable == solved.value.reachable
+    assert calls == []
+
+
+def test_sweep_below_zero_raises_at_the_call_without_brent(assembly, monkeypatch):
+    # At the call, not at the first row: `gripper sweep` opens --out in between.
+    import accordion_gripper.chamber as chamber
+
+    calls = []
+    monkeypatch.setattr(chamber, "_brent", lambda *args: calls.append(args))
+    with pytest.raises(OutOfWorkspaceError, match=r"^inflation branch only: .* got -5.0$"):
+        iter_sweep(assembly, -5.0, 40.0, 41)
+    # With both ends outside the box, p_to's error is raised, as it was before.
+    with pytest.raises(OutOfWorkspaceError, match=r"^pressure 100.0 kPa outside the range"):
+        iter_sweep(assembly, -5.0, 100.0, 41)
     assert calls == []
 
 
