@@ -30,7 +30,7 @@ from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox, reachable_pressu
 from .errors import CalibrationError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, check_ambient_pressure
 from .grasp import check_lift_volume, sealed_volume, suction_law
-from .gripper import GripperAssembly, aperture_vs_pressure, inverse_pressure, workspace
+from .gripper import GripperAssembly, apertures_at_pressures, inverse_pressure, workspace
 from .material import HyperelasticMaterial
 from .records import CheckedRecord
 
@@ -396,7 +396,7 @@ def fit_c1(
     def sse(x: float) -> float:
         # A c1 >= c1_reach reaches the top pressure, but for rounding: read it at the top.
         c1 = lo * math.exp(x - 1.0)
-        fits[x] = c1, [aperture_vs_pressure(unit, min(p / c1, q_top), box, tol) for p in xs]
+        fits[x] = c1, apertures_at_pressures(unit, [min(p / c1, q_top) for p in xs], box, tol)
         return _sum_sq(fits[x][1], ys)
 
     # The minimiser returns a point it evaluated: its predictions are kept.  Within 0.1%
@@ -473,7 +473,7 @@ def fit_suction(
         raise CalibrationError("underdetermined fit: with a lift volume increase of 0 mm^3 "
                                "the peaks do not depend on h_eff")
 
-    rg0, *rgs = [aperture_vs_pressure(assembly, p, box, tol) for p in (0.0, *xs)]
+    rg0, *rgs = apertures_at_pressures(assembly, (0.0, *xs), box, tol)
 
     def predict(a_eff: float, h_eff: float) -> list[float]:
         v0 = sealed_volume(rg0, h_eff)

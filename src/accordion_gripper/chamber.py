@@ -88,8 +88,7 @@ class DeformedState(CheckedRecord, namedtuple("DeformedState", "r_outer r_inner 
     __slots__ = ()
 
     def __new__(cls, r_outer: float, r_inner: float, half_angle: float):
-        if not 0.0 < r_inner < r_outer:
-            raise ValueError(f"require 0 < r1 < r0, got r1={r_inner}, r0={r_outer}")
+        _check_radii(r_outer, r_inner)
         if not 0.0 < half_angle < math.pi:
             raise ValueError(f"require 0 < theta0 < pi, got {half_angle}")
         return tuple.__new__(cls, (r_outer, r_inner, half_angle))
@@ -161,6 +160,11 @@ def wall_distance(state: DeformedState) -> float:
 
 def _wall_distance(r0: float, r1: float, theta: float) -> float:
     return 2.0 * (r0 - r1 * math.cos(theta))
+
+
+def _check_radii(r0: float, r1: float) -> None:
+    if not 0.0 < r1 < r0:
+        raise ValueError(f"require 0 < r1 < r0, got r1={r1}, r0={r0}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +363,7 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
 def _radii(geom: ChamberGeometry, theta: float) -> tuple[float, float]:
     """(r0, r1), mm, implied by theta0 via the pin and area constraints.
 
-    The residuals of ``solve_deformation`` and ``angle_at_aperture`` repeat its float
+    The residuals of ``angles_at_pressures`` and ``angle_at_aperture`` repeat its float
     operations on the geometry's constants, bound once per call.
     """
     if not 0.0 < theta < math.pi / 2:
@@ -371,6 +375,13 @@ def _radii(geom: ChamberGeometry, theta: float) -> tuple[float, float]:
 def state_at_angle(geom: ChamberGeometry, theta: float) -> DeformedState:
     """Deformed state implied by theta0 via the pin and area constraints."""
     return DeformedState(*_radii(geom, theta), theta)
+
+
+def wall_distance_at_angle(geom: ChamberGeometry, theta: float) -> float:
+    """``wall_distance(state_at_angle(geom, theta))``, mm, with its checks; builds no state."""
+    r0, r1 = _radii(geom, theta)
+    _check_radii(r0, r1)
+    return _wall_distance(r0, r1, theta)
 
 
 def pressure_at_angle(
@@ -410,49 +421,47 @@ def reachable_pressure_range(
     return max(mat.c1 * q_lo, 0.0), mat.c1 * q_hi
 
 
-def solve_deformation(
-    geom: ChamberGeometry,
-    mat: HyperelasticMaterial,
-    p: float,
-    box: SolverBox = SolverBox(),
-    tol: float = THETA_TOL_RAD,
-) -> DeformedState:
-    """Solve for the deformed state at inflation pressure p (kPa).
-
-    The pin and area constraints eliminate r1 and r0, reducing the system
-    to a single monotone equation P(theta0) = p bracketed on [Theta0, box
-    top] (Brent).  The constraints hold exactly by construction; the
-    pressure residual is bounded by the bracketing tolerance.  At 0 kPa the
-    state is the rest geometry, P(Theta0) = 0; the bracket is checked there too.
-    """
-    if math.isnan(p):
-        raise ValueError(f"pressure must be a number, got {p} kPa")
-    if p < 0:
-        raise OutOfWorkspaceError(
-            f"inflation branch only: pressure must be >= 0 kPa, got {p}",
-            reachable=(0.0, None),
-        )
-    if not tol > 0:  # a NaN fails it too
-        raise ValueError(f"theta tolerance must be positive, got {tol}")
-    lo, hi = geom.half_angle_0, box.half_angle_max
-    # Checked at every pressure; Brent starts at the ends, evaluated once per key.
-    q_lo, q_hi = _box_end_pressures(geom, hi)
-    if p == 0:
-        return state_at_angle(geom, lo)
-    c1 = mat.c1
-    p_lo, p_hi = c1 * q_lo, c1 * q_hi
-    if p < p_lo or p > p_hi:
-        reachable = max(p_lo, 0.0), p_hi
-        raise OutOfWorkspaceError(f"pressure {p} kPa outside the range [{reachable[0]:.6g}, "
-                                  f"{reachable[1]:.6g}] kPa reachable inside the solver box",
-                                  reachable=reachable)
+def angles_at_pressures(geom: ChamberGeometry, mat: HyperelasticMaterial, pressures,
+                        box: SolverBox = SolverBox(), tol: float = THETA_TOL_RAD):
+    """theta0 (rad) at each inflation pressure (kPa) in turn, P(theta0) = p by Brent on
+    [Theta0, box top]; P(Theta0) = 0, so 0 kPa needs no step.  A generator: it raises what
+    one-point solves in turn raise, but checks tol and reads the box-end pair once."""
+    lo, hi, c1 = geom.half_angle_0, box.half_angle_max, mat.c1
     pin, area, sin, sqrt = geom.pin_half_distance, geom.sector_area_scale, math.sin, math.sqrt
+    p_lo = None
 
     def residual(t: float) -> float:  # pressure_at_angle(geom, mat, t) - p, on bound constants
         r1 = pin / sin(t)
         return c1 * _pressure(geom, sqrt(r1 * r1 + area / t), r1, t) - p
 
-    return state_at_angle(geom, _brent(residual, lo, hi, p_lo - p, p_hi - p, tol))
+    for p in pressures:
+        if math.isnan(p):
+            raise ValueError(f"pressure must be a number, got {p} kPa")
+        if p < 0:
+            raise OutOfWorkspaceError(f"inflation branch only: pressure must be >= 0 kPa, "
+                                      f"got {p}", reachable=(0.0, None))
+        if p_lo is None:
+            if not tol > 0:  # a NaN fails it too
+                raise ValueError(f"theta tolerance must be positive, got {tol}")
+            # Brent starts at the ends, evaluated once per key.
+            q_lo, q_hi = _box_end_pressures(geom, hi)
+            p_lo, p_hi = c1 * q_lo, c1 * q_hi
+        if p == 0:
+            yield lo
+        elif p < p_lo or p > p_hi:
+            reachable = max(p_lo, 0.0), p_hi
+            raise OutOfWorkspaceError(f"pressure {p} kPa outside the range [{reachable[0]:.6g}, "
+                                      f"{reachable[1]:.6g}] kPa reachable inside the solver box",
+                                      reachable=reachable)
+        else:
+            yield _brent(residual, lo, hi, p_lo - p, p_hi - p, tol)
+
+
+def solve_deformation(geom: ChamberGeometry, mat: HyperelasticMaterial, p: float,
+                      box: SolverBox = SolverBox(), tol: float = THETA_TOL_RAD) -> DeformedState:
+    """Deformed state at inflation pressure p (kPa): ``angles_at_pressures`` at one point."""
+    (theta,) = angles_at_pressures(geom, mat, (p,), box, tol)
+    return state_at_angle(geom, theta)
 
 
 def angle_at_aperture(geom: ChamberGeometry, sector_angle: float, target: float,

@@ -22,7 +22,7 @@ from collections import namedtuple
 from functools import reduce
 
 from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox
-from .chamber import reachable_pressure_range, state_at_angle, wall_distance
+from .chamber import reachable_pressure_range, wall_distance_at_angle
 from .errors import ConfigError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA, SEAL_THRESHOLD_KPA
 from .grasp import CapacityCalibration, CapacityEntry, GraspMode, SuctionModel
@@ -140,7 +140,7 @@ def _check_opens(geometry, box) -> None:
     r0, r1, rest = geometry[:3]
     slope = 2.0 * (r1 / math.sin(rest)
                    - (r1 * r1 / math.tan(rest) + (r0 * r0 - r1 * r1) / (2.0 * rest)) / r0)
-    d_rest, d_hi = (wall_distance(state_at_angle(geometry, t)) for t in (rest, box.half_angle_max))
+    d_rest, d_hi = (wall_distance_at_angle(geometry, t) for t in (rest, box.half_angle_max))
     if not (slope > 0 and d_hi > d_rest):
         raise ValueError(f"they close the aperture under inflation (dD/dtheta0 {slope:.6g} mm/rad "
                          f"at rest; D {d_rest:.6g} mm at rest, {d_hi:.6g} mm at the box top)")

@@ -35,6 +35,9 @@ PRESSURE_LIMIT_KPA = 40.0  # schedules never exceed +/- this
 #: Default ambient pressure, kPa.
 AMBIENT_KPA = 101.325
 
+#: Standard gravity g0, m/s^2 (ISO 80000-3): an object's weight is m*g0.
+STANDARD_GRAVITY = 9.80665
+
 #: Default chamber pressure (kPa) below which no suction seal forms.
 SEAL_THRESHOLD_KPA = 0.0
 
@@ -408,7 +411,8 @@ def plan_grasp(
     """Full plan for one object: mode, schedule, capacity, feasibility.
 
     A positive schedule pressure above ``ws.p_max_kPa``, the pressure the
-    workspace was solved up to, raises OutOfWorkspaceError.
+    workspace was solved up to, raises OutOfWorkspaceError.  A plan whose
+    capacity is below the object's weight is infeasible.
     """
     sel = select_mode(obj, ws, stretch_margin_mm)
     if not sel.feasible:
@@ -436,4 +440,9 @@ def plan_grasp(
                 f"[0, {ws.p_max_kPa:g}] kPa the workspace was solved over (solver.p_max_kPa)",
                 reachable=(0.0, ws.p_max_kPa),
             )
+    weight = obj.mass_kg * STANDARD_GRAVITY
+    if weight > capacity:
+        return GraspPlan(sel.mode, schedule, capacity, False,
+                         f"{sel.reason}; but the object's weight {weight:.6g} N exceeds the "
+                         f"predicted capacity {capacity:.6g} N")
     return GraspPlan(sel.mode, schedule, capacity, True, sel.reason)

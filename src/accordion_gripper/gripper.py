@@ -21,6 +21,7 @@ from .chamber import (
     ChamberGeometry,
     SolverBox,
     angle_at_aperture,
+    angles_at_pressures,
     area_residual,
     pin_residual,
     pressure_at_angle,
@@ -28,6 +29,7 @@ from .chamber import (
     reachable_pressure_range,
     solve_deformation,
     wall_distance,
+    wall_distance_at_angle,
 )
 from .errors import OutOfWorkspaceError
 from .material import HyperelasticMaterial
@@ -95,15 +97,25 @@ def aperture_radius(d: float, assembly: GripperAssembly) -> float:
     return d / assembly.sector_angle
 
 
+def apertures_at_pressures(assembly: GripperAssembly, pressures, box: SolverBox = SolverBox(),
+                           tol: float = THETA_TOL_RAD) -> list[float]:
+    """Forward map: aperture radius (mm) at each inflation pressure (kPa), on floats; each
+    point is checked as ``solve_deformation`` and ``aperture_radius`` check it, in order."""
+    geom = assembly.geometry
+    return [aperture_radius(wall_distance_at_angle(geom, t), assembly)
+            for t in angles_at_pressures(geom, assembly.material, pressures, box, tol)]
+
+
 def aperture_vs_pressure(
     assembly: GripperAssembly,
     p: float,
     box: SolverBox = SolverBox(),
     tol: float = THETA_TOL_RAD,
 ) -> float:
-    """Forward map: aperture radius (mm) at inflation pressure p (kPa)."""
-    state = solve_deformation(assembly.geometry, assembly.material, p, box, tol)
-    return aperture_radius(wall_distance(state), assembly)
+    """Forward map: aperture radius (mm) at pressure p (kPa); ``apertures_at_pressures``'s point."""
+    geom = assembly.geometry
+    (theta,) = angles_at_pressures(geom, assembly.material, (p,), box, tol)
+    return aperture_radius(wall_distance_at_angle(geom, theta), assembly)
 
 
 @functools.lru_cache(maxsize=_RANGE_END_CACHE_SIZE)
@@ -116,14 +128,14 @@ def _range_ends(assembly: GripperAssembly, p_max: float, box: SolverBox,
     the key are immutable, so stored ends never go stale; an exception is raised
     afresh on every call, never stored.
     """
-    geom, mat = assembly.geometry, assembly.material
-    rg_lo = aperture_radius(wall_distance(solve_deformation(geom, mat, 0.0, box, tol)), assembly)
-    state_hi = solve_deformation(geom, mat, p_max, box, tol)
-    rg_hi = aperture_radius(wall_distance(state_hi), assembly)
+    geom = assembly.geometry
+    (_, rg_lo), (theta_hi, rg_hi) = [
+        (t, aperture_radius(wall_distance_at_angle(geom, t), assembly))
+        for t in angles_at_pressures(geom, assembly.material, (0.0, p_max), box, tol)]
     if rg_hi < rg_lo:
         raise ValueError(f"the aperture closes under inflation: R_g({p_max} kPa) = "
                          f"{rg_hi:.9g} mm is below R_g(0) = {rg_lo:.9g} mm")
-    return rg_lo, state_hi.half_angle, rg_hi
+    return rg_lo, theta_hi, rg_hi
 
 
 def inverse_pressure(

@@ -367,14 +367,14 @@ def test_fit_c1_reports_the_predictions_it_evaluated(monkeypatch, geom):
     # The report reads the optimum's predictions from its evaluation: no solve after the search.
     import accordion_gripper.gripper as gripper
 
-    solves, real = [], gripper.solve_deformation
+    solves, real = [], gripper.angles_at_pressures
 
-    def spy(*args, **kwargs):
-        solves.append(args[2])
-        return real(*args, **kwargs)
+    def spy(geom, mat, pressures, *args, **kwargs):
+        solves.extend(pressures)
+        return real(geom, mat, pressures, *args, **kwargs)
 
     series = make_aperture_series(geom)
-    monkeypatch.setattr(gripper, "solve_deformation", spy)
+    monkeypatch.setattr(gripper, "angles_at_pressures", spy)
     report = fit_c1(series, geom)
     # Every trial reads the c1 = 1 kPa curve; its range ends are cached across calls.
     ends = (0.0, reachable_pressure_range(geom, HyperelasticMaterial(1.0))[1])
@@ -382,6 +382,63 @@ def test_fit_c1_reports_the_predictions_it_evaluated(monkeypatch, geom):
     fitted = GripperAssembly(geom, HyperelasticMaterial(report.params["c1_kPa"]))
     assert [point["predicted"] for point in report.per_point] == [
         aperture_vs_pressure(fitted, p) for p in PRESSURES]
+
+
+# fit_c1 and fit_suction on literal series: the fitted parameters and every prediction, as
+# float.hex, frozen from the forward map that built a ``DeformedState`` per point.
+FROZEN_C1_SERIES = {
+    "default-model": (
+        ChamberGeometry(), 22, SolverBox(), 1e-12,
+        [2.0 * (i + 1) for i in range(20)],
+        [
+            20.7642, 20.8543, 20.9391, 21.0355, 21.116, 21.2182, 21.2951,
+            21.4024, 21.477, 21.5883, 21.6621, 21.7758, 21.8505, 21.9653,
+            22.0425, 22.1569, 22.2382, 22.351, 22.4379, 22.5479,
+        ],
+        "0x1.dbedc08ac2f37p+6",
+        [
+            "0x1.4c3a6a8751f57p+4", "0x1.4da5963970a2cp+4", "0x1.4f125bf958586p+4",
+            "0x1.5080dc5ae2bf8p+4", "0x1.51f1370d86237p+4", "0x1.53638b00a2192p+4",
+            "0x1.54d7f683ec564p+4", "0x1.564e976499147p+4", "0x1.57c78b07b851ap+4",
+            "0x1.5942ee8236b49p+4", "0x1.5ac0deaed9e7dp+4", "0x1.5c417842857bep+4",
+            "0x1.5dc4d7df099c9p+4", "0x1.5f4b1a24b3cf8p+4", "0x1.60d45bc2d2556p+4",
+            "0x1.6260b98754733p+4", "0x1.63f0506daca32p+4", "0x1.65833dad15484p+4",
+            "0x1.67199ec654d48p+4", "0x1.68b391911a7efp+4",
+        ],
+    ),
+    "16-chambers-75-deg-box": (
+        ChamberGeometry(5.2, 3.4, math.radians(50.0)), 16, SolverBox(math.radians(75.0)), 1e-13,
+        [5.0, 12.5, 20.0, 31.0, 44.0, 58.0, 71.5],
+        [15.3826, 15.4157, 15.4536, 15.5172, 15.5805, 15.651, 15.7288],
+        "0x1.3f8ce234cbe8fp+9",
+        [
+            "0x1.ec1e1e5389e75p+3", "0x1.ed5c1bf762e06p+3", "0x1.ee9ab21cbc8c9p+3",
+            "0x1.f06f27fa0287cp+3", "0x1.f29ad9096ddc1p+3", "0x1.f4f4139701dfep+3",
+            "0x1.f73adf2bea53fp+3",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_C1_SERIES)
+def test_fit_c1_frozen_bits(name):
+    geom, n_chambers, box, tol, xs, ys, c1_hex, preds_hex = FROZEN_C1_SERIES[name]
+    series = MeasurementSeries.from_pairs(SeriesKind.PRESSURE_APERTURE, zip(xs, ys))
+    report = fit_c1(series, geom, n_chambers, box, tol)
+    assert report.params["c1_kPa"].hex() == c1_hex
+    assert [point["predicted"].hex() for point in report.per_point] == preds_hex
+
+
+def test_fit_suction_frozen_bits():
+    series = MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, zip(
+        [0.0, 5.0, 10.0, 20.0, 30.0, 40.0], [0.0, 9.1, 17.6, 31.2, 41.9, 50.3]))
+    report = fit_suction(series, GripperAssembly(ChamberGeometry(), HyperelasticMaterial(119.0)))
+    assert {name: value.hex() for name, value in report.params.items()} == {
+        "A_eff_mm2": "0x1.8c520b7c736edp+11", "h_eff_mm": "0x1.c1c4fa6d469bfp+8"}
+    assert [point["predicted"].hex() for point in report.per_point] == [
+        "0x1.5195887dafceap+1", "0x1.2994891f20c7fp+3", "0x1.fa7f00c905efbp+3",
+        "0x1.c8ab57f0b175fp+4", "0x1.46fb90c57cdd2p+5", "0x1.a722923ee134cp+5",
+    ]
 
 
 def noisy_series_with_first_point(geom, n_chambers, c1, pressures, first_aperture, seed):

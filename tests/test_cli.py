@@ -186,6 +186,18 @@ def test_plan_infeasible_exit_2(capsys, tmp_path):
     assert "exceeds workspace" in plan["rationale"]
 
 
+def test_plan_too_heavy_to_lift_exit_2(capsys, tmp_path):
+    # 100 kg weighs 980.665 N, against a 20 N contraction capacity.
+    path = write_object(
+        tmp_path, {"shape_class": "cylinder", "characteristic_diameter_mm": 40, "mass_kg": 100}
+    )
+    code, out, err = run(capsys, "plan", "--object", path)
+    assert (code, err) == (2, "")
+    plan = json.loads(out)
+    assert plan["feasible"] is False and plan["predicted_capacity_N"] == 20.0
+    assert "weight 980.665 N exceeds the predicted capacity 20 N" in plan["rationale"]
+
+
 def test_plan_bad_descriptor_exit_1(capsys, tmp_path):
     path = write_object(tmp_path, {"shape_class": "blob", "characteristic_diameter_mm": 40.0})
     code, _, err = run(capsys, "plan", "--object", path)

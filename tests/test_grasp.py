@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from accordion_gripper import (
     CalibrationError,
@@ -23,7 +24,7 @@ from accordion_gripper import (
     suction_force,
     workspace,
 )
-from accordion_gripper.grasp import check_lift_volume
+from accordion_gripper.grasp import STANDARD_GRAVITY, check_lift_volume
 from accordion_gripper.gripper import aperture_radius, check_stretch_margin, inverse_pressure
 
 REST_RG = 20.675956017774557
@@ -351,6 +352,22 @@ def test_plan_suction(assembly, ws, calib, suction):
 def test_plan_suction_requires_model(assembly, ws, calib):
     with pytest.raises(ValueError, match="suction model"):
         plan_grasp(obj(ShapeClass.FLAT_PLATE, 300.0), assembly, ws, calib, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(ShapeClass), d=st.floats(min_value=1.0, max_value=300.0),
+       mass=st.floats(min_value=0.0, max_value=10.0), opening=st.one_of(
+           st.none(), st.floats(min_value=1.0, max_value=60.0)), flat=st.booleans())
+def test_a_feasible_plan_carries_the_object(assembly, ws, calib, suction, shape, d, mass,
+                                            opening, flat):
+    thing = obj(shape, d, mass_kg=mass, has_aperture=opening is not None,
+                aperture_diameter_mm=opening, has_flat_sealable_surface=flat)
+    plan = plan_grasp(thing, assembly, ws, calib, suction)
+    weight = mass * STANDARD_GRAVITY
+    assert plan.feasible == (select_mode(thing, ws).feasible
+                             and plan.predicted_capacity_N >= weight)
+    if plan.mode is not None and not plan.feasible:
+        assert f"weight {weight:.6g} N exceeds" in plan.rationale
 
 
 def test_plan_infeasible(assembly, ws, calib, suction):

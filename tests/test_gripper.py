@@ -19,12 +19,19 @@ from accordion_gripper import (
     wall_distance,
     workspace,
 )
-from accordion_gripper.chamber import pressure_at_angle, state_at_angle
+from accordion_gripper.chamber import (
+    angles_at_pressures,
+    pressure_at_angle,
+    reachable_pressure_range,
+    state_at_angle,
+    wall_distance_at_angle,
+)
 from accordion_gripper.cli import build_validation_report
 from accordion_gripper.config import ModelContext
 from accordion_gripper.gripper import (
     SWEEP_CSV_HEADER,
     _range_ends,
+    apertures_at_pressures,
     contraction_diameter_range,
     iter_sweep,
     write_sweep_csv,
@@ -62,6 +69,86 @@ def test_forward_map_frozen_values(assembly):
     assert aperture_vs_pressure(assembly, 40.0) == pytest.approx(
         22.54353891181218, rel=1e-12
     )
+
+
+def outcome(call):
+    """What a call returns, or the type, message and reachable range of what it raises."""
+    try:
+        return call()
+    except (ValueError, OutOfWorkspaceError) as exc:
+        return type(exc), str(exc), getattr(exc, "reachable", None)
+
+
+def forward_by_states(assembly, pressures, box, tol):
+    """The forward map as one-point solves in turn, each through a ``DeformedState``."""
+    geom, mat = assembly.geometry, assembly.material
+    return [aperture_radius(wall_distance(solve_deformation(geom, mat, p, box, tol)), assembly)
+            for p in pressures]
+
+
+@settings(max_examples=300, deadline=None)
+@given(r0=st.floats(min_value=0.1, max_value=100.0),
+       ratio=st.floats(min_value=0.05, max_value=0.98),
+       theta0=st.floats(min_value=0.05, max_value=1.5),
+       top=st.floats(min_value=0.0, max_value=1.0),
+       c1=st.floats(min_value=1.0, max_value=1e4),
+       n_chambers=st.integers(min_value=3, max_value=40),
+       tol=st.floats(min_value=1e-14, max_value=1e-8),
+       fractions=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.2)),
+                          min_size=1, max_size=8))
+@example(r0=4.56, ratio=3.0 / 4.56, theta0=math.radians(57.6), top=1.0, c1=119.0, n_chambers=22,
+         tol=1e-12, fractions=[0.0, 0.5, 1.0, 0.0])
+def test_series_forward_map_is_the_state_path_bit_for_bit(r0, ratio, theta0, top, c1, n_chambers,
+                                                          tol, fractions):
+    # Equal floats, and the same first error with its message and reachable range.
+    geom = ChamberGeometry(r0, r0 * ratio, theta0)
+    box = SolverBox(theta0 + top * (math.pi / 2 - theta0) * 0.999)
+    assembly = GripperAssembly(geom, HyperelasticMaterial(c1), n_chambers)
+    try:
+        p_top = reachable_pressure_range(geom, assembly.material, box)[1]
+    except ValueError:  # the bracket's own error: every call below raises it too
+        p_top = 1.0
+    pressures = [f * p_top for f in fractions]
+    expected = outcome(lambda: forward_by_states(assembly, pressures, box, tol))
+    assert outcome(lambda: apertures_at_pressures(assembly, pressures, box, tol)) == expected
+    thetas = outcome(lambda: list(angles_at_pressures(geom, assembly.material, pressures, box,
+                                                      tol)))
+    if isinstance(expected, list):
+        assert thetas == [solve_deformation(geom, assembly.material, p, box, tol).half_angle
+                          for p in pressures]
+        assert [wall_distance_at_angle(geom, t) for t in thetas] == [
+            wall_distance(state_at_angle(geom, t)) for t in thetas]
+
+
+def test_series_reports_a_nan_pressure_before_a_bad_tolerance(assembly):
+    with pytest.raises(ValueError, match="pressure must be a number, got nan"):
+        apertures_at_pressures(assembly, [math.nan, 5.0], tol=0.0)
+    with pytest.raises(ValueError, match="pressure must be a number, got nan"):
+        solve_deformation(assembly.geometry, assembly.material, math.nan, tol=math.nan)
+    with pytest.raises(ValueError, match="theta tolerance must be positive"):
+        apertures_at_pressures(assembly, [5.0, math.nan], tol=0.0)
+
+
+def test_series_checks_the_box_top_at_0_kpa(assembly):
+    low = SolverBox(0.5 * assembly.geometry.half_angle_0)
+    for call in (lambda: aperture_vs_pressure(assembly, 0.0, low),
+                 lambda: apertures_at_pressures(assembly, [0.0, 0.0], low),
+                 lambda: list(angles_at_pressures(assembly.geometry, assembly.material, [0.0],
+                                                  low))):
+        with pytest.raises(ValueError, match="at or below the rest angle"):
+            call()
+
+
+def test_series_raises_the_first_out_of_box_pressure(assembly):
+    reachable = reachable_pressure_range(assembly.geometry, assembly.material)
+    with pytest.raises(OutOfWorkspaceError) as err:
+        apertures_at_pressures(assembly, [5.0, 0.0, 100.0, -1.0, 200.0])
+    assert str(err.value) == (f"pressure 100.0 kPa outside the range [0, {reachable[1]:.6g}] kPa "
+                              "reachable inside the solver box")
+    assert err.value.reachable == reachable
+    with pytest.raises(OutOfWorkspaceError, match="inflation branch only") as err:
+        apertures_at_pressures(assembly, [5.0, -1.0, 100.0])
+    assert err.value.reachable == (0.0, None)
 
 
 @settings(max_examples=20, deadline=None)
