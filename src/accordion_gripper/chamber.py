@@ -416,19 +416,19 @@ def _box_end_pressures(geom: ChamberGeometry, hi: float) -> tuple[float, float]:
 def reachable_pressure_range(
     geom: ChamberGeometry, mat: HyperelasticMaterial, box: SolverBox = SolverBox()
 ) -> tuple[float, float]:
-    """Pressures (kPa) reachable on [Theta0, box top]; rest-angle noise below 0 floors to 0."""
-    q_lo, q_hi = _box_end_pressures(geom, box.half_angle_max)
-    return max(mat.c1 * q_lo, 0.0), mat.c1 * q_hi
+    """Pressures (kPa) reachable on [Theta0, box top]: from 0, since P(Theta0) = 0, to P(top)."""
+    return 0.0, mat.c1 * _box_end_pressures(geom, box.half_angle_max)[1]
 
 
 def angles_at_pressures(geom: ChamberGeometry, mat: HyperelasticMaterial, pressures,
                         box: SolverBox = SolverBox(), tol: float = THETA_TOL_RAD):
     """theta0 (rad) at each inflation pressure (kPa) in turn, P(theta0) = p by Brent on
-    [Theta0, box top]; P(Theta0) = 0, so 0 kPa needs no step.  A generator: it raises what
+    [Theta0, box top]; P(Theta0) = 0, so a pressure at or below c1*q(Theta0), the closed
+    form's rounding noise at rest, is Theta0 with no step.  A generator: it raises what
     one-point solves in turn raise, but checks tol and reads the box-end pair once."""
     lo, hi, c1 = geom.half_angle_0, box.half_angle_max, mat.c1
     pin, area, sin, sqrt = geom.pin_half_distance, geom.sector_area_scale, math.sin, math.sqrt
-    p_lo = None
+    p_rest = None
 
     def residual(t: float) -> float:  # pressure_at_angle(geom, mat, t) - p, on bound constants
         r1 = pin / sin(t)
@@ -440,19 +440,18 @@ def angles_at_pressures(geom: ChamberGeometry, mat: HyperelasticMaterial, pressu
         if p < 0:
             raise OutOfWorkspaceError(f"inflation branch only: pressure must be >= 0 kPa, "
                                       f"got {p}", reachable=(0.0, None))
-        if p_lo is None:
+        if p_rest is None:
             if not tol > 0:  # a NaN fails it too
                 raise ValueError(f"theta tolerance must be positive, got {tol}")
             # Brent starts at the ends, evaluated once per key.
             q_lo, q_hi = _box_end_pressures(geom, hi)
             p_lo, p_hi = c1 * q_lo, c1 * q_hi
-        if p == 0:
+            p_rest = max(p_lo, 0.0)
+        if p <= p_rest:
             yield lo
-        elif p < p_lo or p > p_hi:
-            reachable = max(p_lo, 0.0), p_hi
-            raise OutOfWorkspaceError(f"pressure {p} kPa outside the range [{reachable[0]:.6g}, "
-                                      f"{reachable[1]:.6g}] kPa reachable inside the solver box",
-                                      reachable=reachable)
+        elif p > p_hi:
+            raise OutOfWorkspaceError(f"pressure {p} kPa outside the range [0, {p_hi:.6g}] kPa "
+                                      "reachable inside the solver box", reachable=(0.0, p_hi))
         else:
             yield _brent(residual, lo, hi, p_lo - p, p_hi - p, tol)
 
@@ -465,12 +464,12 @@ def solve_deformation(geom: ChamberGeometry, mat: HyperelasticMaterial, p: float
 
 
 def angle_at_aperture(geom: ChamberGeometry, sector_angle: float, target: float,
-                      lo: float, hi: float, rg_lo: float, rg_hi: float, tol: float) -> float:
-    """theta0 (rad) in [lo, hi] where the aperture radius D/alpha equals target (mm).
+                      hi: float, rg_lo: float, rg_hi: float, tol: float) -> float:
+    """theta0 (rad) in [Theta0, hi] where the aperture radius D/alpha equals target (mm).
 
     alpha is the ``sector_angle`` (rad) each chamber of the ring spans.  The apertures
-    rg_lo and rg_hi at lo and hi are the caller's, and must bracket the target; ``tol``
-    is the Brent tolerance on theta0.
+    rg_lo and rg_hi at Theta0 and hi are the caller's, and must bracket the target;
+    ``tol`` is the Brent tolerance on theta0.
     """
     pin, area, sin, sqrt = geom.pin_half_distance, geom.sector_area_scale, math.sin, math.sqrt
 
@@ -478,4 +477,4 @@ def angle_at_aperture(geom: ChamberGeometry, sector_angle: float, target: float,
         r1 = pin / sin(t)
         return _wall_distance(sqrt(r1 * r1 + area / t), r1, t) / sector_angle - target
 
-    return _brent(residual, lo, hi, rg_lo - target, rg_hi - target, tol)
+    return _brent(residual, geom.half_angle_0, hi, rg_lo - target, rg_hi - target, tol)

@@ -188,9 +188,9 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
             # A CapacityEntry's message starts with the field's name.
             capacity = CapacityCalibration({name: named(f"capacity.{name}.", CapacityEntry, **entry)
                                             for name, entry in cfg["capacity"].items()})
-            reach = named((*geo_keys, top_key), reachable_pressure_range, geometry, material, box)
+            top = named((*geo_keys, top_key), reachable_pressure_range, geometry, material, box)[1]
             named((*geo_keys, top_key), _check_opens, geometry, box)
-            if not all(map(math.isfinite, reach)):
+            if not math.isfinite(top):
                 raise ValueError(f"{keys('material.c1_kPa', top_key)}c1 times the pressure at a "
                                  "bracket end overflows")
             if solver["p_max_kPa"] < 0:

@@ -67,7 +67,7 @@ class GraspMode(str, Enum):
 
 class ObjectDescriptor(CheckedRecord, namedtuple("ObjectDescriptor", (
         "shape_class", "characteristic_diameter_mm", "mass_kg", "has_aperture",
-        "aperture_diameter_mm", "has_flat_sealable_surface", "orientation_note"))):
+        "aperture_diameter_mm", "has_flat_sealable_surface"))):
     """Size/shape/pose summary of a candidate object."""
 
     __slots__ = ()
@@ -75,7 +75,7 @@ class ObjectDescriptor(CheckedRecord, namedtuple("ObjectDescriptor", (
     def __new__(cls, shape_class: ShapeClass, characteristic_diameter_mm: float,
                 mass_kg: float = 0.0, has_aperture: bool = False,
                 aperture_diameter_mm: float | None = None,
-                has_flat_sealable_surface: bool = False, orientation_note: str = ""):
+                has_flat_sealable_surface: bool = False):
         d = characteristic_diameter_mm
         if not (math.isfinite(d) and d > 0):
             raise ValueError(f"characteristic diameter must be finite and > 0, got {d}")
@@ -87,8 +87,7 @@ class ObjectDescriptor(CheckedRecord, namedtuple("ObjectDescriptor", (
         if d is not None and not (math.isfinite(d) and d > 0):
             raise ValueError(f"aperture diameter must be finite and > 0, got {d}")
         return tuple.__new__(cls, (shape_class, characteristic_diameter_mm, mass_kg, has_aperture,
-                                   aperture_diameter_mm, has_flat_sealable_surface,
-                                   orientation_note))
+                                   aperture_diameter_mm, has_flat_sealable_surface))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectDescriptor":
@@ -104,8 +103,7 @@ class ObjectDescriptor(CheckedRecord, namedtuple("ObjectDescriptor", (
                 f"{[s.value for s in ShapeClass]}"
             ) from None
         kinds = {"characteristic_diameter_mm": float, "mass_kg": float, "has_aperture": bool,
-                 "aperture_diameter_mm": float, "has_flat_sealable_surface": bool,
-                 "orientation_note": str}
+                 "aperture_diameter_mm": float, "has_flat_sealable_surface": bool}
         unknown = set(data) - {"shape_class", *kinds}
         if unknown:
             raise ValueError(f"unknown object descriptor keys: {sorted(unknown)}")
@@ -122,7 +120,7 @@ class ObjectDescriptor(CheckedRecord, namedtuple("ObjectDescriptor", (
             else:
                 valid = isinstance(value, kind)
             if not valid:
-                name = {float: "a finite number", bool: "true or false", str: "a string"}[kind]
+                name = {float: "a finite number", bool: "true or false"}[kind]
                 raise ValueError(f"{key} must be {name}, got {value!r}")
             kwargs[key] = kind(value)
         return cls(**kwargs)

@@ -123,11 +123,13 @@ def _range_ends(assembly: GripperAssembly, p_max: float, box: SolverBox,
                 tol: float) -> tuple[float, float, float]:
     """(R_g mm at 0 kPa, then theta0 rad and R_g mm at p_max); theta0 at 0 kPa is Theta0.
 
-    An aperture that falls from 0 kPa to p_max is a ValueError, the rule ``config``
-    applies to a geometry at load, for callers that skip the config.  The records in
-    the key are immutable, so stored ends never go stale; an exception is raised
-    afresh on every call, never stored.
+    A p_max below 0 or NaN is a ValueError, and so is an aperture that falls from 0 kPa
+    to p_max, the rule ``config`` applies to a geometry at load, for callers that skip
+    the config.  The records in the key are immutable, so stored ends never go stale; an
+    exception is raised afresh on every call, never stored.
     """
+    if not p_max >= 0:  # a NaN fails it too
+        raise ValueError(f"p_max must be >= 0, got {p_max}")
     geom = assembly.geometry
     (_, rg_lo), (theta_hi, rg_hi) = [
         (t, aperture_radius(wall_distance_at_angle(geom, t), assembly))
@@ -165,8 +167,7 @@ def inverse_pressure(
         return 0.0
     if rg_hi == target_rg:
         return p_max
-    theta = angle_at_aperture(geom, assembly.sector_angle, target_rg, geom.half_angle_0,
-                              theta_hi, rg_lo, rg_hi, tol)
+    theta = angle_at_aperture(geom, assembly.sector_angle, target_rg, theta_hi, rg_lo, rg_hi, tol)
     # Past [0, p_max] by rounding near rest, or near p_max because that end is solved to tol.
     return min(max(pressure_at_angle(geom, assembly.material, theta), 0.0), p_max)
 
@@ -182,8 +183,6 @@ def workspace(
     The contraction-side minimum is the configured folded aperture; the
     folding branch is not modelled analytically.
     """
-    if not p_max >= 0:
-        raise ValueError(f"p_max must be >= 0, got {p_max}")
     rest, _, top = _range_ends(assembly, p_max, box, tol)
     return Workspace(
         min_aperture_mm=assembly.folded_aperture_mm,
@@ -230,10 +229,10 @@ def iter_sweep(
     if steps < 2:
         raise ValueError(f"sweep needs at least 2 steps, got {steps}")
     geom = assembly.geometry
-    lo, hi = reachable_pressure_range(geom, assembly.material, box)
-    if p_to > hi or p_from < lo:
-        # An end past the box, p_to's first: the solver's own error, before any Brent step.
-        solve_deformation(geom, assembly.material, p_to if p_to > hi else p_from, box, tol)
+    top = reachable_pressure_range(geom, assembly.material, box)[1]
+    if p_to > top or p_from < 0:
+        # An end past the range, p_to's first: the solver's own error, before any Brent step.
+        solve_deformation(geom, assembly.material, p_to if p_to > top else p_from, box, tol)
 
     def row(p: float) -> SweepRow:
         state = solve_deformation(geom, assembly.material, p, box, tol)

@@ -104,8 +104,9 @@ def grid_search_state(geom, mat, p_target, box, n=400):
 
 
 def load_series_csv_by_rows(path, kind):
-    """A measurement CSV read by one ``csv.reader`` loop over its rows, each error
-    naming its line: ``calibration.load_series_csv`` as it was before its block pass."""
+    """A measurement CSV read by one ``csv.reader`` loop over its rows, each error naming
+    the physical line its record ends on (``reader.line_num``): past the record count
+    when a quoted field holds a line break."""
     expected = CSV_HEADERS[kind]
     pairs = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -120,16 +121,17 @@ def load_series_csv_by_rows(path, kind):
                     f"{path}:1: expected header {','.join(expected)!r}, "
                     f"got {','.join(header)!r}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != 2:
-                    raise CalibrationError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                    raise CalibrationError(
+                        f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
                 try:
                     pairs.append((float(row[0]), float(row[1])))
                 except ValueError:
                     raise CalibrationError(
-                        f"{path}:{lineno}: non-numeric value in {row!r}"
+                        f"{path}:{reader.line_num}: non-numeric value in {row!r}"
                     ) from None
         except csv.Error as exc:
             raise CalibrationError(f"{path}:{reader.line_num}: {exc}") from None

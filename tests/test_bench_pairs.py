@@ -1,7 +1,8 @@
-"""The paired bench driver's summary (``tools/bench_pairs.py``) on fixed numbers.
+"""The paired bench driver (``tools/bench_pairs.py``) on fixed numbers and small trees.
 
-Nothing is run: the summary is checked on hand-computed runs and against the
-committed records, which were summarised the same way.
+No benchmark is run: the summary is checked on hand-computed runs and against the
+committed records, which were summarised the same way, and the tree check on
+temporary trees.
 """
 
 import importlib.util
@@ -95,3 +96,38 @@ def test_summary_reproduces_a_committed_record(name):
             if "unresolved" not in entry:  # records made before the flag
                 del summary["unresolved"]
             assert {k: entry[k] for k in summary} == summary
+
+
+def _tree(root, run_seconds, run_py="print('bench')\n"):
+    """A minimal checkout: BENCHMARK.json and one benchmark file under its paths."""
+    (root / "perfbench" / "__pycache__").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"command": ["python3", "perfbench/run.py"], "paths": ["perfbench"],
+         "run_seconds": run_seconds, "workloads": [{"name": "w"}], "end_to_end": []}))
+    (root / "perfbench" / "run.py").write_text(run_py)
+    (root / "perfbench" / "__pycache__" / "run.pyc").write_bytes(os.urandom(16))
+    return str(root)
+
+
+def test_trees_that_run_different_benchmarks_are_refused_before_any_run(tmp_path, monkeypatch,
+                                                                         capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: calls.append(args))
+    parent, change = _tree(tmp_path / "parent", 30), _tree(tmp_path / "change", 5)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", parent, "--change", change, "--tag", "t",
+                          "--claim", "w latency_p50_ms", "--first-seed", "1"])
+    assert exit_.value.code == 2 and calls == []
+    assert "the trees run different benchmarks: BENCHMARK.json differs" in capsys.readouterr().err
+
+
+def test_first_difference_names_the_first_differing_benchmark_file(tmp_path):
+    parent = _tree(tmp_path / "parent", 30)
+    # Bytecode caches differ in every pair of trees and are not compared.
+    assert bench_pairs.first_difference(parent, _tree(tmp_path / "same", 30)) is None
+    assert bench_pairs.first_difference(
+        parent, _tree(tmp_path / "edited", 30, "print('faster')\n")) == "perfbench/run.py"
+    extra = _tree(tmp_path / "extra", 30)
+    (tmp_path / "extra" / "perfbench" / "added.py").write_text("")
+    assert bench_pairs.first_difference(parent, extra) == "perfbench/added.py"
+    assert bench_pairs.first_difference(extra, parent) == "perfbench/added.py"

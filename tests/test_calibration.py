@@ -231,6 +231,10 @@ def csv_dir(tmp_path_factory):
 
 @settings(max_examples=400, deadline=None)
 @given(file=measurement_files(), block=st.sampled_from([1, 2, 7, 64, 1 << 16]))
+# A quoted line break: each error names the physical line its record ends on, not the record.
+@example(file=(SeriesKind.PRESSURE_APERTURE, b'pressure_kPa,aperture_mm\n"\r0'), block=1)
+@example(file=(SeriesKind.PRESSURE_APERTURE, b'pressure_kPa,aperture_mm\n"1\n2",3,4\n'),
+         block=1 << 16)
 def test_load_series_csv_matches_the_row_by_row_reader(csv_dir, file, block):
     """The block pass, at any block size, or csv.reader after it gives up: the same series
     as the row-by-row reader, or the same exception type and message."""

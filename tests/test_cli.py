@@ -222,11 +222,12 @@ CYLINDER = {"shape_class": "cylinder", "characteristic_diameter_mm": 40.0}
         (CYLINDER | {"characteristic_diameter_mm": "40"}, "characteristic_diameter_mm"),
         (CYLINDER | {"mass_kg": True}, "mass_kg"),
         (CYLINDER | {"has_aperture": True, "aperture_diameter_mm": "20"}, "aperture_diameter_mm"),
-        (CYLINDER | {"orientation_note": 5}, "orientation_note"),
+        (CYLINDER | {"orientation_note": "stem up"},
+         "unknown object descriptor keys: ['orientation_note']"),
     ],
     ids=["array", "null-mass", "list-diameter", "object-diameter", "huge-int-diameter",
          "string-flag", "number-flag", "string-diameter", "bool-mass", "string-aperture",
-         "number-note"],
+         "unknown-note"],
 )
 def test_plan_malformed_descriptor_exit_1(capsys, tmp_path, descriptor, named):
     code, out, err = run(capsys, "plan", "--object", write_object(tmp_path, descriptor))
@@ -376,6 +377,19 @@ def write_config(tmp_path, payload):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_pressure_below_the_rest_noise_solves_to_rest(capsys, tmp_path):
+    # c1*q(Theta0) rounds to +1.06e-13 kPa on this geometry; the range still starts at 0.
+    cfg = write_config(tmp_path, {"geometry": {"R0_mm": 4.846, "R1_mm": 2.851,
+                                               "Theta0_deg": 56.76}})
+    code, out, err = run(capsys, "--config", cfg, "solve", "--pressure", "1e-15", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)  # the rest state, to the 9 digits printed
+    assert (payload["theta0_deg"], payload["r0_mm"], payload["r1_mm"]) == (56.76, 4.846, 2.851)
+    code, out, err = run(capsys, "--config", cfg, "solve", "--pressure", "100")
+    assert (code, out) == (2, "")
+    assert "outside the range [0, 90.175] kPa" in err
 
 
 def test_plan_suction_checks_configured_box(capsys, tmp_path):

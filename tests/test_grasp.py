@@ -75,12 +75,15 @@ def test_descriptor_from_dict_round_trip():
         "has_aperture": False,
         "aperture_diameter_mm": None,
         "has_flat_sealable_surface": False,
-        "orientation_note": "stem up",
     }
     o = ObjectDescriptor.from_dict(data)
     assert o.shape_class is ShapeClass.SPHERE
     assert o.characteristic_diameter_mm == 35.0
-    assert (o.aperture_diameter_mm, o.orientation_note) == (None, "stem up")
+    assert o.aperture_diameter_mm is None
+    assert o._asdict() == {**data, "shape_class": ShapeClass.SPHERE}
+    # A key no field reads is refused, not carried.
+    with pytest.raises(ValueError, match=r"unknown object descriptor keys: \['orientation_note'\]"):
+        ObjectDescriptor.from_dict(data | {"orientation_note": "stem up"})
     # A JSON integer is a number.
     o = ObjectDescriptor.from_dict({"shape_class": "cube", "characteristic_diameter_mm": 35})
     assert type(o.characteristic_diameter_mm) is float

@@ -178,6 +178,46 @@ def test_inverse_just_above_rest_stays_on_inflation_branch(assembly):
     assert aperture_vs_pressure(assembly, p) == pytest.approx(rest, abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(r0=st.floats(min_value=1.0, max_value=20.0),
+       ratio=st.floats(min_value=0.2, max_value=0.95),
+       theta0_deg=st.floats(min_value=10.0, max_value=80.0),
+       top=st.floats(min_value=0.05, max_value=1.0),
+       c1=st.floats(min_value=1.0, max_value=1e4),
+       n_chambers=st.integers(min_value=3, max_value=40))
+# c1*q(Theta0) rounds to +1.06e-13 kPa here, rest noise above 0.
+@example(r0=4.846, ratio=2.851 / 4.846, theta0_deg=56.76, top=0.7, c1=119.0, n_chambers=22)
+def test_the_reachable_range_starts_at_0_kpa(r0, ratio, theta0_deg, top, c1, n_chambers):
+    geom = ChamberGeometry(r0, r0 * ratio, math.radians(theta0_deg))
+    box = SolverBox(geom.half_angle_0 + top * (math.pi / 2 - geom.half_angle_0) * 0.999)
+    mat = HyperelasticMaterial(c1)
+    lo, p_top = reachable_pressure_range(geom, mat, box)
+    assert lo == 0.0
+    # Every pressure up to the rest noise c1*q(Theta0) is the rest angle.
+    p_rest = max(pressure_at_angle(geom, mat, geom.half_angle_0), 0.0)
+    below = [p for p in (5e-324, 0.5 * p_rest, p_rest) if 0.0 < p <= p_rest]
+    assert list(angles_at_pressures(geom, mat, below, box)) == [geom.half_angle_0] * len(below)
+    # An aperture just above rest inverts to a pressure the forward map accepts.
+    assembly = GripperAssembly(geom, mat, n_chambers)
+    try:
+        rest = workspace(assembly, p_top, box).rest_aperture_mm
+    except ValueError:  # the aperture closes under inflation: nothing to invert
+        return
+    p = inverse_pressure(assembly, math.nextafter(rest, math.inf), p_top, box)
+    assert 0.0 <= p <= p_top
+    solve_deformation(geom, mat, p, box)
+
+
+@pytest.mark.parametrize("p_max", [-5.0, math.nan])
+def test_a_bad_p_max_is_one_error_from_workspace_and_inverse(assembly, p_max):
+    # Checked where the range ends read it: a bad input, not an out-of-workspace pressure.
+    for call in (lambda: workspace(assembly, p_max),
+                 lambda: inverse_pressure(assembly, 21.0, p_max)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert (type(err.value), str(err.value)) == (ValueError, f"p_max must be >= 0, got {p_max}")
+
+
 def test_inverse_out_of_range_reports_reachable(assembly):
     with pytest.raises(OutOfWorkspaceError, match="achievable") as exc:
         inverse_pressure(assembly, 30.0)

@@ -4,11 +4,14 @@
         --claim "fit_audit fit_c1_p50_ms" --first-seed 3101
 
 Each tree is a checkout of the repository (``git archive`` or ``git clone``
-of the two commits).  Pair i of ``PAIRS`` runs ``perfbench/run.py --workload W
---seed S --seconds T --trace 0`` in both trees on seed S = first seed + i - 1,
-T being the change's ``BENCHMARK.json`` ``run_seconds``, the parent first on
-odd pairs and the change first on even ones, the workloads interleaved pair by
-pair.  One run at a time: the runs share the machine.
+of the two commits).  Both must run the same benchmark: before any run, the
+tool compares ``BENCHMARK.json`` and every file under its ``paths`` (bytecode
+caches aside) in the two trees, and refuses, naming the first file that
+differs, unless they are equal.  Pair i of ``PAIRS`` runs ``perfbench/run.py
+--workload W --seed S --seconds T --trace 0`` in both trees on seed
+S = first seed + i - 1, T being ``BENCHMARK.json``'s ``run_seconds``, the
+parent first on odd pairs and the change first on even ones, the workloads
+interleaved pair by pair.  One run at a time: the runs share the machine.
 
 Per metric the record holds each side's median, quartiles
 (``statistics.quantiles``, n=4, exclusive) and runs, the pairs the change
@@ -83,6 +86,37 @@ def workload_record(runs: dict, seeds: list, end_to_end: dict) -> dict:
     }
 
 
+def _read(tree: str, name: str) -> bytes | None:
+    """The bytes of the file ``name``, relative to ``tree``, or None if it is absent."""
+    try:
+        with open(os.path.join(tree, name), "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def _files(tree: str, paths: list) -> set:
+    """The relative names of the files under each directory of ``paths`` in ``tree``,
+    bytecode caches aside."""
+    names = set()
+    for path in paths:
+        for root, dirs, files in os.walk(os.path.join(tree, path)):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            names.update(os.path.relpath(os.path.join(root, f), tree) for f in files)
+    return names
+
+
+def first_difference(parent: str, change: str) -> str | None:
+    """The first file that differs between the two trees' benchmarks, or None: first
+    ``BENCHMARK.json``, then the files under its ``paths`` in name order."""
+    spec = _read(change, "BENCHMARK.json")
+    if _read(parent, "BENCHMARK.json") != spec:
+        return "BENCHMARK.json"
+    paths = json.loads(spec)["paths"]
+    names = sorted(_files(parent, paths) | _files(change, paths))
+    return next((n for n in names if _read(parent, n) != _read(change, n)), None)
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``tree``: the JSON object on its last stdout line."""
     proc = subprocess.run(
@@ -104,6 +138,10 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--what", default="", help="one paragraph on what the change does")
     args = parser.parse_args(argv)
+    differs = first_difference(args.parent, args.change)
+    if differs is not None:
+        parser.error(f"the trees run different benchmarks: {differs} differs; pair only "
+                     "trees with the same BENCHMARK.json and files under its paths")
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
