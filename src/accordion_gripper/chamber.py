@@ -31,7 +31,7 @@ import math
 from collections import namedtuple
 
 from .errors import ConvergenceError, OutOfWorkspaceError
-from .material import HyperelasticMaterial, _stress_difference
+from .material import HyperelasticMaterial
 from .records import CheckedRecord
 
 #: The published box, the original design study's search: (lo, hi) of r0 in [4.56, 5] mm, r1 in
@@ -134,23 +134,14 @@ def hoop_stretch(geom: ChamberGeometry, state: DeformedState, r: float) -> float
     the undeformed radius ``R(r)^2 = R1^2 + (r^2 - r1^2)*theta0/Theta0`` and
     the stretch ``lam_theta = r*theta0 / (R*Theta0)``; the radial stretch is
     its reciprocal.  Public, though only tests call it: it is the one checked
-    form of the map the quadrature oracle integrates, pinned there at 1e-14.
+    form of the map the quadrature oracle integrates, pinned there to the bit.
     """
     if not state.r_inner - 1e-12 <= r <= state.r_outer + 1e-12:
         raise ValueError(
             f"radius {r} outside deformed wall [{state.r_inner}, {state.r_outer}]"
         )
-    return _stretch_map(geom, state)(r)
-
-
-def _stretch_map(geom: ChamberGeometry, state: DeformedState):
-    """r -> lam_theta on plain floats, for r inside the deformed wall.
-
-    The quadrature evaluates it at every node, so it reads no record field.
-    """
     k = state.half_angle / geom.half_angle_0
-    big_r1_sq, r1_sq, sqrt = geom.r_inner_0**2, state.r_inner**2, math.sqrt
-    return lambda r: r * k / sqrt(big_r1_sq + (r * r - r1_sq) * k)
+    return r * k / math.sqrt(geom.r_inner_0**2 + (r * r - state.r_inner**2) * k)
 
 
 def wall_distance(state: DeformedState) -> float:
@@ -183,13 +174,14 @@ def _adapt(f, a, b, fa, fm, fb, whole, eps, depth, level=0):
     left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
     right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
     delta = left + right - whole
+    adelta = delta if delta > 0.0 else 0.0 - delta  # abs(delta), as in _brent
     # Two levels first: one refinement can match the whole by chance (Lyness 1969).
-    if abs(delta) <= 15.0 * eps and (level >= 2 or depth <= 0):
+    if adelta <= 15.0 * eps and (level >= 2 or depth <= 0):
         return left + right + delta / 15.0
     if depth <= 0:
         raise ConvergenceError(
             f"adaptive Simpson failed on [{a:.6g}, {b:.6g}]: "
-            f"estimated error {abs(delta) / 15.0:.3e} exceeds budget {eps:.3e} "
+            f"estimated error {adelta / 15.0:.3e} exceeds budget {eps:.3e} "
             "at maximum subdivision depth"
         )
     return _adapt(f, a, m, fa, flm, fm, left, 0.5 * eps, depth - 1, level + 1) + _adapt(
@@ -225,16 +217,18 @@ def pressure_quadrature(
     """Inflation pressure by direct integration of radial equilibrium, kPa.
 
     Integrates (sigma_tt - sigma_rr)/r over the deformed wall [r1, r0].
-    This is the ground-truth oracle for the closed forms.  Each node calls the
-    material law's unchecked body: lam_theta = r*k/sqrt(R1^2 + (r^2 - r1^2)*k) with
-    k = theta0/Theta0 > 0 is positive on [r1, r0], and so is its reciprocal.
+    This is the ground-truth oracle for the closed forms.  Each node is one frame
+    with the float operations of ``hoop_stretch`` and ``stress_difference`` in their
+    order, unchecked: lam_theta = r*k/sqrt(R1^2 + (r^2 - r1^2)*k) with k = theta0/Theta0
+    > 0 is positive on [r1, r0], and so is its reciprocal.
     """
-
-    stretch, c1 = _stretch_map(geom, state), mat.c1
+    k = state.half_angle / geom.half_angle_0
+    big_r1_sq, r1_sq, two_c1, sqrt = geom.r_inner_0**2, state.r_inner**2, 2.0 * mat.c1, math.sqrt
 
     def integrand(r: float) -> float:
-        lam_t = stretch(r)
-        return _stress_difference(c1, lam_t, 1.0 / lam_t) / r
+        lam_t = r * k / sqrt(big_r1_sq + (r * r - r1_sq) * k)
+        lam_r = 1.0 / lam_t
+        return two_c1 * (lam_t**2 - lam_r**2) / r
 
     # The integrand carries absolute roundoff of order eps_mach*c1, so give
     # the error control a floor well below any physical pressure of

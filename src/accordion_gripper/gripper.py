@@ -10,6 +10,7 @@ R_g = D/alpha.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import stat
@@ -28,6 +29,7 @@ from .chamber import (
     pressure_quadrature,
     reachable_pressure_range,
     solve_deformation,
+    state_at_angle,
     wall_distance,
     wall_distance_at_angle,
 )
@@ -223,27 +225,36 @@ def iter_sweep(
     quad_rel_tol: float = QUAD_REL_TOL,
     tol: float = THETA_TOL_RAD,
 ):
-    """The rows of ``sweep``, each solved as it is read; the range is checked at the call."""
+    """The rows of ``sweep``, each solved as it is read; the range is checked at the call.
+
+    The angles come from one ``angles_at_pressures`` series over the grid, which draws
+    each pressure as its row is read.
+    """
     if not p_from < p_to:
         raise ValueError(f"empty sweep range [{p_from}, {p_to}]")
     if steps < 2:
         raise ValueError(f"sweep needs at least 2 steps, got {steps}")
-    geom = assembly.geometry
-    top = reachable_pressure_range(geom, assembly.material, box)[1]
+    try:
+        indices = range(steps)
+    except TypeError:
+        raise ValueError(f"sweep steps must be an integer, got {steps!r}") from None
+    geom, mat = assembly.geometry, assembly.material
+    top = reachable_pressure_range(geom, mat, box)[1]
     if p_to > top or p_from < 0:
         # An end past the range, p_to's first: the solver's own error, before any Brent step.
-        solve_deformation(geom, assembly.material, p_to if p_to > top else p_from, box, tol)
+        solve_deformation(geom, mat, p_to if p_to > top else p_from, box, tol)
 
-    def row(p: float) -> SweepRow:
-        state = solve_deformation(geom, assembly.material, p, box, tol)
+    def row(p: float, theta: float) -> SweepRow:
+        state = state_at_angle(geom, theta)
         d = wall_distance(state)
-        return SweepRow(p, state.r_outer, state.r_inner, state.half_angle, d,
-                        aperture_radius(d, assembly),
+        return SweepRow(p, state.r_outer, state.r_inner, theta, d, aperture_radius(d, assembly),
                         pin_residual(geom, state), area_residual(geom, state),
-                        pressure_quadrature(geom, state, assembly.material, quad_rel_tol))
+                        pressure_quadrature(geom, state, mat, quad_rel_tol))
 
     last = steps - 1
-    return (row(p_from + (p_to - p_from) * i / last if i < last else p_to) for i in range(steps))
+    grid, solved = itertools.tee(p_from + (p_to - p_from) * i / last if i < last else p_to
+                                 for i in indices)
+    return map(row, grid, angles_at_pressures(geom, mat, solved, box, tol))
 
 
 def sweep(

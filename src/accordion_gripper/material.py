@@ -52,9 +52,4 @@ def stress_difference(
     antisymmetric under swapping the two stretches.
     """
     _check_stretches(lambda_theta, lambda_r)
-    return _stress_difference(mat.c1, lambda_theta, lambda_r)
-
-
-def _stress_difference(c1: float, lambda_theta: float, lambda_r: float) -> float:
-    """``stress_difference`` on plain floats, unchecked: for stretches known positive."""
-    return 2.0 * c1 * (lambda_theta**2 - lambda_r**2)
+    return 2.0 * mat.c1 * (lambda_theta**2 - lambda_r**2)

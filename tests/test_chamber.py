@@ -168,14 +168,50 @@ def test_adaptive_simpson_reports_nonconvergence():
         adaptive_simpson(f, 0.0, 1.0, rel_tol=1e-12, max_depth=2)
 
 
-def test_adaptive_simpson_stops_at_float_resolution():
-    # On 8 ulps the halves reach 2 ulps, which have no interior points, after two levels;
-    # sin(1e15 x) keeps the estimates apart, so only the resolution stop ends the search.
+def _eight_ulps_above_one() -> float:
     b = 1.0
     for _ in range(8):
         b = math.nextafter(b, 2.0)
-    value = adaptive_simpson(lambda x: math.sin(1e15 * x), 1.0, b, rel_tol=1e-300)
+    return b
+
+
+def test_adaptive_simpson_stops_at_float_resolution():
+    # On 8 ulps the halves reach 2 ulps, which have no interior points, after two levels;
+    # sin(1e15 x) keeps the estimates apart, so only the resolution stop ends the search.
+    value = adaptive_simpson(lambda x: math.sin(1e15 * x), 1.0, _eight_ulps_above_one(),
+                             rel_tol=1e-300)
     assert math.isfinite(value)
+
+
+# adaptive_simpson on literal integrands, as float.hex: the oracle's own tests call it on
+# both sides, so these are what pins its arithmetic.
+FROZEN_SIMPSON = {
+    "smooth": (math.sin, 0.0, math.pi, {}, "0x1.fffffffffff0ep+0"),
+    "steep": (lambda x: 1.0 / (1e-3 + (x - 0.3) ** 2), 0.0, 1.0, {}, "0x1.7a638baf9c1c2p+6"),
+    # Roundoff alone, which no relative target meets: the error budget's floor stops it.
+    "noise-abs-tol": (lambda x: math.sin(x) ** 2 + math.cos(x) ** 2 - 1.0, 0.0, 3.0,
+                      {"abs_tol": 1e-12}, "-0x1.4cccccccccccdp-55"),
+    "float-resolution": (lambda x: math.sin(1e15 * x), 1.0, _eight_ulps_above_one(),
+                         {"rel_tol": 1e-300}, "0x1.06c1fcbee8d4cp-52"),
+}
+
+
+@pytest.mark.parametrize("case", FROZEN_SIMPSON)
+def test_adaptive_simpson_frozen_bits(case):
+    f, a, b, kwargs, bits = FROZEN_SIMPSON[case]
+    assert adaptive_simpson(f, a, b, **kwargs).hex() == bits
+
+
+def test_adaptive_simpson_frozen_error_message():
+    with pytest.raises(ConvergenceError) as failed:
+        adaptive_simpson(lambda x: 0.0 if x < 0.5 else 1.0, 0.0, 1.0, rel_tol=1e-12, max_depth=2)
+    assert str(failed.value) == (
+        "adaptive Simpson failed on [0.25, 0.5]: estimated error 1.389e-03 exceeds budget "
+        "2.083e-13 at maximum subdivision depth")
+    # Without the floor the noise integrand runs out of depth.
+    f, a, b = FROZEN_SIMPSON["noise-abs-tol"][:3]
+    with pytest.raises(ConvergenceError):
+        adaptive_simpson(f, a, b, max_depth=20)
 
 
 def test_quadrature_noise_floor_at_rest():

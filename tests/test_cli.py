@@ -445,7 +445,7 @@ def test_box_at_rest_angle_with_rest_noise_above_zero(capsys, tmp_path, monkeypa
     assert (code, err) == (0, "")
 
 
-def test_sweep_unwritable_out_runs_no_solve(capsys, tmp_path, monkeypatch):
+def test_sweep_unwritable_out_runs_no_solve(capsys, tmp_path, monkeypatch, series_draws):
     import accordion_gripper.gripper as gripper
 
     solves, real = [], gripper.solve_deformation
@@ -457,9 +457,11 @@ def test_sweep_unwritable_out_runs_no_solve(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(gripper, "solve_deformation", spy)
     assert run(capsys, "config")[0] == 0
     at_load = len(solves)  # the suction model's rest volume
+    drawn_at_load = sum(map(len, series_draws))
     code, _, err = run(capsys, "sweep", "--out", str(tmp_path / "no-dir" / "sweep.csv"))
     assert code == 1 and err.startswith("error: [Errno 2]")
     assert len(solves) == 2 * at_load
+    assert sum(map(len, series_draws)) == 2 * drawn_at_load  # no row's pressure was solved
     # A bad range still fails before the file is created.
     out = tmp_path / "sweep.csv"
     assert run(capsys, "sweep", "--from", "10", "--to", "5", "--out", str(out))[0] == 1
@@ -554,20 +556,15 @@ def test_validate_round_trip_ends_on_p_max(capsys, tmp_path, config):
     assert "PASS  inverse_round_trip" in out
 
 
-def test_validate_solves_only_its_sweep(ctx, monkeypatch):
+def test_validate_solves_only_its_sweep(ctx, series_draws):
     import accordion_gripper.gripper as gripper
 
     build_validation_report(ctx)  # the range ends are now cached
     grid = [row.pressure_kPa for row in gripper.sweep(ctx.assembly, 0.0, ctx.p_max_kPa, 41)]
-    solves, real = [], gripper.solve_deformation
-
-    def spy(*args, **kwargs):
-        solves.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(gripper, "solve_deformation", spy)
+    series_draws.clear()
     assert build_validation_report(ctx)["pass"]
-    assert solves == grid  # 41 solves: the round trip reads rows 4, 8, ..., 40
+    # One series of 41 solves: the round trip reads rows 4, 8, ..., 40.
+    assert series_draws == [grid]
 
 
 def write_fit_data(tmp_path, command):
@@ -731,10 +728,8 @@ def package_trees():
 
 
 def test_no_private_name_crosses_a_module():
-    """The only underscore name one package module imports from another is chamber's
-    ``material._stress_difference``: the quadrature oracle's nodes call the material law's
-    unchecked body, because the stretches there are positive by construction and the
-    public law's check on every node would cost a call each.  Dunder names are public."""
+    """No package module imports an underscore name from another.  Dunder names are
+    public."""
     crossing = set()
     for module, tree in package_trees():
         for node in ast.walk(tree):
@@ -742,7 +737,7 @@ def test_no_private_name_crosses_a_module():
                     node.level or (node.module or "").startswith("accordion_gripper")):
                 crossing |= {(module, node.module, alias.name) for alias in node.names
                              if alias.name.startswith("_") and not alias.name.endswith("__")}
-    assert crossing == {("chamber", "material", "_stress_difference")}
+    assert crossing == set()
 
 
 def unread_by_design(module: str, function: str, parameter: str) -> bool:

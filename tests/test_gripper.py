@@ -282,6 +282,30 @@ def test_sweep_below_zero_raises_at_the_call_without_brent(assembly, monkeypatch
     assert calls == []
 
 
+@pytest.mark.parametrize("steps", [5.0, 2.5, math.inf, math.nan])
+def test_sweep_rejects_a_non_integer_step_count(assembly, steps):
+    with pytest.raises(ValueError) as failed:
+        sweep(assembly, 0.0, 10.0, steps)
+    assert str(failed.value) == f"sweep steps must be an integer, got {steps!r}"
+
+
+@pytest.mark.parametrize("steps", [1, 0, -3, 1.5])
+def test_sweep_below_two_steps_keeps_its_message(assembly, steps):
+    with pytest.raises(ValueError) as failed:
+        iter_sweep(assembly, 0.0, 10.0, steps)
+    assert str(failed.value) == f"sweep needs at least 2 steps, got {steps}"
+
+
+def test_sweep_streams_its_rows(assembly, series_draws):
+    # One series for the whole grid, drawn as the rows are read: the first of 100,000 rows
+    # solves at most its own pressure and the next.
+    rows = iter_sweep(assembly, 0.0, 40.0, 100_000)
+    first = next(rows)
+    assert len(series_draws) == 1 and 1 <= len(series_draws[0]) <= 2
+    assert series_draws[0][0] == first.pressure_kPa == 0.0
+    assert first == sweep(assembly, 0.0, 40.0, 2)[0]
+
+
 def test_sweep_grid_and_residuals(assembly):
     rows = sweep(assembly, 0.0, 40.0, 9)
     assert len(rows) == 9
