@@ -18,7 +18,6 @@ with their line number.
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import math
 from collections import namedtuple
@@ -169,6 +168,8 @@ def _line_runs(raw):
 def _csv_pairs(raw, path, expected: tuple) -> tuple:
     """The (x, y) rows of any file ``csv.reader`` reads; each error names the physical line
     it ends on, which a quoted field holding a newline puts past the record count."""
+    import csv  # only a file the block pass does not take reaches here
+
     pairs = []
     # utf-8-sig: spreadsheet "CSV UTF-8" exports start with a byte-order mark.
     with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as text:

@@ -6,11 +6,11 @@ workspace.  All numeric output is printed at 9 significant digits.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import random
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .calibration import (
@@ -271,6 +271,8 @@ def build_validation_report(ctx: ModelContext, seed: int = 20260824) -> dict:
         f"(= c1*ln(R0/R1) = {expected:.4f} kPa; the rederived variant gives 0)",
     )
 
+    import random  # only validate draws random states
+
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(100):
@@ -349,80 +351,136 @@ def cmd_validate(ctx: ModelContext, args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command line
+
+#: The default of an option that must be given.
+REQUIRED = object()
+
+#: An option is (flag, dest, type, default, help); a bool option is a flag that takes no
+#: value, and one with no dest prints a text.  ``--config`` goes before the command.
+CONFIG_OPTION = ("--config", "config", str, None,
+                 f"JSON config file (default: ${ENV_CONFIG_VAR} or embedded defaults)")
+VERSION_OPTION = ("--version", None, bool, None, "show the version and exit")
+HELP_OPTION = ("-h, --help", None, bool, None, "show this help and exit")
+HELP_FLAGS = ("-h", "--help")
+JSON_OPTION = ("--json", "json", bool, False, "print JSON")
+DATA_OPTION = ("--data", "data", str, REQUIRED, "measurement CSV file")
+METAVARS = {bool: "", float: " NUMBER", int: " N", str: " PATH"}
+
+#: command -> (handler, help, options): what the parser reads and the help lists.
+COMMANDS = {
+    "config": (cmd_config, "show the active or default configuration",
+               [("--print-default", "print_default", bool, False, "print embedded defaults")]),
+    "solve": (cmd_solve, "deformed state and aperture at one pressure",
+              [("--pressure", "pressure", float, REQUIRED, "chamber pressure, kPa"), JSON_OPTION]),
+    "sweep": (cmd_sweep, "pressure sweep exported as CSV",
+              [("--from", "from_kpa", float, 0.0, "first pressure, kPa"),
+               ("--to", "to_kpa", float, None, "last pressure, kPa (default: solver.p_max_kPa)"),
+               ("--steps", "steps", int, 41, "number of rows"),
+               ("--out", "out", str, REQUIRED, "CSV file to write")]),
+    "invert": (cmd_invert, "pressure for a target aperture radius",
+               [("--aperture", "aperture", float, REQUIRED, "aperture radius, mm"), JSON_OPTION]),
+    "workspace": (cmd_workspace, "reachable aperture range",
+                  [("--p-max", "p_max", float, None,
+                    "top pressure, kPa (default: solver.p_max_kPa)"), JSON_OPTION]),
+    "validate": (cmd_validate, "run the model oracle suite", [JSON_OPTION]),
+    "plan": (cmd_plan, "grasp plan for an object descriptor JSON",
+             [("--object", "object", str, REQUIRED, "object descriptor JSON file")]),
+    "fit-c1": (cmd_fit_c1, "fit the material constant from CSV data", [DATA_OPTION]),
+    "fit-suction": (cmd_fit_suction, "fit suction model parameters from CSV data", [DATA_OPTION]),
+    "peak-force": (cmd_peak_force, "peak of a force-displacement trace",
+                   [DATA_OPTION, ("--window", "window", int, 1, "moving-average window (1 = none)"),
+                    JSON_OPTION]),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gripper",
-        description=(
-            "Pressure-deformation model, grasp planning and calibration for a "
-            "multi-chamber accordion soft gripper."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--config",
-        metavar="PATH",
-        help=f"JSON config file (default: ${ENV_CONFIG_VAR} or embedded defaults)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def help_text(command: str | None = None) -> str:
+    """``gripper --help``, or ``gripper COMMAND --help``, read from ``COMMANDS``."""
+    _, text, options = COMMANDS[command] if command else (
+        None, "Pressure-deformation model, grasp planning and calibration for a multi-chamber "
+        "accordion soft gripper.", [CONFIG_OPTION, VERSION_OPTION])
+    rows = [(flag + METAVARS[kind],
+             f"{about} (required)" if default is REQUIRED
+             else about if default is None or kind is bool else f"{about} (default {default})")
+            for flag, _, kind, default, about in [*options, HELP_OPTION]]
+    commands = [] if command else [(name, entry[1]) for name, entry in COMMANDS.items()]
+    width = max(len(left) for left, _ in rows + commands) + 2
 
-    p = sub.add_parser("config", help="show the active or default configuration")
-    p.add_argument("--print-default", action="store_true", help="print embedded defaults")
-    p.set_defaults(func=cmd_config)
+    def table(title, pairs):
+        return f"\n\n{title}:" + "".join(f"\n  {left:<{width}}{right}" for left, right in pairs)
 
-    p = sub.add_parser("solve", help="deformed state and aperture at one pressure")
-    p.add_argument("--pressure", type=float, required=True, metavar="KPA")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
+    return (f"usage: gripper [--config PATH] {command or 'COMMAND'} [OPTION ...]\n\n{text}"
+            + (table("commands", commands) if commands else "") + table("options", rows))
 
-    p = sub.add_parser("sweep", help="pressure sweep exported as CSV")
-    p.add_argument("--from", dest="from_kpa", type=float, default=0.0, metavar="KPA")
-    p.add_argument("--to", dest="to_kpa", type=float, default=None, metavar="KPA",
-                   help="end of the range (default: solver.p_max_kPa)")
-    p.add_argument("--steps", type=int, default=41)
-    p.add_argument("--out", required=True, metavar="PATH")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("invert", help="pressure for a target aperture radius")
-    p.add_argument("--aperture", type=float, required=True, metavar="MM")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_invert)
+def _is_value(token: str) -> bool:
+    """Whether ``token`` is a value rather than an option: a token that starts with a
+    dash is an option unless it is a lone dash, a plain negative number such as -5 or
+    -.5, or holds a space (argparse's rule)."""
+    return (token[:1] != "-" or token == "-" or " " in token
+            or re.match(r"-\d+$|-\d*\.\d+$", token) is not None)
 
-    p = sub.add_parser("workspace", help="reachable aperture range")
-    p.add_argument("--p-max", type=float, default=None, metavar="KPA")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_workspace)
 
-    p = sub.add_parser("validate", help="run the model oracle suite")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
+def parse_args(argv) -> SimpleNamespace | str:
+    """The namespace of a command line, or the help or version text it asks for.
 
-    p = sub.add_parser("plan", help="grasp plan for an object descriptor JSON")
-    p.add_argument("--object", required=True, metavar="PATH")
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("fit-c1", help="fit the material constant from CSV data")
-    p.add_argument("--data", required=True, metavar="CSV")
-    p.set_defaults(func=cmd_fit_c1)
-
-    p = sub.add_parser("fit-suction", help="fit suction model parameters from CSV data")
-    p.add_argument("--data", required=True, metavar="CSV")
-    p.set_defaults(func=cmd_fit_suction)
-
-    p = sub.add_parser("peak-force", help="peak of a force-displacement trace")
-    p.add_argument("--data", required=True, metavar="CSV")
-    p.add_argument("--window", type=int, default=1, help="moving-average window (1 = none)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_peak_force)
-
-    return parser
+    An option is named in full, as ``--opt value`` or ``--opt=value``; a value that
+    starts with a dash and is not a plain negative number takes the ``=`` form.  A
+    malformed line raises ValueError naming the option or command at fault.
+    """
+    args = SimpleNamespace(config=None, command=None, func=None)
+    options, stray, tokens = [CONFIG_OPTION, VERSION_OPTION], [], iter(argv)
+    for token in tokens:
+        flags = {option[0] for option in options}.union(HELP_FLAGS)
+        flag, eq, value = token.partition("=")
+        if flag not in flags and _is_value(token):
+            if args.command is not None:
+                stray.append(token)
+                continue
+            if token not in COMMANDS:
+                raise ValueError(f"unknown command {token!r}; expected one of "
+                                 f"{', '.join(COMMANDS)}")
+            args.command = token
+            args.func, _, options = COMMANDS[token]
+            vars(args).update((dest, default) for _, dest, _, default, _ in options)
+        elif flag not in flags:  # reported once the line is read, as a later -h still helps
+            stray += [token, *tokens] if token == "--" else [token]  # no option follows --
+        else:
+            _, dest, kind, _, _ = next((o for o in options if o[0] == flag), HELP_OPTION)
+            if kind is bool and eq:
+                raise ValueError(f"{flag} takes no value, got {token!r}")
+            if dest is None:
+                return help_text(args.command) if flag in HELP_FLAGS else f"gripper {__version__}"
+            if kind is not bool and not eq:
+                value = next(tokens, None)
+                if value is None or value.partition("=")[0] in flags or not _is_value(value):
+                    raise ValueError(f"{flag} needs a value" + ("" if value is None else
+                                     f", got the option {value!r} (write {flag}=VALUE for a "
+                                     "value that starts with '-')"))
+            try:
+                setattr(args, dest, True if kind is bool else kind(value))
+            except ValueError:
+                raise ValueError(f"{flag} takes {'an integer' if kind is int else 'a number'}, "
+                                 f"got {value!r}") from None
+    if args.command is None:
+        raise ValueError(f"missing command; expected one of {', '.join(COMMANDS)}")
+    if stray:
+        raise ValueError(f"unrecognized argument {stray[0]!r} for {args.command}")
+    missing = [flag for flag, dest, *_ in options if getattr(args, dest) is REQUIRED]
+    if missing:
+        raise ValueError(f"{args.command} needs {missing[0]}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if isinstance(args, str):  # the help or version text
+        print(args)
+        return 0
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             print(f"error: {name} must be a finite number, got {value}", file=sys.stderr)

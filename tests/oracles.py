@@ -5,17 +5,33 @@ the full 3-D unknown space with its own (numpy) pressure evaluation, so a
 bug in the scalar reduction cannot hide.  The nested inverse inverts the
 forward map by root finding over pressure, so it shares no step with the
 library's inverse, which solves over theta0.  The row-by-row CSV reader
-parses every file with ``csv.reader`` alone, one Python step per row.
+parses every file with ``csv.reader`` alone, one Python step per row.  The
+argparse parser is the command line's parser as it was before the CLI read
+its options from a table.
 """
 
+import argparse
 import csv
 import math
 
 import numpy as np
 from scipy.optimize import brentq
 
-from accordion_gripper import CalibrationError, SolverBox, aperture_vs_pressure
+from accordion_gripper import CalibrationError, SolverBox, __version__, aperture_vs_pressure
 from accordion_gripper.calibration import MeasurementSeries, SeriesKind
+from accordion_gripper.cli import (
+    cmd_config,
+    cmd_fit_c1,
+    cmd_fit_suction,
+    cmd_invert,
+    cmd_peak_force,
+    cmd_plan,
+    cmd_solve,
+    cmd_sweep,
+    cmd_validate,
+    cmd_workspace,
+)
+from accordion_gripper.config import ENV_CONFIG_VAR
 
 CSV_HEADERS = {
     SeriesKind.PRESSURE_APERTURE: ("pressure_kPa", "aperture_mm"),
@@ -136,3 +152,77 @@ def load_series_csv_by_rows(path, kind):
         except csv.Error as exc:
             raise CalibrationError(f"{path}:{reader.line_num}: {exc}") from None
     return MeasurementSeries(kind, tuple(pairs))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gripper",
+        description=(
+            "Pressure-deformation model, grasp planning and calibration for a "
+            "multi-chamber accordion soft gripper."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "--config",
+        metavar="PATH",
+        help=f"JSON config file (default: ${ENV_CONFIG_VAR} or embedded defaults)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("config", help="show the active or default configuration")
+    p.add_argument("--print-default", action="store_true", help="print embedded defaults")
+    p.set_defaults(func=cmd_config)
+
+    p = sub.add_parser("solve", help="deformed state and aperture at one pressure")
+    p.add_argument("--pressure", type=float, required=True, metavar="KPA")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_solve)
+
+    p = sub.add_parser("sweep", help="pressure sweep exported as CSV")
+    p.add_argument("--from", dest="from_kpa", type=float, default=0.0, metavar="KPA")
+    p.add_argument("--to", dest="to_kpa", type=float, default=None, metavar="KPA",
+                   help="end of the range (default: solver.p_max_kPa)")
+    p.add_argument("--steps", type=int, default=41)
+    p.add_argument("--out", required=True, metavar="PATH")
+    p.set_defaults(func=cmd_sweep)
+
+    p = sub.add_parser("invert", help="pressure for a target aperture radius")
+    p.add_argument("--aperture", type=float, required=True, metavar="MM")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_invert)
+
+    p = sub.add_parser("workspace", help="reachable aperture range")
+    p.add_argument("--p-max", type=float, default=None, metavar="KPA")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_workspace)
+
+    p = sub.add_parser("validate", help="run the model oracle suite")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("plan", help="grasp plan for an object descriptor JSON")
+    p.add_argument("--object", required=True, metavar="PATH")
+    p.set_defaults(func=cmd_plan)
+
+    p = sub.add_parser("fit-c1", help="fit the material constant from CSV data")
+    p.add_argument("--data", required=True, metavar="CSV")
+    p.set_defaults(func=cmd_fit_c1)
+
+    p = sub.add_parser("fit-suction", help="fit suction model parameters from CSV data")
+    p.add_argument("--data", required=True, metavar="CSV")
+    p.set_defaults(func=cmd_fit_suction)
+
+    p = sub.add_parser("peak-force", help="peak of a force-displacement trace")
+    p.add_argument("--data", required=True, metavar="CSV")
+    p.add_argument("--window", type=int, default=1, help="moving-average window (1 = none)")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_peak_force)
+
+    return parser
+
+
+def argparse_namespace(argv):
+    """The argparse namespace of a ``gripper`` command line, as its own parser reads it;
+    a malformed line raises ``SystemExit(2)``, and help or version ``SystemExit(0)``."""
+    return build_parser().parse_args(argv)

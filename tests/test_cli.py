@@ -5,11 +5,15 @@ import os
 import subprocess
 import sys
 import textwrap
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import argparse_namespace
 from test_cli_golden import record, write_inputs
 
+from accordion_gripper import __version__, cli
 from accordion_gripper.chamber import reachable_pressure_range
 from accordion_gripper.cli import build_validation_report, main
 from accordion_gripper.config import ConfigError, ModelContext, default_config
@@ -717,6 +721,25 @@ def test_no_command_imports_dataclasses(tmp_path):
     assert loaded == {argv[0]: [0, []] for argv in commands}
 
 
+PARSER_MODULES = {"argparse", "gettext", "locale", "csv"}
+
+
+def test_no_command_imports_a_parser(tmp_path):
+    """All ten commands in one interpreter: each exits 0, and afterwards no argparse,
+    the gettext and locale it pulls in, or csv (their CSVs are plain) is loaded."""
+    commands = all_commands(tmp_path)
+    loaded = probe_imports(tmp_path, commands, watch=PARSER_MODULES)
+    assert loaded == {argv[0]: [0, []] for argv in commands}
+
+
+def test_a_quoted_csv_loads_csv_and_names_its_line(capsys, tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text('"displacement_mm","force_N"\n0,1\n"1",x\n')
+    argv = ["peak-force", "--data", str(trace)]
+    assert probe_imports(tmp_path, [argv], watch=PARSER_MODULES) == {"peak-force": [1, ["csv"]]}
+    assert run(capsys, *argv) == (1, "", f"error: {trace}:3: non-numeric value in ['1', 'x']\n")
+
+
 def package_trees():
     """(module name, parsed source) for each module of the package."""
     package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -1051,3 +1074,157 @@ def test_plausible_models_validate_or_name_an_unreachable_p_max(
     message = entry["stderr"][0]
     assert message.startswith("out of workspace: pressure ")
     assert top < float(message.split()[4]) <= ctx.p_max_kPa
+
+
+# ---------------------------------------------------------------------------
+# The command line
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "--pressure", "abc"], "--pressure takes a number, got 'abc'"),
+    (["sweep", "--out", "sweep.csv", "--steps", "5.0"], "--steps takes an integer, got '5.0'"),
+    ([], "missing command"),
+    (["--config", "cfg.json"], "missing command"),
+    (["slove", "--pressure", "20"], "unknown command 'slove'"),
+    (["solve"], "solve needs --pressure"),
+    (["sweep", "--from", "5"], "sweep needs --out"),
+    (["solve", "--pressure", "20", "--jsn"], "unrecognized argument '--jsn'"),
+    (["solve", "--pressure", "20", "5"], "unrecognized argument '5'"),
+    (["solve", "--pressure", "20", "--config", "cfg.json"], "unrecognized argument '--config'"),
+    (["solve", "--pressure"], "--pressure needs a value"),
+    (["sweep", "--out", "--steps", "5"], "--out needs a value, got the option '--steps'"),
+    (["solve", "--pressure", "-1e3"], "--pressure needs a value, got the option '-1e3'"),
+    (["solve", "--pres", "20"], "unrecognized argument '--pres'"),
+    (["workspace", "--json=yes"], "--json takes no value"),
+    (["--version=1"], "--version takes no value"),
+    # argparse read --aperture=-- as an empty list, and invert exited with a traceback.
+    (["invert", "--aperture=--"], "--aperture takes a number, got '--'"),
+], ids=["non-numeric", "float-steps", "no-command", "config-only", "unknown-command",
+        "missing-required", "missing-required-out", "unknown-option", "stray-value",
+        "config-after-command", "no-value-at-end", "option-as-value", "dash-exponent",
+        "abbreviation", "flag-with-value", "version-with-value", "equals-dash-dash"])
+def test_malformed_command_line_exit_1(capsys, argv, named):
+    # argparse exited 2 here, the code of an unreachable pressure, with a usage dump.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: ") and named in err
+
+
+def test_malformed_command_line_exit_1_from_a_fresh_process():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-S", "-m", "accordion_gripper", "solve",
+                           "--pressure", "abc"], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: --pressure takes a number, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [["--pressure=-5"], ["--pressure", "-5"], ["--pressure=-inf"],
+                                  ["--json", "--pressure", "-.5", "--pressure", "7"]])
+def test_option_forms(argv):
+    args = cli.parse_args(["--config", "a.json", "--config=b.json", "solve", *argv])
+    assert (args.config, args.command, args.func) == ("b.json", "solve", cli.cmd_solve)
+    assert args.pressure == float(argv[-1].rpartition("=")[2])
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--config", "cfg.json", "-h"]])
+def test_help_lists_every_command(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: gripper [--config PATH] COMMAND")
+    for name, (_, text, _) in cli.COMMANDS.items():
+        assert f"  {name} " in out and text in out
+    assert all(flag in out for flag in ("--config PATH", "--version", "-h, --help"))
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_lists_every_option(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    options = cli.COMMANDS[command][2]
+    assert options
+    for flag, _, kind, _, text in options:
+        assert f"  {flag} " in out and text in out
+    assert run(capsys, command, "--bogus", "-h") == (0, out, "")  # as argparse: help wins
+
+
+def test_version(capsys):
+    assert run(capsys, "--version") == (0, f"gripper {__version__}\n", "")
+    assert __version__ == "0.1.0"
+
+
+#: Option values: numbers in each form float() and int() read, words, and dash-led
+#: words that are options to argparse (-1e3, -inf, -x, --json) unless given as --opt=value.
+WORDS = ("5", "-5", "-.5", "-0.5", "-5.", "0.0", "-0", "1e3", "-1e3", "1_0", " 7 ", "+3", "inf",
+         "-inf", "nan", "5.0", "abc", "", "-", "-x", "-a b", "--json", "--json=a b", "--", "-h",
+         "-5\n", "\u0663", "-\u0663", "a.csv")
+#: Words that no parser reads as an option's abbreviation.
+JUNK = ("--bogus", "--jsonx", "-x", "stray", "--", "-5", "--config", "--version", "--json",
+        "-h", "--help", "--json=1", "--print-default")
+
+
+def _values(kind):
+    numbers = {float: st.floats().map(repr), int: st.integers(-10**6, 10**6).map(str)}
+    return st.one_of(numbers[kind], st.sampled_from(WORDS)) if kind in numbers \
+        else st.sampled_from(WORDS)
+
+
+def _given(draw, flag, kind):
+    if kind is bool:
+        return [flag]
+    value = draw(_values(kind))
+    # argparse read --opt=-- as an empty list, which each command met with a traceback.
+    return [f"{flag}={value}"] if draw(st.booleans()) and value != "--" else [flag, value]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of each command: its options in any order, in both forms, each
+    given up to twice (a required one mostly once), then up to two junk words anywhere."""
+    argv = []
+    for _ in range(draw(st.integers(0, 2))):
+        argv += _given(draw, "--config", str)
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    groups = []
+    for flag, _, kind, default, _ in cli.COMMANDS[command][2]:
+        times = draw(st.sampled_from((1, 1, 1, 0, 2) if default is cli.REQUIRED else (0, 1, 2)))
+        groups += [_given(draw, flag, kind) for _ in range(times)]
+    argv += [command, *(word for group in draw(st.permutations(groups)) for word in group)]
+    for junk in draw(st.lists(st.sampled_from(JUNK), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), junk)
+    return argv
+
+
+def _shown(namespace) -> dict:
+    # repr tells -0.0 from 0.0, and a NaN equals a NaN
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=command_lines())
+@example(argv=["peak-force", "--data", "--json=a b"])  # names --json, so is no value
+@example(argv=["sweep", "--out", "-a b"])  # holds a space, so is a value
+@example(argv=["solve", "--pressure", "5", "--", "-h"])  # no option follows --
+@example(argv=["--bogus", "-h"])  # an unknown option is reported after a later -h
+def test_parser_reads_command_lines_as_argparse_did(argv):
+    """The table's parser against the argparse parser it replaced (``oracles``): the
+    same namespace, help or version where argparse gave them, and exit 1 with one
+    error line where argparse exited 2.  Left out: abbreviations, which argparse
+    accepted, and ``--opt=--``.  (argparse as of Python 3.10 and 3.11.)"""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            expected = argparse_namespace(argv)
+        except SystemExit as exc:
+            expected = exc.code
+    if expected == 2:
+        with pytest.raises(ValueError):
+            cli.parse_args(argv)
+        err = StringIO()
+        with redirect_stdout(StringIO()) as out, redirect_stderr(err):
+            assert main(argv) == 1
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    elif expected == 0:
+        assert isinstance(cli.parse_args(argv), str)  # the help or version text
+    else:
+        assert _shown(cli.parse_args(argv)) == _shown(expected)
