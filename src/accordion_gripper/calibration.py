@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 from itertools import accumulate, chain
-from operator import sub
+from operator import index, sub
 
 from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox, reachable_pressure_range
 from .errors import CalibrationError
@@ -38,6 +38,10 @@ class SeriesKind(str, Enum):
     PRESSURE_APERTURE = "pressure_aperture"
     FORCE_DISPLACEMENT = "force_displacement"
     SUCTION_FORCE = "suction_force"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown series kind {value!r}; expected one of {[k.value for k in cls]}")
 
 
 #: Per series kind: the required CSV header (x column, y column) and the
@@ -56,6 +60,7 @@ class MeasurementSeries(CheckedRecord, namedtuple("MeasurementSeries", "kind row
     __slots__ = ()
 
     def __new__(cls, kind: SeriesKind, rows: tuple):
+        kind = SeriesKind(kind)  # a kind may be given by its name
         min_rows = _KINDS[kind][1]
         if len(rows) < min_rows:
             raise CalibrationError(
@@ -91,7 +96,7 @@ def load_series_csv(path, kind: SeriesKind) -> MeasurementSeries:
     """
     # Unbuffered: a file the plain pass rejects reaches csv.reader through a fresh
     # buffer, so its errors read as they would from a text-mode open().
-    expected = _KINDS[kind][0]
+    expected = _KINDS[SeriesKind(kind)][0]
     with open(path, "rb", buffering=0) as raw:
         if raw.seekable():  # a pipe can be read only once, so csv.reader reads it
             try:
@@ -423,10 +428,14 @@ def extract_peak_force(series: MeasurementSeries, smoothing_window: int = 1) -> 
     _require_kind(series, SeriesKind.FORCE_DISPLACEMENT, "extract_peak_force")
     ys = series.ys()
     w = smoothing_window
-    if w < 1:
-        raise ValueError(f"smoothing window must be >= 1, got {w}")
-    if w > len(ys):
-        raise CalibrationError(f"smoothing window {w} exceeds series length {len(ys)}")
+    try:
+        if w < 1:
+            raise ValueError(f"smoothing window must be >= 1, got {w}")
+        if w > len(ys):
+            raise CalibrationError(f"smoothing window {w} exceeds series length {len(ys)}")
+        w = index(w)
+    except TypeError:
+        raise ValueError(f"smoothing window must be an integer, got {w!r}") from None
     if w == 1:
         return max(ys)
     # Window sums as differences of prefix sums: O(n) for any window.

@@ -58,6 +58,10 @@ class ShapeClass(str, Enum):
     IRREGULAR = "irregular"
     FLAT_PLATE = "flat_plate"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown shape_class {value!r}; expected one of {[s.value for s in cls]}")
+
 
 class GraspMode(str, Enum):
     CONTRACTION = "contraction"
@@ -68,7 +72,9 @@ class GraspMode(str, Enum):
 class ObjectDescriptor(CheckedRecord, namedtuple("ObjectDescriptor", (
         "shape_class", "characteristic_diameter_mm", "mass_kg", "has_aperture",
         "aperture_diameter_mm", "has_flat_sealable_surface"))):
-    """Size/shape/pose summary of a candidate object."""
+    """Size/shape/pose summary of a candidate object, checked here alike from Python and
+    from JSON: the shape class may be its name, each flag must be a bool, and each number
+    a float or a non-bool int that fits in one, which is stored as a float."""
 
     __slots__ = ()
 
@@ -76,54 +82,46 @@ class ObjectDescriptor(CheckedRecord, namedtuple("ObjectDescriptor", (
                 mass_kg: float = 0.0, has_aperture: bool = False,
                 aperture_diameter_mm: float | None = None,
                 has_flat_sealable_surface: bool = False):
-        d = characteristic_diameter_mm
+        shape_class = ShapeClass(shape_class)
+        for key, flag in (("has_aperture", has_aperture),
+                          ("has_flat_sealable_surface", has_flat_sealable_surface)):
+            if not isinstance(flag, bool):
+                raise ValueError(f"{key} must be true or false, got {flag!r}")
+        d = _float("characteristic_diameter_mm", characteristic_diameter_mm)
+        mass_kg = _float("mass_kg", mass_kg)
+        a = aperture_diameter_mm
+        a = None if a is None else _float("aperture_diameter_mm", a)
         if not (math.isfinite(d) and d > 0):
             raise ValueError(f"characteristic diameter must be finite and > 0, got {d}")
         if not (math.isfinite(mass_kg) and mass_kg >= 0):
             raise ValueError(f"mass must be finite and >= 0, got {mass_kg}")
-        if has_aperture != (aperture_diameter_mm is not None):
+        if has_aperture != (a is not None):
             raise ValueError("aperture_diameter_mm must be present iff has_aperture")
-        d = aperture_diameter_mm
-        if d is not None and not (math.isfinite(d) and d > 0):
-            raise ValueError(f"aperture diameter must be finite and > 0, got {d}")
-        return tuple.__new__(cls, (shape_class, characteristic_diameter_mm, mass_kg, has_aperture,
-                                   aperture_diameter_mm, has_flat_sealable_surface))
+        if a is not None and not (math.isfinite(a) and a > 0):
+            raise ValueError(f"aperture diameter must be finite and > 0, got {a}")
+        return tuple.__new__(cls, (shape_class, d, mass_kg, has_aperture, a,
+                                   has_flat_sealable_surface))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectDescriptor":
+        """The descriptor of a JSON object; a key left out takes the field's default."""
         if not isinstance(data, dict):
             raise ValueError(f"object descriptor must be a JSON object, got {type(data).__name__}")
-        try:
-            shape = ShapeClass(data["shape_class"])
-        except KeyError:
-            raise ValueError("object descriptor missing 'shape_class'") from None
-        except ValueError:
-            raise ValueError(
-                f"unknown shape_class {data.get('shape_class')!r}; expected one of "
-                f"{[s.value for s in ShapeClass]}"
-            ) from None
-        kinds = {"characteristic_diameter_mm": float, "mass_kg": float, "has_aperture": bool,
-                 "aperture_diameter_mm": float, "has_flat_sealable_surface": bool}
-        unknown = set(data) - {"shape_class", *kinds}
+        unknown = data.keys() - cls._fields
         if unknown:
             raise ValueError(f"unknown object descriptor keys: {sorted(unknown)}")
-        if "characteristic_diameter_mm" not in data:
-            raise ValueError("object descriptor missing 'characteristic_diameter_mm'")
-        # A key left out takes the field's default; a null aperture diameter means none.
-        kwargs = {"shape_class": shape}
-        for key, value in data.items():
-            if key == "shape_class" or (value is None and key == "aperture_diameter_mm"):
-                continue
-            kind = kinds[key]
-            if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-                valid = abs(value) <= sys.float_info.max  # not a NaN, nor an int beyond floats
-            else:
-                valid = isinstance(value, kind)
-            if not valid:
-                name = {float: "a finite number", bool: "true or false"}[kind]
-                raise ValueError(f"{key} must be {name}, got {value!r}")
-            kwargs[key] = kind(value)
-        return cls(**kwargs)
+        for key in ("shape_class", "characteristic_diameter_mm"):
+            if key not in data:
+                raise ValueError(f"object descriptor missing {key!r}")
+        return cls(**data)
+
+
+def _float(key: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a float or a non-bool int that fits."""
+    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                    and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +183,8 @@ class CapacityCalibration(CheckedRecord, namedtuple("CapacityCalibration", "entr
         )
 
 
-def contraction_capacity(
-    obj: ObjectDescriptor,
-    p_vac: float,
-    calib: CapacityCalibration,
-    rest_aperture_mm: float | None = None,
-) -> float:
+def contraction_capacity(obj: ObjectDescriptor, p_vac: float, calib: CapacityCalibration,
+                         rest_aperture_mm: float) -> float:
     """Predicted lifting capacity (N) at vacuum pressure p_vac (kPa, <= 0).
 
     F = min(F_pre + slope*min(|p_vac|, threshold), plateau): non-decreasing
@@ -201,11 +195,7 @@ def contraction_capacity(
     if not p_vac <= 0:
         raise ValueError(f"vacuum pressure must be <= 0 kPa, got {p_vac}")
     entry = calib.lookup(obj.shape_class)
-    prestretched = (
-        rest_aperture_mm is not None
-        and obj.characteristic_diameter_mm > 2.0 * rest_aperture_mm
-    )
-    base = entry.prestretch_N if prestretched else 0.0
+    base = entry.prestretch_N if obj.characteristic_diameter_mm > 2.0 * rest_aperture_mm else 0.0
     cap = max(entry.plateau_N, base)
     return min(base + entry.slope_N_per_kPa * min(abs(p_vac), entry.threshold_kPa), cap)
 
@@ -337,7 +327,7 @@ def select_mode(
     Priority: expansion into a suitable opening, then suction on flat
     surfaces, then contraction around objects inside the workspace.
     """
-    if obj.has_aperture and obj.aperture_diameter_mm is not None:
+    if obj.has_aperture:
         lo = 2.0 * ws.min_aperture_mm
         hi = 2.0 * ws.max_aperture_mm
         if lo <= obj.aperture_diameter_mm <= hi:
@@ -417,9 +407,7 @@ def plan_grasp(
         return GraspPlan(None, [], 0.0, False, sel.reason)
     schedule = pressure_schedule(sel.mode, **schedule_pressures)
     if sel.mode is GraspMode.CONTRACTION:
-        capacity = contraction_capacity(
-            obj, schedule[-1][1], calib, rest_aperture_mm=ws.rest_aperture_mm
-        )
+        capacity = contraction_capacity(obj, schedule[-1][1], calib, ws.rest_aperture_mm)
     elif sel.mode is GraspMode.EXPANSION:
         # No analytical model for expansion forces; quote the calibrated plateau.
         capacity = calib.lookup(obj.shape_class).plateau_N

@@ -232,9 +232,9 @@ def iter_sweep(
     """
     if not p_from < p_to:
         raise ValueError(f"empty sweep range [{p_from}, {p_to}]")
-    if steps < 2:
-        raise ValueError(f"sweep needs at least 2 steps, got {steps}")
     try:
+        if steps < 2:
+            raise ValueError(f"sweep needs at least 2 steps, got {steps}")
         indices = range(steps)
     except TypeError:
         raise ValueError(f"sweep steps must be an integer, got {steps!r}") from None

@@ -83,6 +83,40 @@ def test_series_rejects_non_finite_values(kind, pairs):
 ROWS = ((5.0, 20.8), (10.0, 21.0), (15.0, 21.2))
 
 
+@pytest.mark.parametrize("kind", list(SeriesKind))
+def test_a_series_kind_may_be_given_by_its_name(kind):
+    by_name = MeasurementSeries(kind.value, ROWS)
+    assert by_name == MeasurementSeries(kind, ROWS)
+    assert by_name.kind is kind
+
+
+def test_a_named_kind_keeps_every_series_rule(tmp_path, geom):
+    """A plain-string kind gets the rules of its SeriesKind: increasing pressures, and
+    the fitters' kind checks."""
+    rows = [(1.0, 20.0), (3.0, 21.0), (2.0, 22.0)]
+    with pytest.raises(CalibrationError, match="strictly increasing pressures"):
+        MeasurementSeries.from_pairs("pressure_aperture", rows)
+    path = tmp_path / "data.csv"
+    path.write_text("pressure_kPa,aperture_mm\n" + "".join(f"{x},{y}\n" for x, y in rows))
+    with pytest.raises(CalibrationError, match="strictly increasing pressures"):
+        load_series_csv(path, "pressure_aperture")
+    with pytest.raises(CalibrationError) as raised:
+        fit_c1(MeasurementSeries("force_displacement", ROWS), geom)
+    assert str(raised.value) == "fit_c1 needs a pressure_aperture series, got force_displacement"
+
+
+@pytest.mark.parametrize("kind", ["pressure", None, ["suction_force"]])
+def test_an_unknown_series_kind_names_the_kinds(tmp_path, kind):
+    message = (f"unknown series kind {kind!r}; expected one of "
+               "['pressure_aperture', 'force_displacement', 'suction_force']")
+    path = tmp_path / "data.csv"
+    path.write_text("pressure_kPa,aperture_mm\n5,20.8\n10,21.0\n15,21.2\n")
+    for call in (lambda: MeasurementSeries(kind, ROWS), lambda: load_series_csv(path, kind)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 #: The same three rows, each way a measurement CSV may write them.
 CSV_TEXTS = {
     "lf": "pressure_kPa,aperture_mm\n5,20.8\n10,21.0\n15,21.2\n",
@@ -570,6 +604,18 @@ def test_extract_peak_force_validation():
     assert extract_peak_force(huge) == 1.7e308
     with pytest.raises(CalibrationError, match="peak force is inf, not a finite number"):
         extract_peak_force(huge, smoothing_window=2)
+
+
+@pytest.mark.parametrize("window", [2.0, "2", None, 1.5, math.nan])
+def test_extract_peak_force_window_must_be_an_integer(window):
+    series = MeasurementSeries.from_pairs(
+        SeriesKind.FORCE_DISPLACEMENT, [(0, 1.0), (1, 2.0), (2, 1.5)]
+    )
+    with pytest.raises(ValueError) as raised:
+        extract_peak_force(series, smoothing_window=window)
+    assert str(raised.value) == f"smoothing window must be an integer, got {window!r}"
+    # A bool is an int, and True is the window 1.
+    assert extract_peak_force(series, smoothing_window=True) == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -629,32 +629,24 @@ IMPORT_PROBE = textwrap.dedent(
 )
 
 
-def probe_imports(tmp_path, commands, watch=frozenset({"numpy", "scipy"})):
-    """Exit code and the modules among ``watch`` loaded after each command,
-    run in turn in one fresh interpreter."""
+#: Modules no command loads: numpy and scipy; dataclasses and the inspect it pulls in;
+#: argparse and the gettext and locale it pulls in; and csv, as the commands' CSVs are plain.
+WATCHED_MODULES = frozenset({"numpy", "scipy", "dataclasses", "inspect", "argparse", "gettext",
+                             "locale", "csv"})
+
+
+def probe_imports(tmp_path, commands):
+    """Exit code and the watched modules loaded after each command, run in turn in
+    one fresh interpreter."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env.pop("GRIPPER_CONFIG", None)
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands), json.dumps(sorted(watch))],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands),
+         json.dumps(sorted(WATCHED_MODULES))],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stderr.splitlines()[-1])
-
-
-def test_model_commands_import_neither_numpy_nor_scipy(tmp_path):
-    obj = write_object(tmp_path, {"shape_class": "flat_plate", "characteristic_diameter_mm": 300.0})
-    loaded = probe_imports(tmp_path, [
-        ["solve", "--pressure", "20"],
-        ["invert", "--aperture", "21.5"],
-        ["workspace"],
-        ["plan", "--object", obj],
-        ["sweep", "--out", "sweep.csv"],
-        ["config"],
-    ])
-    assert loaded == {
-        k: [0, []] for k in ("solve", "invert", "workspace", "plan", "sweep", "config")
-    }
 
 
 def all_commands(tmp_path):
@@ -706,37 +698,61 @@ def test_a_csv_reader_error_is_one_error_line(tmp_path, monkeypatch, row):
     assert "Traceback" not in proc.stderr
 
 
-def test_no_command_imports_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def all_commands_probe(tmp_path_factory):
+    """All ten commands run in turn in one interpreter, watching ``WATCHED_MODULES``;
+    the import tests below each read their own modules from this one launch."""
+    tmp_path = tmp_path_factory.mktemp("probe")
+    return probe_imports(tmp_path, all_commands(tmp_path))
+
+
+def loaded_among(probe, commands, modules):
+    """Each command's exit code and which of ``modules`` were loaded after it."""
+    return {name: [probe[name][0], sorted(set(probe[name][1]) & modules)] for name in commands}
+
+
+ALL_COMMANDS = ("config", "solve", "invert", "workspace", "plan", "sweep", "validate",
+                "fit-c1", "fit-suction", "peak-force")
+
+
+def test_model_commands_import_neither_numpy_nor_scipy(all_commands_probe):
+    model = ("solve", "invert", "workspace", "plan", "sweep", "config")
+    assert loaded_among(all_commands_probe, model, {"numpy", "scipy"}) == {
+        k: [0, []] for k in model
+    }
+
+
+def test_no_command_imports_scipy(all_commands_probe):
     """All ten commands in one interpreter: each exits 0, and afterwards
     neither scipy nor numpy is loaded."""
-    commands = all_commands(tmp_path)
-    assert probe_imports(tmp_path, commands) == {argv[0]: [0, []] for argv in commands}
+    assert list(all_commands_probe) == list(ALL_COMMANDS)
+    assert loaded_among(all_commands_probe, ALL_COMMANDS, {"numpy", "scipy"}) == {
+        k: [0, []] for k in ALL_COMMANDS
+    }
 
 
-def test_no_command_imports_dataclasses(tmp_path):
+def test_no_command_imports_dataclasses(all_commands_probe):
     """All ten commands in one interpreter: each exits 0, and afterwards
     neither dataclasses nor the inspect module it pulls in is loaded."""
-    commands = all_commands(tmp_path)
-    loaded = probe_imports(tmp_path, commands, watch={"dataclasses", "inspect"})
-    assert loaded == {argv[0]: [0, []] for argv in commands}
+    assert loaded_among(all_commands_probe, ALL_COMMANDS, {"dataclasses", "inspect"}) == {
+        k: [0, []] for k in ALL_COMMANDS
+    }
 
 
-PARSER_MODULES = {"argparse", "gettext", "locale", "csv"}
-
-
-def test_no_command_imports_a_parser(tmp_path):
+def test_no_command_imports_a_parser(all_commands_probe):
     """All ten commands in one interpreter: each exits 0, and afterwards no argparse,
     the gettext and locale it pulls in, or csv (their CSVs are plain) is loaded."""
-    commands = all_commands(tmp_path)
-    loaded = probe_imports(tmp_path, commands, watch=PARSER_MODULES)
-    assert loaded == {argv[0]: [0, []] for argv in commands}
+    parser_modules = {"argparse", "gettext", "locale", "csv"}
+    assert loaded_among(all_commands_probe, ALL_COMMANDS, parser_modules) == {
+        k: [0, []] for k in ALL_COMMANDS
+    }
 
 
 def test_a_quoted_csv_loads_csv_and_names_its_line(capsys, tmp_path):
     trace = tmp_path / "trace.csv"
     trace.write_text('"displacement_mm","force_N"\n0,1\n"1",x\n')
     argv = ["peak-force", "--data", str(trace)]
-    assert probe_imports(tmp_path, [argv], watch=PARSER_MODULES) == {"peak-force": [1, ["csv"]]}
+    assert probe_imports(tmp_path, [argv]) == {"peak-force": [1, ["csv"]]}
     assert run(capsys, *argv) == (1, "", f"error: {trace}:3: non-numeric value in ['1', 'x']\n")
 
 

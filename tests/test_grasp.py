@@ -104,6 +104,90 @@ def test_descriptor_from_dict_errors():
         ObjectDescriptor.from_dict({"shape_class": "cube"})
 
 
+#: Every JSON type, so a descriptor dict's value may be any of them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=3,
+)
+NUMBERS = st.floats(-1.0, 500.0) | st.integers(-5, 500) | st.sampled_from([10**400, -(10**400)])
+
+
+@st.composite
+def descriptor_dicts(draw):
+    """Descriptor dicts with the required keys and only known ones, each value a
+    plausible one or any JSON value."""
+    values = {
+        "shape_class": st.sampled_from([s.value for s in ShapeClass]),
+        "characteristic_diameter_mm": NUMBERS,
+        "mass_kg": NUMBERS,
+        "has_aperture": st.booleans(),
+        "aperture_diameter_mm": st.none() | NUMBERS,
+        "has_flat_sealable_surface": st.booleans(),
+    }
+    keys = ["shape_class", "characteristic_diameter_mm"] + draw(
+        st.lists(st.sampled_from(list(values)[2:]), unique=True))
+    return {key: draw(values[key] | JSON_VALUES) for key in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(descriptor_dicts())
+def test_from_dict_and_the_constructor_agree(data):
+    """The constructor is the one home of the descriptor's rules: ``from_dict`` gives
+    the record, or the error, that ``ObjectDescriptor(**data)`` gives."""
+    try:
+        record = ObjectDescriptor(**data)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            ObjectDescriptor.from_dict(data)
+        assert str(raised.value) == str(exc)
+    else:
+        loaded = ObjectDescriptor.from_dict(data)
+        assert loaded == record
+        assert list(map(type, loaded)) == list(map(type, record))
+        assert record.shape_class in ShapeClass
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"has_flat_sealable_surface": "false"},
+     "has_flat_sealable_surface must be true or false, got 'false'"),
+    ({"has_aperture": 1, "aperture_diameter_mm": 20.0},
+     "has_aperture must be true or false, got 1"),
+    ({"characteristic_diameter_mm": "40"},
+     "characteristic_diameter_mm must be a finite number, got '40'"),
+    ({"mass_kg": True}, "mass_kg must be a finite number, got True"),
+    ({"mass_kg": None}, "mass_kg must be a finite number, got None"),
+    ({"has_aperture": True, "aperture_diameter_mm": [20]},
+     "aperture_diameter_mm must be a finite number, got [20]"),
+    ({"characteristic_diameter_mm": 10**400},
+     f"characteristic_diameter_mm must be a finite number, got {10**400!r}"),
+    ({"characteristic_diameter_mm": math.nan},
+     "characteristic diameter must be finite and > 0, got nan"),
+    ({"shape_class": "blob"}, "unknown shape_class 'blob'; expected one of "
+     "['cylinder', 'sphere', 'cone', 'pyramid', 'cube', 'irregular', 'flat_plate']"),
+], ids=["string-flag", "number-flag", "string-diameter", "bool-mass", "null-mass", "list-aperture",
+        "huge-int-diameter", "nan-diameter", "unknown-shape"])
+def test_descriptor_checks_each_field_from_python(fields, message):
+    """The rules a descriptor file is held to hold for a record built in Python."""
+    with pytest.raises(ValueError) as raised:
+        ObjectDescriptor(**{"shape_class": ShapeClass.CYLINDER,
+                            "characteristic_diameter_mm": 40.0, **fields})
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("shape", list(ShapeClass))
+@pytest.mark.parametrize("d", [40.0, 300.0])
+def test_a_shape_class_may_be_given_by_its_name(assembly, ws, calib, suction, shape, d):
+    by_name = obj(shape.value, d, mass_kg=0.5)
+    assert by_name == obj(shape, d, mass_kg=0.5)
+    assert by_name.shape_class is shape
+    assert plan_grasp(by_name, assembly, ws, calib, suction) \
+        == plan_grasp(obj(shape, d, mass_kg=0.5), assembly, ws, calib, suction)
+    if shape is ShapeClass.FLAT_PLATE:
+        assert select_mode(by_name, ws).mode is GraspMode.SUCTION
+
+
 # ---------------------------------------------------------------------------
 # Capacity
 
@@ -310,7 +394,7 @@ NAN = math.nan
     lambda a: pressure_schedule(GraspMode.CONTRACTION, open_kPa=NAN),
     lambda a: GraspPlan(None, [], NAN, False, ""),
     lambda a: aperture_radius(NAN, a),
-    lambda a: contraction_capacity(obj(), NAN, CapacityCalibration.defaults()),
+    lambda a: contraction_capacity(obj(), NAN, CapacityCalibration.defaults(), REST_RG),
     lambda a: inverse_pressure(a, NAN),  # bad input (exit 1), not out of workspace (exit 2)
     lambda a: workspace(a, NAN),
 ], ids=["slope", "plateau", "threshold", "prestretch", "folded-aperture", "seal-area",

@@ -282,14 +282,14 @@ def test_sweep_below_zero_raises_at_the_call_without_brent(assembly, monkeypatch
     assert calls == []
 
 
-@pytest.mark.parametrize("steps", [5.0, 2.5, math.inf, math.nan])
+@pytest.mark.parametrize("steps", [5.0, 2.5, math.inf, math.nan, "5", None])
 def test_sweep_rejects_a_non_integer_step_count(assembly, steps):
     with pytest.raises(ValueError) as failed:
         sweep(assembly, 0.0, 10.0, steps)
     assert str(failed.value) == f"sweep steps must be an integer, got {steps!r}"
 
 
-@pytest.mark.parametrize("steps", [1, 0, -3, 1.5])
+@pytest.mark.parametrize("steps", [1, 0, -3, 1.5, True])
 def test_sweep_below_two_steps_keeps_its_message(assembly, steps):
     with pytest.raises(ValueError) as failed:
         iter_sweep(assembly, 0.0, 10.0, steps)
