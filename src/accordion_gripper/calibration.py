@@ -22,8 +22,8 @@ import io
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import accumulate, chain
-from operator import index, sub
+from itertools import accumulate, chain, islice, starmap, tee
+from operator import add, index, itemgetter, le, sub
 
 from .chamber import THETA_TOL_RAD, ChamberGeometry, SolverBox, reachable_pressure_range
 from .errors import CalibrationError
@@ -66,12 +66,23 @@ class MeasurementSeries(CheckedRecord, namedtuple("MeasurementSeries", "kind row
             raise CalibrationError(
                 f"{kind.value} series needs at least {min_rows} rows, got {len(rows)}"
             )
-        for i, (x, y) in enumerate(rows, start=1):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise CalibrationError(f"{kind.value} series row {i}: non-finite value ({x}, {y})")
+        # One C-level pass: inf and NaN carry through float +, so a finite total proves
+        # every float finite (the float start refuses Decimals).  Any other total, or any
+        # error, runs the row loop: it names the row, raises what it meets, and passes
+        # finite values whose sum overflows.  Exact numbers past the float range that
+        # cancel in one row, as (10**400, -10**400), are all the pass lets through.
+        try:
+            finite = math.isfinite(sum(starmap(add, rows), 0.0))
+        except Exception:
+            finite = False
+        if not finite:
+            for i, (x, y) in enumerate(rows, start=1):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise CalibrationError(
+                        f"{kind.value} series row {i}: non-finite value ({x}, {y})")
         if kind is SeriesKind.PRESSURE_APERTURE:
             xs = [x for x, _ in rows]
-            if any(b <= a for a, b in zip(xs, xs[1:])):
+            if any(map(le, xs[1:], xs)):
                 raise CalibrationError(
                     "pressure_aperture series must have strictly increasing pressures"
                 )
@@ -132,10 +143,14 @@ def _plain_pairs(raw, expected: tuple) -> tuple:
         raise ValueError("not the expected header")
     pairs = []
     for run in chain((run,), runs):
-        while b"\n\n" in run:  # blank lines
-            run = run.replace(b"\n\n", b"\n")
-        run = run.lstrip(b"\n")
         separators = run.translate(None, _FIELD_BYTES)
+        # A blank line shows in the separators, 2 bytes a line, as it does in the run; so
+        # does a line without a comma, which the count below then rejects.
+        if b"\n\n" in separators or separators.startswith(b"\n"):
+            while b"\n\n" in run:
+                run = run.replace(b"\n\n", b"\n")
+            run = run.lstrip(b"\n")
+            separators = run.translate(None, _FIELD_BYTES)
         if separators.count(b",\n") * 2 != len(separators):
             raise ValueError("a line without exactly one comma")
         fields = map(float, run[:-1].replace(b"\n", b",").split(b","))
@@ -426,21 +441,23 @@ def extract_peak_force(series: MeasurementSeries, smoothing_window: int = 1) -> 
     as forces near the float limit give once summed, raises CalibrationError.
     """
     _require_kind(series, SeriesKind.FORCE_DISPLACEMENT, "extract_peak_force")
-    ys = series.ys()
+    rows = series.rows
     w = smoothing_window
     try:
         if w < 1:
             raise ValueError(f"smoothing window must be >= 1, got {w}")
-        if w > len(ys):
-            raise CalibrationError(f"smoothing window {w} exceeds series length {len(ys)}")
+        if w > len(rows):
+            raise CalibrationError(f"smoothing window {w} exceeds series length {len(rows)}")
         w = index(w)
     except TypeError:
         raise ValueError(f"smoothing window must be an integer, got {w!r}") from None
+    force = itemgetter(1)
     if w == 1:
-        return max(ys)
-    # Window sums as differences of prefix sums: O(n) for any window.
-    sums = list(accumulate(ys, initial=0.0))
-    peak = max(map(sub, sums[w:], sums)) / w
+        return max(map(force, rows))
+    # Window sums as differences of prefix sums, s[i + w] - s[i]: O(n) for any window.  The
+    # tee holds the w sums between its two ends, where a list would hold all n + 1.
+    ahead, behind = tee(accumulate(map(force, rows), initial=0.0))
+    peak = max(map(sub, islice(ahead, w, None), behind)) / w
     if not math.isfinite(peak):
         raise CalibrationError(f"peak force is {peak}, not a finite number: window sums overflow")
     return peak

@@ -164,7 +164,10 @@ class CapacityCalibration(CheckedRecord, namedtuple("CapacityCalibration", "entr
         return tuple.__new__(cls, (entries,))
 
     def lookup(self, shape: ShapeClass) -> CapacityEntry:
-        key = shape.value if isinstance(shape, ShapeClass) else str(shape)
+        """The entry of ``shape``, a ShapeClass or its name, else the 'default' entry."""
+        if not isinstance(shape, ShapeClass):
+            shape = ShapeClass(shape)  # an unknown name is a ValueError that names the classes
+        key = shape.value
         if key in self.entries:
             return self.entries[key]
         if "default" in self.entries:

@@ -5,14 +5,18 @@ the full 3-D unknown space with its own (numpy) pressure evaluation, so a
 bug in the scalar reduction cannot hide.  The nested inverse inverts the
 forward map by root finding over pressure, so it shares no step with the
 library's inverse, which solves over theta0.  The row-by-row CSV reader
-parses every file with ``csv.reader`` alone, one Python step per row.  The
-argparse parser is the command line's parser as it was before the CLI read
+parses every file with ``csv.reader`` alone, one Python step per row; the row
+loop checks a series' values one row at a time, and the list-based peak keeps
+every force and prefix sum in a list, as the package did before its one-pass
+forms.  The argparse parser is the command line's parser as it was before the CLI read
 its options from a table.
 """
 
 import argparse
 import csv
 import math
+from itertools import accumulate
+from operator import sub
 
 import numpy as np
 from scipy.optimize import brentq
@@ -152,6 +156,40 @@ def load_series_csv_by_rows(path, kind):
         except csv.Error as exc:
             raise CalibrationError(f"{path}:{reader.line_num}: {exc}") from None
     return MeasurementSeries(kind, tuple(pairs))
+
+
+#: The fewest rows a series of each kind holds.
+MIN_ROWS = {SeriesKind.PRESSURE_APERTURE: 3, SeriesKind.FORCE_DISPLACEMENT: 3,
+            SeriesKind.SUCTION_FORCE: 2}
+
+
+def series_rows_by_loop(kind, rows):
+    """The rows a ``MeasurementSeries`` of ``kind`` keeps, checked one row at a time: the
+    first non-finite row is named, and whatever a row's unpacking or ``math.isfinite``
+    raises is raised."""
+    kind = SeriesKind(kind)
+    if len(rows) < MIN_ROWS[kind]:
+        raise CalibrationError(
+            f"{kind.value} series needs at least {MIN_ROWS[kind]} rows, got {len(rows)}")
+    for i, (x, y) in enumerate(rows, start=1):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise CalibrationError(f"{kind.value} series row {i}: non-finite value ({x}, {y})")
+    if kind is SeriesKind.PRESSURE_APERTURE:
+        xs = [x for x, _ in rows]
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            raise CalibrationError(
+                "pressure_aperture series must have strictly increasing pressures")
+    return rows
+
+
+def peak_force_by_lists(series, window):
+    """The peak of ``series``' forces averaged over ``window`` rows, from a list of the
+    forces and a list of their prefix sums (no checks)."""
+    ys = [y for _, y in series.rows]
+    if window == 1:
+        return max(ys)
+    sums = list(accumulate(ys, initial=0.0))
+    return max(map(sub, sums[window:], sums)) / window
 
 
 def build_parser() -> argparse.ArgumentParser:

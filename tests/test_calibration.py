@@ -1,6 +1,8 @@
 import codecs
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,7 +32,7 @@ from accordion_gripper.calibration import (
     load_series_csv,
 )
 from accordion_gripper.chamber import reachable_pressure_range
-from oracles import CSV_HEADERS, load_series_csv_by_rows
+from oracles import CSV_HEADERS, load_series_csv_by_rows, peak_force_by_lists, series_rows_by_loop
 
 PRESSURES = [4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0, 40.0]
 
@@ -78,6 +80,82 @@ def test_series_requires_increasing_pressures():
 def test_series_rejects_non_finite_values(kind, pairs):
     with pytest.raises(CalibrationError, match="row 2: non-finite"):
         MeasurementSeries.from_pairs(kind, pairs)
+
+
+def _rows_with(at, row, n=5):
+    """``n`` rows of finite, increasing values with ``row`` in place of row ``at``."""
+    rows = [(float(i + 1), 2.0 * i + 1.0) for i in range(n)]
+    rows[at] = row
+    return tuple(rows)
+
+
+#: Rows a series may be given, each with its id: every one must be kept, or refused with
+#: the exception type and message, as the row loop of ``oracles.series_rows_by_loop`` does.
+SERIES_ROWS = [
+    *((f"{name}_x_{where}", _rows_with(at, (value, 1.0)))
+      for name, value in (("inf", math.inf), ("minus_inf", -math.inf), ("nan", math.nan))
+      for where, at in (("first", 0), ("middle", 2), ("last", 4))),
+    *((f"{name}_y_{where}", _rows_with(at, (3.0, value)))
+      for name, value in (("inf", math.inf), ("minus_inf", -math.inf), ("nan", math.nan))
+      for where, at in (("first", 0), ("middle", 2), ("last", 4))),
+    ("inf_and_minus_inf", _rows_with(2, (math.inf, -math.inf))),
+    ("nan_and_inf", _rows_with(3, (math.nan, math.inf))),
+    ("sum_overflows", ((1.0, 1e308), (1e308, 1e308), (1.7e308, 1.7e308))),
+    ("sum_overflows_to_minus_inf", ((-1.7e308, -1.7e308), (-1e308, -1e308), (0.0, -1e308))),
+    ("ints", ((1, 2), (2, 3), (3, 5))),
+    ("bools", ((False, True), (True, True), (2, False))),
+    ("int_past_the_float_range", _rows_with(1, (10**400, 1))),
+    ("decimals", ((Decimal("1.5"), Decimal(2)), (Decimal(2), Decimal(3)), (Decimal(3), Decimal(4)))),
+    ("decimal_and_float", ((1.0, Decimal(2)), (2.0, 3.0), (Decimal(3), 4.0))),
+    ("decimal_infinity", _rows_with(2, (Decimal("Infinity"), Decimal(1)))),
+    ("decimal_nan", _rows_with(4, (Decimal(5), Decimal("NaN")))),
+    ("decimal_signaling_nan", _rows_with(1, (Decimal("sNaN"), Decimal(1)))),
+    ("decimals_past_the_float_range_cancelling",
+     ((Decimal(1), Decimal(1)), (Decimal("1e400"), Decimal("-1e400")), (Decimal(3), Decimal(1)))),
+    ("fractions", ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2), 1.0), (1, Fraction(7, 3)))),
+    ("complex", _rows_with(2, (1j, 2.0))),
+    ("none", _rows_with(0, (None, 2.0))),
+    ("strings", (("1", "2"), ("2", "3"), ("3", "4"))),
+    ("a_string_among_floats", _rows_with(3, (4.0, "5"))),
+    ("lists", ([1.0, 2.0], [2.0, 3.0], [3.0, 4.0])),
+    ("one_tuples", ((1.0,), (2.0,), (3.0,))),
+    ("a_one_tuple_last", _rows_with(4, (5.0,))),
+    ("three_tuples", ((1.0, 2.0, 3.0), (2.0, 3.0, 4.0), (3.0, 4.0, 5.0))),
+    ("a_three_tuple_first", _rows_with(0, (1.0, 2.0, 3.0))),
+    ("a_one_and_a_three_tuple", ((1.0,), (2.0, 3.0, 4.0), (3.0, 4.0))),
+    ("two_rows", ((1.0, 2.0), (2.0, 3.0))),
+    ("one_row", ((1.0, 2.0),)),
+    ("equal_pressures", ((1.0, 2.0), (1.0, 3.0), (2.0, 4.0))),
+    ("falling_pressures", ((3.0, 2.0), (2.0, 3.0), (1.0, 4.0))),
+    ("finite", ((0.0, -0.0), (5e-324, 1.7976931348623157e308), (2.0, -1.7976931348623157e308))),
+]
+
+
+def _kept_or_raised(build, kind, rows):
+    """"kept" when ``build`` keeps ``rows`` themselves, else its exception's type and message."""
+    try:
+        kept = build(kind, rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "kept" if kept is rows else kept
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+@pytest.mark.parametrize("rows", [rows for _, rows in SERIES_ROWS],
+                         ids=[name for name, _ in SERIES_ROWS])
+def test_series_checks_its_rows_as_the_row_loop(kind, rows):
+    """The one-pass finiteness test keeps the row loop's series, errors and messages."""
+    got = _kept_or_raised(lambda k, r: MeasurementSeries(k, r).rows, kind, rows)
+    assert got == _kept_or_raised(series_rows_by_loop, kind, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(SeriesKind),
+       rows=st.lists(st.tuples(st.floats(), st.floats()) | st.tuples(st.integers(), st.floats()),
+                     max_size=8).map(tuple))
+def test_series_checks_drawn_rows_as_the_row_loop(kind, rows):
+    got = _kept_or_raised(lambda k, r: MeasurementSeries(k, r).rows, kind, rows)
+    assert got == _kept_or_raised(series_rows_by_loop, kind, rows)
 
 
 ROWS = ((5.0, 20.8), (10.0, 21.0), (15.0, 21.2))
@@ -269,6 +347,20 @@ def csv_dir(tmp_path_factory):
 @example(file=(SeriesKind.PRESSURE_APERTURE, b'pressure_kPa,aperture_mm\n"\r0'), block=1)
 @example(file=(SeriesKind.PRESSURE_APERTURE, b'pressure_kPa,aperture_mm\n"1\n2",3,4\n'),
          block=1 << 16)
+# Blank lines, which the block pass finds in each block's separators: right after the
+# header, two that straddle a block edge (the first block ends at byte 29), CRLF ones, and
+# a line without a comma next to one.
+@example(file=(SeriesKind.FORCE_DISPLACEMENT, b"displacement_mm,force_N\n\n0,1\n1,2\n2,3\n"),
+         block=1 << 16)
+@example(file=(SeriesKind.FORCE_DISPLACEMENT, b"displacement_mm,force_N\n0,1\n\n\n1,2\n2,3\n"),
+         block=29)
+@example(file=(SeriesKind.FORCE_DISPLACEMENT,
+               b"displacement_mm,force_N\r\n\r\n0,1\r\n\r\n\r\n1,2\r\n2,3\r\n\r\n"),
+         block=1 << 16)
+@example(file=(SeriesKind.FORCE_DISPLACEMENT, b"displacement_mm,force_N\n0,1\n\n5\n1,2\n2,3\n"),
+         block=1 << 16)
+@example(file=(SeriesKind.FORCE_DISPLACEMENT, b"displacement_mm,force_N\n0,1\n5\n\n1,2\n2,3\n"),
+         block=7)
 def test_load_series_csv_matches_the_row_by_row_reader(csv_dir, file, block):
     """The block pass, at any block size, or csv.reader after it gives up: the same series
     as the row-by-row reader, or the same exception type and message."""
@@ -281,10 +373,15 @@ def test_load_series_csv_matches_the_row_by_row_reader(csv_dir, file, block):
 
 
 def test_load_series_csv_skips_blank_lines(tmp_path):
+    """The block pass skips blank lines, also two that a block edge (at byte 27) parts."""
     path = tmp_path / "data.csv"
-    path.write_text("pressure_kPa,force_N\n0,15\n\n20,30\n")
-    series = load_series_csv(path, SeriesKind.SUCTION_FORCE)
-    assert len(series.rows) == 2
+    path.write_text("pressure_kPa,force_N\n0,15\n\n\n20,30\n")
+    for block in (27, 1 << 14):
+        with (mock.patch.object(calibration, "_BLOCK_BYTES", block),
+              mock.patch.object(calibration, "_csv_pairs") as reader):
+            series = load_series_csv(path, SeriesKind.SUCTION_FORCE)
+        assert series.rows == ((0.0, 15.0), (20.0, 30.0))
+        assert not reader.called
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +699,24 @@ def test_extract_peak_force_validation():
         SeriesKind.FORCE_DISPLACEMENT, [(0, 1.7e308), (1, 1.7e308), (2, 1.0)]
     )
     assert extract_peak_force(huge) == 1.7e308
+    with pytest.raises(CalibrationError, match="peak force is inf, not a finite number"):
+        extract_peak_force(huge, smoothing_window=2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 97, 5000])
+def test_extract_peak_force_matches_the_list_based_peak(n):
+    """The peak read straight from the rows is the list-based peak, bit for bit, at windows
+    1, 2, n - 1 and n."""
+    rng = random.Random(n)
+    series = MeasurementSeries.from_pairs(
+        SeriesKind.FORCE_DISPLACEMENT,
+        [(i, rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)) for i in range(n)])
+    for w in {1, 2, n - 1, n}:
+        assert extract_peak_force(series, w).hex() == peak_force_by_lists(series, w).hex()
+    # Forces that sum past the float range: the list-based peak is inf, which is refused.
+    huge = MeasurementSeries.from_pairs(
+        SeriesKind.FORCE_DISPLACEMENT, [(0, 1.7e308), (1, 1.7e308), (2, 1.0)])
+    assert peak_force_by_lists(huge, 2) == math.inf
     with pytest.raises(CalibrationError, match="peak force is inf, not a finite number"):
         extract_peak_force(huge, smoothing_window=2)
 

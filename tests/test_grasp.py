@@ -200,6 +200,18 @@ def test_capacity_lookup_and_fallback(calib):
         empty.lookup(ShapeClass.CUBE)
 
 
+def test_capacity_lookup_takes_a_shape_class_or_its_name(calib):
+    """A shape class's name reads its entry; a name that is no shape class, or None, is
+    refused with the shape classes named, not answered with the 'default' entry."""
+    assert calib.lookup("sphere") is calib.lookup(ShapeClass.SPHERE) is calib.entries["sphere"]
+    assert calib.lookup("cone") is calib.entries["default"]
+    names = [shape.value for shape in ShapeClass]
+    for shape in ("blob", None, "default", "SPHERE"):
+        with pytest.raises(ValueError) as raised:
+            calib.lookup(shape)
+        assert str(raised.value) == f"unknown shape_class {shape!r}; expected one of {names}"
+
+
 def test_capacity_entry_validation():
     with pytest.raises(ValueError, match="slope_N_per_kPa must be >= 0"):
         CapacityEntry(-1.0, 10.0)
