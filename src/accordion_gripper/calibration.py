@@ -20,7 +20,6 @@ from __future__ import annotations
 import codecs
 import io
 import math
-from collections import namedtuple
 from enum import Enum
 from itertools import accumulate, chain, islice, starmap, tee
 from operator import add, index, itemgetter, le, sub
@@ -31,7 +30,7 @@ from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, check_ambient_pressure
 from .grasp import check_lift_volume, sealed_volume, suction_law
 from .gripper import GripperAssembly, apertures_at_pressures, inverse_pressure, workspace
 from .material import HyperelasticMaterial
-from .records import CheckedRecord
+from .records import Record
 
 
 class SeriesKind(str, Enum):
@@ -54,7 +53,7 @@ _KINDS = {
 }
 
 
-class MeasurementSeries(CheckedRecord, namedtuple("MeasurementSeries", "kind rows")):
+class MeasurementSeries(Record, fields="kind rows"):
     """A measured series: its kind and its ordered (x, y) pairs."""
 
     __slots__ = ()
@@ -222,21 +221,15 @@ def _csv_pairs(raw, path, expected: tuple) -> tuple:
     return tuple(pairs)
 
 
-class FitReport(namedtuple("FitReport", "params residual_norm per_point at_bound notes n_evals",
-                           defaults=(False, "", 0))):
+class FitReport(Record, fields="params residual_norm per_point at_bound notes n_evals",
+                defaults=(False, "", 0)):
     """Outcome of a parameter fit."""
 
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "params": dict(self.params),
-            "residual_norm": self.residual_norm,
-            "per_point": [dict(p) for p in self.per_point],
-            "at_bound": self.at_bound,
-            "notes": self.notes,
-            "n_evals": self.n_evals,
-        }
+        return {**self._asdict(), "params": dict(self.params),
+                "per_point": [dict(p) for p in self.per_point]}
 
 
 def _sum_sq(preds, ys) -> float:
@@ -262,15 +255,10 @@ def _report(series: MeasurementSeries, preds, params: dict, at_bound: bool, nfev
     notes = "optimizer at bound" if at_bound else ""
     if status == 1:
         notes = "; ".join(filter(None, (notes, "optimizer stopped at its evaluation cap")))
-    return FitReport(
-        params=params,
-        residual_norm=residual_norm,
-        per_point=tuple({"x": x, "measured": y, "predicted": p, "error": p - y}
-                        for (x, y), p in zip(series.rows, preds)),
-        at_bound=at_bound,
-        notes=notes,
-        n_evals=nfev,
-    )
+    return FitReport(params, residual_norm,
+                     tuple({"x": x, "measured": y, "predicted": p, "error": p - y}
+                           for (x, y), p in zip(series.rows, preds)),
+                     at_bound, notes, nfev)
 
 
 def _minimize_bounded(func, bounds: tuple[float, float], xatol: float = 1e-9,

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 
 from .errors import ConvergenceError, OutOfWorkspaceError
 from .material import HyperelasticMaterial
-from .records import CheckedRecord
+from .records import Record
 
 #: The published box, the original design study's search: (lo, hi) of r0 in [4.56, 5] mm, r1 in
 #: [3, 3.8] mm and theta0 in [57.6 deg, 80 deg] (rad here).  Its lower corner is the default
@@ -45,9 +44,8 @@ THETA_TOL_RAD = 1e-12
 QUAD_REL_TOL = 1e-9
 
 
-class ChamberGeometry(CheckedRecord, namedtuple("ChamberGeometry", (
-        "r_outer_0 r_inner_0 half_angle_0 pin_half_distance sector_area_scale "
-        "log_radius_ratio inner_sector_area"))):
+class ChamberGeometry(Record, fields="r_outer_0 r_inner_0 half_angle_0 pin_half_distance "
+                      "sector_area_scale log_radius_ratio inner_sector_area"):
     """Uninflated half-chamber cross section: R0 and R1 (mm), Theta0 (rad).
 
     Four constants are derived at construction, never user-set, because every
@@ -82,7 +80,7 @@ class ChamberGeometry(CheckedRecord, namedtuple("ChamberGeometry", (
         return DeformedState(self.r_outer_0, self.r_inner_0, self.half_angle_0)
 
 
-class DeformedState(CheckedRecord, namedtuple("DeformedState", "r_outer r_inner half_angle")):
+class DeformedState(Record, fields="r_outer r_inner half_angle"):
     """Deformed half-chamber unknowns r0, r1 (mm) and theta0 (rad)."""
 
     __slots__ = ()
@@ -94,7 +92,7 @@ class DeformedState(CheckedRecord, namedtuple("DeformedState", "r_outer r_inner 
         return tuple.__new__(cls, (r_outer, r_inner, half_angle))
 
 
-class SolverBox(CheckedRecord, namedtuple("SolverBox", "half_angle_max")):
+class SolverBox(Record, fields="half_angle_max"):
     """The top angle, rad, of the deformed half angle theta0 the solver brackets on.
 
     Inflation opens the chamber from rest, so every bracket runs from the rest angle

@@ -18,7 +18,6 @@ import marshal
 import math
 import os
 import sys
-from collections import namedtuple
 from functools import reduce
 
 from .chamber import QUAD_REL_TOL, THETA_TOL_RAD, ChamberGeometry, SolverBox
@@ -26,10 +25,11 @@ from .chamber import reachable_pressure_range, wall_distance_at_angle
 from .errors import ConfigError
 from .grasp import AMBIENT_KPA, LIFT_VOLUME_INCREASE_MM3, SCHEDULE_KPA, SEAL_THRESHOLD_KPA
 from .grasp import CapacityCalibration, CapacityEntry, GraspMode, SuctionModel
-from .grasp import check_lift_volume, pressure_schedule
+from .grasp import check_lift_volume, check_seal, pressure_schedule
 from .gripper import P_MAX_KPA, STRETCH_MARGIN_MM, GripperAssembly, aperture_vs_pressure
 from .gripper import check_stretch_margin
 from .material import HyperelasticMaterial
+from .records import Record
 
 ENV_CONFIG_VAR = "GRIPPER_CONFIG"
 
@@ -146,8 +146,8 @@ def _check_opens(geometry, box) -> None:
                          f"at rest; D {d_rest:.6g} mm at rest, {d_hi:.6g} mm at the box top)")
 
 
-class ModelContext(namedtuple("ModelContext", "config geometry material assembly box capacity "
-                                              "theta_tol_rad quad_rel_tol p_max_kPa suction")):
+class ModelContext(Record, fields="config geometry material assembly box capacity theta_tol_rad "
+                                  "quad_rel_tol p_max_kPa suction"):
     """Validated domain objects and knobs built from one config dict."""
 
     __slots__ = ()
@@ -207,6 +207,8 @@ class ModelContext(namedtuple("ModelContext", "config geometry material assembly
                           assembly, suction["A_eff_mm2"], suction["h_eff_mm"],
                           suction["ambient_kPa"], box, solver["theta_tol_rad"],
                           suction["seal_threshold_kPa"])
+            named(("grasp.suction_kPa", "suction.seal_threshold_kPa"), check_seal,
+                  grasp["suction_kPa"], suction["seal_threshold_kPa"])
             named(("suction.lift_volume_increase_mm3",), check_lift_volume,
                   suction["lift_volume_increase_mm3"])
             named(("grasp.stretch_margin_mm",), check_stretch_margin, grasp["stretch_margin_mm"])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from enum import Enum
 
 from .chamber import THETA_TOL_RAD, SolverBox
@@ -28,7 +27,7 @@ from .gripper import (
     aperture_vs_pressure,
     contraction_diameter_range,
 )
-from .records import CheckedRecord
+from .records import Record
 
 PRESSURE_LIMIT_KPA = 40.0  # schedules never exceed +/- this
 
@@ -69,9 +68,8 @@ class GraspMode(str, Enum):
     SUCTION = "suction"
 
 
-class ObjectDescriptor(CheckedRecord, namedtuple("ObjectDescriptor", (
-        "shape_class", "characteristic_diameter_mm", "mass_kg", "has_aperture",
-        "aperture_diameter_mm", "has_flat_sealable_surface"))):
+class ObjectDescriptor(Record, fields="shape_class characteristic_diameter_mm mass_kg "
+                       "has_aperture aperture_diameter_mm has_flat_sealable_surface"):
     """Size/shape/pose summary of a candidate object, checked here alike from Python and
     from JSON: the shape class may be its name, each flag must be a bool, and each number
     a float or a non-bool int that fits in one, which is stored as a float."""
@@ -128,8 +126,7 @@ def _float(key: str, value) -> float:
 # Squeeze capacity (contraction mode)
 
 
-class CapacityEntry(CheckedRecord, namedtuple(
-        "CapacityEntry", "slope_N_per_kPa plateau_N threshold_kPa prestretch_N")):
+class CapacityEntry(Record, fields="slope_N_per_kPa plateau_N threshold_kPa prestretch_N"):
     """Empirical capacity parameters for one shape class.
 
     ``threshold_kPa`` is the vacuum level beyond which the walls buckle;
@@ -149,7 +146,7 @@ class CapacityEntry(CheckedRecord, namedtuple(
         return tuple.__new__(cls, (slope_N_per_kPa, plateau_N, threshold_kPa, prestretch_N))
 
 
-class CapacityCalibration(CheckedRecord, namedtuple("CapacityCalibration", "entries")):
+class CapacityCalibration(Record, fields="entries"):
     """Per-shape-class capacity table; 'default' applies to unlisted shapes."""
 
     __slots__ = ()
@@ -165,9 +162,7 @@ class CapacityCalibration(CheckedRecord, namedtuple("CapacityCalibration", "entr
 
     def lookup(self, shape: ShapeClass) -> CapacityEntry:
         """The entry of ``shape``, a ShapeClass or its name, else the 'default' entry."""
-        if not isinstance(shape, ShapeClass):
-            shape = ShapeClass(shape)  # an unknown name is a ValueError that names the classes
-        key = shape.value
+        key = ShapeClass(shape).value  # an unknown name is a ValueError that names the classes
         if key in self.entries:
             return self.entries[key]
         if "default" in self.entries:
@@ -222,9 +217,8 @@ def sealed_volume(aperture_radius_mm: float, h_eff_mm: float) -> float:
     return math.pi * aperture_radius_mm * aperture_radius_mm * h_eff_mm
 
 
-class SuctionModel(CheckedRecord, namedtuple("SuctionModel", (
-        "assembly", "effective_seal_area_mm2", "h_eff_mm", "ambient_pressure_kPa", "box", "tol",
-        "seal_threshold_kPa", "rest_volume_mm3"))):
+class SuctionModel(Record, fields="assembly effective_seal_area_mm2 h_eff_mm ambient_pressure_kPa "
+                   "box tol seal_threshold_kPa rest_volume_mm3"):
     """Isothermal gas closure of the sealed space V(P_C) = pi*R_g(P_C)^2*h_eff.
 
     ``rest_volume_mm3``, V(0), is computed at construction, not passed, from
@@ -265,16 +259,19 @@ def suction_force(
     ``suction_law`` with V = V(p_chamber) + lift_volume_increase; below the
     model's seal threshold no seal forms and ValueError is raised.
     """
-    if p_chamber < model.seal_threshold_kPa:
-        raise ValueError(
-            f"chamber pressure {p_chamber} kPa below seal threshold "
-            f"{model.seal_threshold_kPa} kPa; no seal is formed"
-        )
+    check_seal(p_chamber, model.seal_threshold_kPa)
     check_lift_volume(lift_volume_increase_mm3)
     rg = aperture_vs_pressure(model.assembly, p_chamber, model.box, model.tol)
     volume = sealed_volume(rg, model.h_eff_mm) + lift_volume_increase_mm3
     return suction_law(model.ambient_pressure_kPa, model.effective_seal_area_mm2,
                        model.rest_volume_mm3, volume)
+
+
+def check_seal(p_chamber: float, seal_threshold_kPa: float) -> None:
+    """Reject a chamber pressure (kPa) below the seal threshold (kPa): no seal forms."""
+    if p_chamber < seal_threshold_kPa:
+        raise ValueError(f"chamber pressure {p_chamber} kPa below seal threshold "
+                         f"{seal_threshold_kPa} kPa; no seal is formed")
 
 
 def check_lift_volume(lift_volume_increase_mm3: float) -> None:
@@ -293,11 +290,11 @@ def check_ambient_pressure(ambient_pressure_kPa: float) -> None:
 # Mode selection and planning
 
 
-ModeSelection = namedtuple("ModeSelection", "mode feasible reason")
+class ModeSelection(Record, fields="mode feasible reason"):
+    __slots__ = ()
 
 
-class GraspPlan(CheckedRecord, namedtuple("GraspPlan",
-                                          "mode schedule predicted_capacity_N feasible rationale")):
+class GraspPlan(Record, fields="mode schedule predicted_capacity_N feasible rationale"):
     """``schedule`` is the ordered list of (phase label, target pressure kPa)."""
 
     __slots__ = ()
@@ -309,15 +306,8 @@ class GraspPlan(CheckedRecord, namedtuple("GraspPlan",
         return tuple.__new__(cls, (mode, schedule, predicted_capacity_N, feasible, rationale))
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value if self.mode else None,
-            "schedule": [
-                {"phase": label, "pressure_kPa": p} for label, p in self.schedule
-            ],
-            "predicted_capacity_N": self.predicted_capacity_N,
-            "feasible": self.feasible,
-            "rationale": self.rationale,
-        }
+        return {**self._asdict(), "mode": self.mode.value if self.mode else None,
+                "schedule": [{"phase": label, "pressure_kPa": p} for label, p in self.schedule]}
 
 
 def select_mode(

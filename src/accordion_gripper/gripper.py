@@ -14,7 +14,6 @@ import itertools
 import math
 import os
 import stat
-from collections import namedtuple
 
 from .chamber import (
     QUAD_REL_TOL,
@@ -35,7 +34,7 @@ from .chamber import (
 )
 from .errors import OutOfWorkspaceError
 from .material import HyperelasticMaterial
-from .records import CheckedRecord
+from .records import Record
 
 #: Default upper end (kPa) of the inflation range: inverse and workspace.
 P_MAX_KPA = 40.0
@@ -47,8 +46,7 @@ STRETCH_MARGIN_MM = 8.65
 _RANGE_END_CACHE_SIZE = 128
 
 
-class GripperAssembly(CheckedRecord, namedtuple("GripperAssembly",
-                                                "geometry material n_chambers folded_aperture_mm")):
+class GripperAssembly(Record, fields="geometry material n_chambers folded_aperture_mm"):
     """Ring of identical chambers plus the shared wall material.
 
     ``folded_aperture_mm`` is the contraction-side bound, configured not modelled.
@@ -70,8 +68,7 @@ class GripperAssembly(CheckedRecord, namedtuple("GripperAssembly",
         return 2.0 * math.pi / self.n_chambers
 
 
-class Workspace(namedtuple("Workspace",
-                           "min_aperture_mm rest_aperture_mm max_aperture_mm p_max_kPa")):
+class Workspace(Record, fields="min_aperture_mm rest_aperture_mm max_aperture_mm p_max_kPa"):
     """Aperture radii reachable by the gripper, mm, and the pressure (kPa)
     the range was solved up to."""
 
@@ -85,8 +82,10 @@ class Workspace(namedtuple("Workspace",
         }
 
 
-SweepRow = namedtuple("SweepRow", "pressure_kPa r0_mm r1_mm theta0_rad D_mm Rg_mm "
-                                  "pin_residual area_residual quadrature_check_kPa")
+class SweepRow(Record, fields="pressure_kPa r0_mm r1_mm theta0_rad D_mm Rg_mm pin_residual "
+                             "area_residual quadrature_check_kPa"):
+    __slots__ = ()
+
 
 #: Column order of the sweep CSV export: the ``SweepRow`` fields.
 SWEEP_CSV_HEADER = ",".join(SweepRow._fields)
@@ -186,12 +185,7 @@ def workspace(
     folding branch is not modelled analytically.
     """
     rest, _, top = _range_ends(assembly, p_max, box, tol)
-    return Workspace(
-        min_aperture_mm=assembly.folded_aperture_mm,
-        rest_aperture_mm=rest,
-        max_aperture_mm=top,
-        p_max_kPa=p_max,
-    )
+    return Workspace(assembly.folded_aperture_mm, rest, top, p_max)
 
 
 def contraction_diameter_range(

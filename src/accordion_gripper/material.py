@@ -10,12 +10,11 @@ used in the prototype).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
-from .records import CheckedRecord
+from .records import Record
 
 
-class HyperelasticMaterial(CheckedRecord, namedtuple("HyperelasticMaterial", "c1")):
+class HyperelasticMaterial(Record, fields="c1"):
     """Single-constant incompressible neo-Hookean material."""
 
     __slots__ = ()

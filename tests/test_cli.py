@@ -524,6 +524,19 @@ def test_plan_suction_below_seal_threshold_exit_1(capsys, tmp_path):
     assert "below seal threshold" in err
 
 
+def test_suction_below_seal_threshold_is_a_config_error(capsys, tmp_path):
+    """A suction phase that cannot seal is refused at load, naming both keys, so every
+    command exits 1, not only a suction plan; a phase at the threshold loads."""
+    cfg = write_config(tmp_path, {"grasp": {"suction_kPa": 20},
+                                  "suction": {"seal_threshold_kPa": 25}})
+    lead = ("config error: invalid config: grasp.suction_kPa 20.0, "
+            "suction.seal_threshold_kPa 25.0: chamber pressure 20.0 kPa below seal threshold")
+    for argv in (["config"], ["solve", "--pressure", "10"], ["workspace"]):
+        code, out, err = run(capsys, "--config", cfg, *argv)
+        assert (code, out, err.startswith(lead)) == (1, "", True), (argv, err)
+    ModelContext.from_config({"grasp": {"suction_kPa": 25}, "suction": {"seal_threshold_kPa": 25}})
+
+
 def test_validate_quadrature_at_soft_material(capsys, tmp_path):
     # The 30 kPa sweep point once stopped the quadrature 1.9e-6 off.
     cfg = write_config(tmp_path, {"material": {"c1_kPa": 99.43333166710374}})
@@ -737,6 +750,34 @@ def test_no_command_imports_dataclasses(all_commands_probe):
     assert loaded_among(all_commands_probe, ALL_COMMANDS, {"dataclasses", "inspect"}) == {
         k: [0, []] for k in ALL_COMMANDS
     }
+
+
+NAMEDTUPLE_PROBE = textwrap.dedent(
+    """
+    import collections, json, sys
+
+    callers, real = [], collections.namedtuple
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals.get("__name__"))
+        return real(*args, **kwargs)
+
+    collections.namedtuple = spy
+    import accordion_gripper.cli
+    print(json.dumps(callers))
+    """
+)
+
+
+def test_no_package_module_calls_namedtuple():
+    """``import accordion_gripper.cli`` with ``collections.namedtuple`` wrapped first:
+    no package module calls it, as every record subclasses ``records.Record``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", NAMEDTUPLE_PROBE],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120, check=True)
+    callers = json.loads(proc.stdout.splitlines()[-1])
+    assert [c for c in callers if (c or "").startswith("accordion_gripper")] == []
 
 
 def test_no_command_imports_a_parser(all_commands_probe):

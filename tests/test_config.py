@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import sys
+from collections import namedtuple
 
 import pytest
 
@@ -39,7 +40,7 @@ from accordion_gripper.config import (
     load_context,
 )
 from accordion_gripper.grasp import SEAL_THRESHOLD_KPA, sealed_volume
-from accordion_gripper.records import CheckedRecord
+from accordion_gripper.records import Record
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -349,16 +350,51 @@ RECORDS = (
 
 
 def package_records() -> dict:
-    """Every namedtuple class the package's modules define, by name."""
+    """Every record class the package's modules define, by name; not the ``Record`` base."""
     package = [m for name, m in sys.modules.items() if name.startswith("accordion_gripper.")]
     return {
         name: v for m in package for name, v in vars(m).items()
         if isinstance(v, type) and issubclass(v, tuple) and v.__module__ == m.__name__
+        and v is not Record
     }
 
 
 def test_records_list_every_record():
     assert set(package_records()) == set(RECORDS)
+
+
+def hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # a record holding a dict or a list
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_behaves_as_its_namedtuple(records, name):
+    """Each record against a namedtuple of the same name and fields: repr, ``_asdict``
+    and ``_fields``; equality and hash as a plain tuple; copy, deepcopy and pickle at
+    every protocol give an equal record of the same class."""
+    record = records[name]
+    oracle = namedtuple(name, record._fields)(*record)
+    assert record._fields == oracle._fields
+    assert repr(record) == repr(oracle)
+    assert list(record._asdict().items()) == list(oracle._asdict().items())
+    assert record == oracle == tuple(record) and not record != tuple(record)
+    assert hash_or_error(record) == hash_or_error(tuple(record)) == hash_or_error(oracle)
+    copies = [copy.copy(record), copy.deepcopy(record)] + [
+        pickle.loads(pickle.dumps(record, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies:
+        assert copied == record and type(copied) is type(record)
+
+
+def test_a_record_without_its_own_constructor_is_built_positionally():
+    """The base constructor fills the trailing defaults and refuses any other count."""
+    assert FitReport({}, 0.0, ()) == ({}, 0.0, (), False, "", 0)
+    for values in (({}, 0.0), ({}, 0.0, (), False, "", 0, None)):
+        with pytest.raises(TypeError, match="FitReport takes 6 fields, got"):
+            FitReport(*values)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -407,10 +443,8 @@ REPLACE_CASES = {
 
 
 def test_every_record_with_its_own_constructor_rebuilds_through_it():
-    own = {name for name, cls in package_records().items()
-           if "__new__" in vars(cls) and tuple not in cls.__bases__}
-    assert own == {name for name, cls in package_records().items()
-                   if issubclass(cls, CheckedRecord)}
+    assert all(issubclass(cls, Record) for cls in package_records().values())
+    own = {name for name, cls in package_records().items() if "__new__" in vars(cls)}
     assert own == set(REPLACE_CASES) | {"CapacityCalibration"}
     # CapacityCalibration checks nothing, but its constructor turns None into {}.
     assert CapacityCalibration()._replace(entries=None) == CapacityCalibration()
