@@ -221,8 +221,7 @@ def _csv_pairs(raw, path, expected: tuple) -> tuple:
     return tuple(pairs)
 
 
-class FitReport(Record, fields="params residual_norm per_point at_bound notes n_evals",
-                defaults=(False, "", 0)):
+class FitReport(Record, fields="params residual_norm per_point at_bound notes n_evals"):
     """Outcome of a parameter fit."""
 
     __slots__ = ()
@@ -432,6 +431,8 @@ def extract_peak_force(series: MeasurementSeries, smoothing_window: int = 1) -> 
     rows = series.rows
     w = smoothing_window
     try:
+        if isinstance(w, bool):  # an int, but not a window
+            raise TypeError
         if w < 1:
             raise ValueError(f"smoothing window must be >= 1, got {w}")
         if w > len(rows):
@@ -473,6 +474,8 @@ def fit_suction(
     volume, and the model is finite on all of s in [0, 1]: a bounded search
     over s minimizes what remains, in any unit.  ``at_bound`` means s ends
     within 1e-3 of 0 or 1, the data asking for h_eff -> 0 or -> infinity.
+    It fits every row it is given: ``gripper fit-suction`` first refuses rows
+    below the configured seal threshold.
     """
     _require_kind(series, SeriesKind.SUCTION_FORCE, "fit_suction")
     xs, ys = series.xs(), series.ys()

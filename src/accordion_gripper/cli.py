@@ -43,7 +43,7 @@ from .gripper import (
     workspace,
     write_sweep_csv,
 )
-from .grasp import SCHEDULE_KPA, ObjectDescriptor, plan_grasp
+from .grasp import SCHEDULE_KPA, ObjectDescriptor, check_seal, plan_grasp
 
 
 def _fmt(value: float) -> str:
@@ -174,14 +174,9 @@ def cmd_fit_c1(ctx: ModelContext, args) -> int:
 
 def cmd_fit_suction(ctx: ModelContext, args) -> int:
     series = load_series_csv(args.data, SeriesKind.SUCTION_FORCE)
-    report = fit_suction(
-        series,
-        ctx.assembly,
-        lift_volume_increase_mm3=ctx.config["suction"]["lift_volume_increase_mm3"],
-        ambient_pressure_kPa=ctx.config["suction"]["ambient_kPa"],
-        box=ctx.box,
-        tol=ctx.theta_tol_rad,
-    )
+    check_seal(min(series.xs()), ctx.suction.seal_threshold_kPa)
+    report = fit_suction(series, ctx.assembly, ctx.config["suction"]["lift_volume_increase_mm3"],
+                         ctx.suction.ambient_pressure_kPa, ctx.box, ctx.theta_tol_rad)
     _print_json(report.to_dict())
     return 0
 

@@ -227,6 +227,8 @@ def iter_sweep(
     if not p_from < p_to:
         raise ValueError(f"empty sweep range [{p_from}, {p_to}]")
     try:
+        if isinstance(steps, bool):  # an int, but not a count
+            raise TypeError
         if steps < 2:
             raise ValueError(f"sweep needs at least 2 steps, got {steps}")
         indices = range(steps)

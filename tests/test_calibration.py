@@ -721,7 +721,7 @@ def test_extract_peak_force_matches_the_list_based_peak(n):
         extract_peak_force(huge, smoothing_window=2)
 
 
-@pytest.mark.parametrize("window", [2.0, "2", None, 1.5, math.nan])
+@pytest.mark.parametrize("window", [2.0, "2", None, 1.5, math.nan, True, False])
 def test_extract_peak_force_window_must_be_an_integer(window):
     series = MeasurementSeries.from_pairs(
         SeriesKind.FORCE_DISPLACEMENT, [(0, 1.0), (1, 2.0), (2, 1.5)]
@@ -729,8 +729,6 @@ def test_extract_peak_force_window_must_be_an_integer(window):
     with pytest.raises(ValueError) as raised:
         extract_peak_force(series, smoothing_window=window)
     assert str(raised.value) == f"smoothing window must be an integer, got {window!r}"
-    # A bool is an int, and True is the window 1.
-    assert extract_peak_force(series, smoothing_window=True) == 2.0
 
 
 # ---------------------------------------------------------------------------

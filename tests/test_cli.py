@@ -284,6 +284,20 @@ def test_fit_suction_from_csv(capsys, tmp_path):
     assert report["params"]["h_eff_mm"] > 0
 
 
+def test_fit_suction_refuses_rows_below_the_seal_threshold(capsys, tmp_path):
+    """No seal forms below the configured threshold, so no force is measured there to fit."""
+    path = tmp_path / "suction.csv"
+    path.write_text("pressure_kPa,force_N\n0,15\n20,30\n")
+    cfg = write_config(tmp_path, {"suction": {"seal_threshold_kPa": 10}})
+    code, out, err = run(capsys, "--config", cfg, "fit-suction", "--data", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: chamber pressure 0.0 kPa below seal threshold 10.0 kPa; "
+                   "no seal is formed\n")
+    path.write_text("pressure_kPa,force_N\n10,15\n20,30\n")
+    code, out, _ = run(capsys, "--config", cfg, "fit-suction", "--data", str(path))
+    assert code == 0 and json.loads(out)["params"]["A_eff_mm2"] > 0
+
+
 def test_peak_force_json(capsys, tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("displacement_mm,force_N\n0,1.0\n1,4.5\n2,2.0\n")

@@ -337,7 +337,7 @@ def records(ctx):
         select_mode(obj, ws),
         plan_grasp(obj, asm, ws, ctx.capacity),
         MeasurementSeries.from_pairs(SeriesKind.SUCTION_FORCE, [(10.0, 1.0), (20.0, 2.0)]),
-        FitReport({"c1_kPa": 119.0}, 0.0, ()),
+        FitReport({"c1_kPa": 119.0}, 0.0, (), False, "", 0),
     ]
     return {type(r).__name__: r for r in found}
 
@@ -390,9 +390,9 @@ def test_record_behaves_as_its_namedtuple(records, name):
 
 
 def test_a_record_without_its_own_constructor_is_built_positionally():
-    """The base constructor fills the trailing defaults and refuses any other count."""
-    assert FitReport({}, 0.0, ()) == ({}, 0.0, (), False, "", 0)
-    for values in (({}, 0.0), ({}, 0.0, (), False, "", 0, None)):
+    """The base constructor takes exactly the record's fields and refuses any other count."""
+    assert FitReport({}, 0.0, (), False, "", 0) == ({}, 0.0, (), False, "", 0)
+    for values in ((), ({}, 0.0, ()), ({}, 0.0, (), False, "", 0, None)):
         with pytest.raises(TypeError, match="FitReport takes 6 fields, got"):
             FitReport(*values)
 
@@ -463,6 +463,21 @@ def test_replace_runs_the_constructor_checks(name):
     for copied in (copy.copy(replaced), copy.deepcopy(replaced),
                    pickle.loads(pickle.dumps(replaced))):
         assert copied == fresh
+
+
+@pytest.mark.parametrize("name", REPLACE_CASES)
+def test_every_rebuild_route_runs_the_constructor_checks(name):
+    """copy, deepcopy and pickle at every protocol rebuild through the constructor, so
+    a record built past its checks, with its derived fields kept, is refused."""
+    record, bad, (error, match), _, _ = REPLACE_CASES[name]
+    values = [bad.get(field, value) for field, value in zip(record._fields, record)]
+    unchecked = tuple.__new__(type(record), values)
+    routes = [copy.copy, copy.deepcopy] + [
+        lambda r, p=protocol: pickle.loads(pickle.dumps(r, p))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for route in routes:
+        with pytest.raises(error, match=match):
+            route(unchecked)
 
 
 def test_suction_model_rest_volume(assembly):
